@@ -25,7 +25,6 @@ _MATRIX_KEYS = {
     "kind", "d", "lam_min", "lam_max", "rho", "a", "b", "c", "d_right",
     "values", "path", "rotation_seed",
 }
-_FUNCTION_KEYS = {"name"}
 _OUTPUT_KEYS = {"out_dir"}
 
 
@@ -55,7 +54,6 @@ def load_config(path: str) -> ExperimentConfig:
     known = {
         "experiment": _EXPERIMENT_KEYS,
         "matrix": _MATRIX_KEYS,
-        "function": _FUNCTION_KEYS,
         "output": _OUTPUT_KEYS,
     }
     for section in parser.sections():
@@ -71,9 +69,6 @@ def load_config(path: str) -> ExperimentConfig:
     matrix = (
         _matrix_from_section(parser["matrix"]) if "matrix" in parser else None
     )
-    function = (
-        parser["function"].get("name") if "function" in parser else None
-    )
     out_dir = parser["output"].get("out_dir") if "output" in parser else None
     return ExperimentConfig(
         experiment=exp["name"],
@@ -81,7 +76,6 @@ def load_config(path: str) -> ExperimentConfig:
         k=exp.getint("k") if "k" in exp else None,
         m=exp.getint("m") if "m" in exp else None,
         seed=exp.getint("seed") if "seed" in exp else 0,
-        function=function,
         out_dir=out_dir,
     )
 
@@ -147,8 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out-dir", default=None)
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="probe-level parallelism (results independent of it)")
     p_run.add_argument("--k", type=int, default=None)
     p_run.add_argument("--m", type=int, default=None)
     p_run.set_defaults(func=_cmd_run)

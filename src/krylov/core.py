@@ -175,6 +175,19 @@ def sym_tridiag_eig(T: SymTridiagonal) -> TridiagEig:
     return TridiagEig(vals, vecs)
 
 
+def _finite_values(f, points: np.ndarray, error: type) -> np.ndarray:
+    """``f`` at each point, by one scalar call per point, as a float array.
+
+    Raises ``error`` if any value is NaN or Inf (``f`` off its domain).
+    """
+    with np.errstate(all="ignore"):
+        fvals = np.asarray([f(t) for t in points], dtype=float)
+    if not np.all(np.isfinite(fvals)):
+        bad = np.asarray(points)[~np.isfinite(fvals)]
+        raise error(f"f is not finite at {bad[:3]}")
+    return fvals
+
+
 def tridiag_apply_function(T: SymTridiagonal, f) -> np.ndarray:
     """Return ``f(T) e_1`` via the eigendecomposition of ``T``.
 
@@ -182,13 +195,7 @@ def tridiag_apply_function(T: SymTridiagonal, f) -> np.ndarray:
     eigenvalue of ``T`` (e.g. ``1/x`` with an eigenvalue at zero).
     """
     eig = sym_tridiag_eig(T)
-    with np.errstate(all="ignore"):
-        fvals = np.asarray([f(t) for t in eig.eigenvalues], dtype=float)
-    if not np.all(np.isfinite(fvals)):
-        bad = eig.eigenvalues[~np.isfinite(fvals)]
-        raise FunctionDomainError(
-            f"function is not finite at eigenvalue(s) {bad[:3]}"
-        )
+    fvals = _finite_values(f, eig.eigenvalues, FunctionDomainError)
     return eig.eigenvectors @ (fvals * eig.eigenvectors[0, :])
 
 

@@ -13,6 +13,7 @@ import numpy as np
 from .core import sym_tridiag_eig, tridiag_apply_function
 from .errors import InvalidSpec
 from .lanczos import ReorthMode, lanczos
+from .matfunc import _pitfall_apply
 from .matrices import (
     ClusterPerturbed,
     ExplicitEigenvalues,
@@ -57,7 +58,6 @@ class ExperimentConfig:
     k: int | None = None
     m: int | None = None
     seed: int = 0
-    function: str | None = None
     out_dir: str | None = None
 
     def config_hash(self) -> str:
@@ -68,7 +68,6 @@ class ExperimentConfig:
                 self.k,
                 self.m,
                 self.seed,
-                self.function,
             )
         ).encode()
         return hashlib.sha256(payload).hexdigest()[:12]
@@ -409,17 +408,11 @@ def _fa_formulas(cfg: ExperimentConfig) -> ExperimentReport:
     Q = dec.basis
     rows = []
     correct_err = pitfall_err = np.nan
-    from .core import sym_tridiag_eig as _eig
-
     for j in range(1, dec.T.size + 1):
         Tj = dec.T.principal(j)
         coeffs = tridiag_apply_function(Tj, f)
         correct = dec.b_norm * (Q[:, :j] @ coeffs)
-        eig = _eig(Tj)
-        fvals = np.exp(-eig.eigenvalues)
-        pitfall = Q[:, :j] @ (
-            eig.eigenvectors @ (fvals * (eig.eigenvectors.T @ (Q[:, :j].T @ b)))
-        )
+        pitfall = _pitfall_apply(Q[:, :j], Tj, b, f)
         correct_err = float(np.linalg.norm(target - correct)) / tnorm
         pitfall_err = float(np.linalg.norm(target - pitfall)) / tnorm
         rows.append(("rel_error_correct", j, correct_err))

@@ -113,16 +113,153 @@ class BlockKrylovDecomposition:
         return T
 
 
-def _three_term_y(A: LinearOperator, q_prev, q, beta_prev, n):
-    """One shared recurrence step: y = A q_n - beta_{n-1} q_{n-1}.
+class _Basis:
+    """Row-major store of basis vectors: row j holds vector j.
 
-    Kept as a single code path so that streaming regeneration reproduces
-    the stored recurrence bit for bit.
+    Capacity doubles, up to ``limit`` rows, when an append does not fit.
+    The buffer grows in place (``realloc``), so rows are never re-stacked
+    and no freed copy stays resident; ``resize`` raises if a view of the
+    buffer is alive, so none may be held across an append.
     """
-    y = A.apply(q)
-    if n > 0:
-        y = y - beta_prev * q_prev
-    return y
+
+    def __init__(self, d: int, limit: int):
+        self._limit = max(limit, 1)
+        self._buf = np.empty((min(self._limit, 16), d))
+        self.size = 0
+
+    def append(self, rows: np.ndarray) -> None:
+        """Append one vector (shape ``(d,)``) or a block of rows ``(r, d)``."""
+        rows = np.atleast_2d(rows)
+        need = self.size + rows.shape[0]
+        if need > self._buf.shape[0]:
+            cap = max(need, min(2 * self._buf.shape[0], self._limit))
+            self._buf.resize((cap, self._buf.shape[1]))
+        self._buf[self.size : need] = rows
+        self.size = need
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The stored vectors as an ``n x d`` view."""
+        return self._buf[: self.size]
+
+    def reorthogonalize(self, z: np.ndarray) -> np.ndarray:
+        """Two classical Gram-Schmidt passes of ``z`` (a vector or a
+        ``d x m`` block) against every stored vector."""
+        V = self.rows
+        for _ in range(2):
+            z = z - V.T @ (V @ z)
+        return z
+
+
+class _Recurrence:
+    """The Lanczos three-term recurrence, shared by every Lanczos-type
+    caller so that all of them run the same arithmetic bit for bit.
+
+    Owns ``q_prev``, ``q`` and ``beta_prev``; :meth:`step` forms
+    ``y = A q - beta_prev q_prev``, ``alpha = q . y``, ``z = y - alpha q``
+    (reorthogonalized when ``mode`` is FULL) and ``beta = ||z||``, and
+    reports breakdown when ``beta`` drops below ``breakdown_tol`` times
+    the running coefficient scale; :meth:`advance` moves to
+    ``q = z / beta``.  Storage: nothing beyond the current pair, the full
+    basis (``store_basis``, implied by FULL), or ``(q_prev, q)``
+    checkpoints every ``checkpoint_stride`` steps for :meth:`replay`.
+    """
+
+    def __init__(
+        self,
+        A: LinearOperator,
+        b: np.ndarray,
+        k: int,
+        mode: ReorthMode = ReorthMode.NONE,
+        store_basis: bool = False,
+        checkpoint_stride: int | None = None,
+        breakdown_tol: float = DEFAULT_BREAKDOWN_TOL,
+    ):
+        b = np.asarray(b, dtype=float)
+        self.b_norm = float(np.linalg.norm(b))
+        if self.b_norm == 0.0:
+            raise ZeroStartVector("starting vector has zero norm")
+        self.A, self.k = A, k
+        self.breakdown_tol = breakdown_tol
+        self.q = b / self.b_norm
+        self.q_prev = None
+        self.beta_prev = 0.0
+        self.n = 0
+        self.alphas: list[float] = []
+        self.betas: list[float] = []
+        self.scale = 0.0
+        self.z = None
+        self.beta = 0.0
+        self._reorth = mode is ReorthMode.FULL
+        self.basis = _Basis(A.dim, k) if store_basis or self._reorth else None
+        if self.basis is not None:
+            self.basis.append(self.q)
+        self._stride = checkpoint_stride
+        self.checkpoints: list = []
+
+    @property
+    def T(self) -> SymTridiagonal:
+        return SymTridiagonal(np.asarray(self.alphas), np.asarray(self.betas))
+
+    def _y(self) -> np.ndarray:
+        y = self.A.apply(self.q)
+        if self.n > 0:
+            y = y - self.beta_prev * self.q_prev
+        return y
+
+    def _shift(self, q_next: np.ndarray, beta: float) -> None:
+        self.q_prev, self.q, self.beta_prev = self.q, q_next, beta
+        self.n += 1
+
+    def step(self) -> bool:
+        """Compute alpha_n, z and beta_n; True on breakdown."""
+        if self._stride is not None and self.n % self._stride == 0:
+            self.checkpoints.append((self.q_prev, self.q, self.beta_prev, self.n))
+        y = self._y()
+        alpha = float(self.q @ y)
+        z = y - alpha * self.q
+        if self._reorth:
+            z = self.basis.reorthogonalize(z)
+        self.z, self.beta = z, float(np.linalg.norm(z))
+        self.alphas.append(alpha)
+        self.scale = max(self.scale, abs(alpha))
+        if self.beta <= self.breakdown_tol * self.scale:
+            return True
+        self.scale = max(self.scale, self.beta)
+        return False
+
+    def advance(self) -> None:
+        """Accept beta_n and move to q_{n+1} = z / beta_n."""
+        self.betas.append(self.beta)
+        self._shift(self.z / self.beta, self.beta)
+        if self.basis is not None:
+            self.basis.append(self.q)
+
+    def run(self) -> "_Recurrence":
+        """Step until breakdown or until k coefficients alpha are known;
+        records how it stopped in ``termination``."""
+        self.termination = Termination("completed", self.k)
+        for n in range(self.k):
+            if self.step():
+                self.termination = Termination("breakdown", n + 1)
+                break
+            if n < self.k - 1:
+                self.advance()
+        return self
+
+    def replay(self):
+        """Yield q_0, q_1, ... again from the checkpoints and the stored
+        coefficients, computing no inner products (the second pass of
+        two-pass Lanczos)."""
+        k_used = len(self.alphas)
+        for q_prev, q, beta_prev, start in self.checkpoints:
+            self.q_prev, self.q, self.beta_prev, self.n = q_prev, q, beta_prev, start
+            stop = min(start + self._stride, k_used)
+            for n in range(start, stop):
+                yield self.q
+                if n + 1 < stop:
+                    z = self._y() - self.alphas[n] * self.q
+                    self._shift(z / self.betas[n], self.betas[n])
 
 
 def lanczos(
@@ -141,61 +278,23 @@ def lanczos(
     resulting T is the finite-precision one -- no orthogonality guarantee.
 
     Terminates early when the new off-diagonal drops below
-    ``breakdown_tol`` times the running coefficient scale.
+    ``breakdown_tol`` times the running coefficient scale.  ``basis`` is
+    a view, one column per step, of the row-major store the recurrence
+    filled.
     """
-    b = np.asarray(b, dtype=float)
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        raise ZeroStartVector("starting vector has zero norm")
+    rec = _Recurrence(
+        A, b, k, mode=mode, store_basis=True, breakdown_tol=breakdown_tol
+    )
     if k < 1:
         raise ValueError("k must be at least 1")
-
-    q = b / b_norm
-    q_prev = None
-    beta_prev = 0.0
-    cols = [q]
-    alphas: list[float] = []
-    betas: list[float] = []
-    scale = 0.0
-    trailing_beta = 0.0
-    next_vector: np.ndarray | None = None
-    termination = Termination("completed", k)
-
-    for n in range(k):
-        y = _three_term_y(A, q_prev, q, beta_prev, n)
-        alpha = float(q @ y)
-        z = y - alpha * q
-        if mode is ReorthMode.FULL:
-            Q = np.stack(cols, axis=1)
-            for _ in range(2):
-                z = z - Q @ (Q.T @ z)
-        beta = float(np.linalg.norm(z))
-        alphas.append(alpha)
-        scale = max(scale, abs(alpha))
-        if beta <= breakdown_tol * scale:
-            trailing_beta = beta
-            termination = Termination("breakdown", n + 1)
-            break
-        scale = max(scale, beta)
-        if n == k - 1:
-            trailing_beta = beta
-            next_vector = z / beta
-            break
-        betas.append(beta)
-        q_prev = q
-        beta_prev = beta
-        q = z / beta
-        cols.append(q)
-
-    T = SymTridiagonal(np.asarray(alphas), np.asarray(betas))
-    basis = np.stack(cols[: T.size], axis=1)
+    rec.run()
     return KrylovDecomposition(
-        basis=basis,
-        T=T,
-        trailing_beta=trailing_beta,
-        next_vector=next_vector,
-        b_norm=b_norm,
-        termination=termination,
+        basis=rec.basis.rows.T,
+        T=rec.T,
+        trailing_beta=rec.beta,
+        next_vector=None if rec.termination.is_breakdown else rec.z / rec.beta,
+        b_norm=rec.b_norm,
+        termination=rec.termination,
     )
 
 
@@ -218,7 +317,9 @@ def arnoldi(
     if not 1 <= k <= A.dim:
         raise ValueError("need 1 <= k <= dim")
 
-    cols = [b / b_norm]
+    q = b / b_norm
+    basis = _Basis(A.dim, k)
+    basis.append(q)
     H = np.zeros((k, k))
     trailing_h = 0.0
     next_vector = None
@@ -226,10 +327,9 @@ def arnoldi(
     scale = 0.0
 
     for n in range(k):
-        Q = np.stack(cols, axis=1)
-        y = A.apply(cols[n])
-        h = Q.T @ y
-        y = y - Q @ h
+        y = A.apply(q)
+        h = basis.rows @ y
+        y = y - basis.rows.T @ h
         H[: n + 1, n] = h
         scale = max(scale, float(np.abs(h).max()) if h.size else 0.0)
         hn = float(np.linalg.norm(y))
@@ -244,11 +344,11 @@ def arnoldi(
             next_vector = y / hn
             break
         H[n + 1, n] = hn
-        cols.append(y / hn)
+        q = y / hn
+        basis.append(q)
 
-    basis = np.stack(cols[: H.shape[0]], axis=1)
     return ArnoldiDecomposition(
-        basis=basis,
+        basis=basis.rows.T,
         H=H,
         trailing_h=trailing_h,
         next_vector=next_vector,
@@ -306,7 +406,8 @@ def block_lanczos(
     if rank0 == 0:
         raise ZeroStartBlock("starting block has numerical rank zero")
 
-    blocks = [Q0]
+    basis = _Basis(A.dim, rank0 * k)
+    basis.append(Q0.T)
     widths = [rank0]
     block_diag: list[np.ndarray] = []
     block_offdiag: list[np.ndarray] = []
@@ -323,9 +424,7 @@ def block_lanczos(
         An = 0.5 * (An + An.T)
         Z = Y - Qn @ An
         if mode is ReorthMode.FULL:
-            Qall = np.column_stack(blocks)
-            for _ in range(2):
-                Z = Z - Qall @ (Qall.T @ Z)
+            Z = basis.reorthogonalize(Z)
         block_diag.append(An)
         if n == k - 1:
             break
@@ -335,12 +434,12 @@ def block_lanczos(
         if rank == 0:
             termination = Termination("breakdown", n + 1)
             break
-        blocks.append(Qnext)
+        basis.append(Qnext.T)
         widths.append(rank)
         Qn_prev, Bn_prev, Qn = Qn, Bn, Qnext
 
     return BlockKrylovDecomposition(
-        basis=np.column_stack(blocks),
+        basis=basis.rows.T,
         block_diag=block_diag,
         block_offdiag=block_offdiag,
         initial_R=R0,

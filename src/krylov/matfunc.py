@@ -9,21 +9,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinearOperator, SymTridiagonal, tridiag_apply_function, tridiag_solve
-from .errors import (
-    FunctionDomainError,
-    NonFiniteSample,
-    SingularSystem,
-    ZeroStartVector,
+from .core import (
+    LinearOperator,
+    _finite_values,
+    sym_tridiag_eig,
+    tridiag_apply_function,
+    tridiag_solve,
 )
-from .lanczos import (
-    DEFAULT_BREAKDOWN_TOL,
-    ReorthMode,
-    Termination,
-    _three_term_y,
-    block_lanczos,
-    lanczos,
-)
+from .errors import FunctionDomainError, NonFiniteSample, SingularSystem
+from .lanczos import ReorthMode, _Recurrence, block_lanczos, lanczos
 
 __all__ = [
     "MatFuncResult",
@@ -59,6 +53,15 @@ def _ordered_accumulate(columns, coeffs, b_norm):
     return res
 
 
+def _pitfall_apply(Q: np.ndarray, T, b: np.ndarray, f) -> np.ndarray:
+    """Q f(T) Q^T b: equal to the correct ||b|| Q f(T) e1 only while Q
+    stays orthonormal."""
+    eig = sym_tridiag_eig(T)
+    fvals = _finite_values(f, eig.eigenvalues, FunctionDomainError)
+    w = eig.eigenvectors.T @ (Q.T @ np.asarray(b, dtype=float))
+    return Q @ (eig.eigenvectors @ (fvals * w))
+
+
 def lanczos_fa(
     A: LinearOperator,
     b: np.ndarray,
@@ -79,15 +82,7 @@ def lanczos_fa(
         coeffs = tridiag_apply_function(T, f)
         value = _ordered_accumulate(Q.T, coeffs, b_norm)
     elif formula == "pitfall":
-        from .core import sym_tridiag_eig
-
-        eig = sym_tridiag_eig(T)
-        with np.errstate(all="ignore"):
-            fvals = np.asarray([f(t) for t in eig.eigenvalues], dtype=float)
-        if not np.all(np.isfinite(fvals)):
-            raise FunctionDomainError("f not finite on the Ritz values")
-        w = eig.eigenvectors.T @ (Q.T @ np.asarray(b, dtype=float))
-        value = Q @ (eig.eigenvectors @ (fvals * w))
+        value = _pitfall_apply(Q, T, b, f)
     else:
         raise ValueError(f"unknown formula {formula!r}")
     gram = Q.T @ Q
@@ -98,46 +93,6 @@ def lanczos_fa(
         "trailing_beta": dec.trailing_beta,
     }
     return MatFuncResult(value=value, k_used=T.size, diagnostics=diagnostics)
-
-
-def _streaming_pass(A, b, k, checkpoint_stride=None, breakdown_tol=DEFAULT_BREAKDOWN_TOL):
-    """Plain (no reorthogonalization) Lanczos keeping O(1) vectors.
-
-    Returns (alphas, betas, trailing_beta, b_norm, checkpoints, k_used)
-    where ``checkpoints[j] = (q_prev, q, n)`` seeds regeneration of the
-    segment starting at index n = j * stride.  The arithmetic matches
-    :func:`krylov.lanczos.lanczos` with ``mode=ReorthMode.NONE`` exactly.
-    """
-    b = np.asarray(b, dtype=float)
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        raise ZeroStartVector("starting vector has zero norm")
-
-    q = b / b_norm
-    q_prev = None
-    beta_prev = 0.0
-    alphas, betas = [], []
-    checkpoints = []
-    scale = 0.0
-    for n in range(k):
-        if checkpoint_stride is not None and n % checkpoint_stride == 0:
-            checkpoints.append((q_prev, q, n))
-        y = _three_term_y(A, q_prev, q, beta_prev, n)
-        alpha = float(q @ y)
-        z = y - alpha * q
-        beta = float(np.linalg.norm(z))
-        alphas.append(alpha)
-        scale = max(scale, abs(alpha))
-        if beta <= breakdown_tol * scale:
-            return alphas, betas, beta, b_norm, checkpoints, len(alphas)
-        scale = max(scale, beta)
-        if n == k - 1:
-            return alphas, betas, beta, b_norm, checkpoints, len(alphas)
-        betas.append(beta)
-        q_prev = q
-        beta_prev = beta
-        q = z / beta
-    return alphas, betas, 0.0, b_norm, checkpoints, len(alphas)
 
 
 def two_pass_lanczos_fa(
@@ -157,31 +112,13 @@ def two_pass_lanczos_fa(
     """
     if checkpoint_stride < 1:
         raise ValueError("checkpoint_stride must be at least 1")
-    alphas, betas, trailing, b_norm, checkpoints, k_used = _streaming_pass(
-        A, b, k, checkpoint_stride=checkpoint_stride
-    )
-    T = SymTridiagonal(np.asarray(alphas), np.asarray(betas))
-    coeffs = tridiag_apply_function(T, f)
-
-    def regenerate():
-        for seg, (q_prev, q, start) in enumerate(checkpoints):
-            stop = min(start + checkpoint_stride, k_used)
-            beta_prev = betas[start - 1] if start > 0 else 0.0
-            for n in range(start, stop):
-                yield q
-                if n + 1 >= k_used or n + 1 >= stop:
-                    break
-                y = _three_term_y(A, q_prev, q, beta_prev, n)
-                z = y - alphas[n] * q
-                beta_prev = betas[n]
-                q_prev = q
-                q = z / beta_prev
-
-    value = _ordered_accumulate(regenerate(), coeffs, b_norm)
+    rec = _Recurrence(A, b, k, checkpoint_stride=checkpoint_stride).run()
+    coeffs = tridiag_apply_function(rec.T, f)
+    value = _ordered_accumulate(rec.replay(), coeffs, rec.b_norm)
     return MatFuncResult(
         value=value,
-        k_used=k_used,
-        diagnostics={"orthogonality_loss": np.nan, "trailing_beta": trailing},
+        k_used=len(rec.alphas),
+        diagnostics={"orthogonality_loss": np.nan, "trailing_beta": rec.beta},
     )
 
 
@@ -195,14 +132,9 @@ def lanczos_qf(
     """Lanczos quadratic-form estimate of b^T f(A) b: the k-point Gaussian
     quadrature of the spectral measure of (A, b), evaluated without ever
     touching the basis (O(d) memory when ``mode=ReorthMode.NONE``)."""
-    if mode is ReorthMode.NONE:
-        alphas, betas, _, b_norm, _, _ = _streaming_pass(A, b, k)
-        T = SymTridiagonal(np.asarray(alphas), np.asarray(betas))
-    else:
-        dec = lanczos(A, b, k, mode=mode)
-        T, b_norm = dec.T, dec.b_norm
-    coeffs = tridiag_apply_function(T, f)
-    return float(b_norm**2 * coeffs[0])
+    rec = _Recurrence(A, b, k, mode=mode).run()
+    coeffs = tridiag_apply_function(rec.T, f)
+    return float(rec.b_norm**2 * coeffs[0])
 
 
 def rational_apply(
@@ -284,10 +216,7 @@ def block_lanczos_qf(A: LinearOperator, B: np.ndarray, f, k: int) -> np.ndarray:
 
 def _dense_symmetric_function(T: np.ndarray, f) -> np.ndarray:
     vals, vecs = np.linalg.eigh(T)
-    with np.errstate(all="ignore"):
-        fvals = np.asarray([f(t) for t in vals], dtype=float)
-    if not np.all(np.isfinite(fvals)):
-        raise FunctionDomainError("f not finite on the block Ritz values")
+    fvals = _finite_values(f, vals, FunctionDomainError)
     return (vecs * fvals) @ vecs.T
 
 
@@ -305,10 +234,7 @@ def fa_apriori_bound(f, interval, k: int, b_norm: float = 1.0) -> float:
     theta = (np.arange(k) + 0.5) * np.pi / k
     xt = np.cos(theta)
     x = 0.5 * (c - a) * xt + 0.5 * (a + c)
-    with np.errstate(all="ignore"):
-        fv = np.asarray([f(xi) for xi in x], dtype=float)
-    if not np.all(np.isfinite(fv)):
-        raise NonFiniteSample("f not finite at a Chebyshev point")
+    fv = _finite_values(f, x, NonFiniteSample)
     ns = np.arange(k)
     coeffs = (np.cos(np.outer(ns, theta)) @ fv) * (2.0 / k)
     coeffs[0] *= 0.5
@@ -316,9 +242,6 @@ def fa_apriori_bound(f, interval, k: int, b_norm: float = 1.0) -> float:
     grid_t = np.linspace(-1.0, 1.0, 10_000)
     grid = 0.5 * (c - a) * grid_t + 0.5 * (a + c)
     p = np.polynomial.chebyshev.chebval(grid_t, coeffs)
-    with np.errstate(all="ignore"):
-        fg = np.asarray([f(xi) for xi in grid], dtype=float)
-    if not np.all(np.isfinite(fg)):
-        raise NonFiniteSample("f not finite on the interval grid")
+    fg = _finite_values(f, grid, NonFiniteSample)
     err = float(np.abs(fg - p).max())
     return 2.0 * b_norm * 4.0 * err

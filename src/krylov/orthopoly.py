@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinearOperator, SymTridiagonal, sym_tridiag_eig
+from .core import LinearOperator, SymTridiagonal, _finite_values, sym_tridiag_eig
 from .errors import InsufficientSupport, MassMismatch, NonFiniteSample
 
 __all__ = [
@@ -160,10 +160,7 @@ def cheb_approximant(f, degree: int, interval=(-1.0, 1.0)) -> ChebyshevExpansion
     theta = (np.arange(N) + 0.5) * np.pi / N
     xt = np.cos(theta)
     x = 0.5 * (b - a) * xt + 0.5 * (a + b)
-    with np.errstate(all="ignore"):
-        fv = np.asarray([f(xi) for xi in x], dtype=float)
-    if not np.all(np.isfinite(fv)):
-        raise NonFiniteSample("f is not finite at a Chebyshev quadrature node")
+    fv = _finite_values(f, x, NonFiniteSample)
     n = np.arange(degree + 1)
     # c_n = (1/N) sum_j f(x_j) cos(n theta_j)
     coeffs = (np.cos(np.outer(n, theta)) @ fv) / N

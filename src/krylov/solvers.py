@@ -22,9 +22,8 @@ from .errors import (
     InvalidInterval,
     SingularPivot,
     SingularSystem,
-    ZeroStartVector,
 )
-from .lanczos import ReorthMode, block_lanczos, lanczos
+from .lanczos import ReorthMode, _Recurrence, block_lanczos, lanczos
 
 __all__ = [
     "IterateHistory",
@@ -141,41 +140,28 @@ def _cg_tridiagonal(A, b, k, mode, tol, keep_iterates):
 
 def _cg_low_memory(A, b, k, mode, tol, keep_iterates, keep_directions):
     """CG by the bidiagonal inverse-Cholesky update of the Lanczos
-    recurrence: keeps only the two latest Lanczos vectors, the latest
-    search direction, and the running iterate."""
+    recurrence.  With ``mode=ReorthMode.NONE`` it keeps only the two
+    latest Lanczos vectors, the latest search direction and the running
+    iterate; ``mode=ReorthMode.FULL`` stores the whole basis to
+    reorthogonalize against it."""
+    rec = _Recurrence(A, b, k, mode=mode)
     b = np.asarray(b, dtype=float)
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        raise ZeroStartVector("starting vector has zero norm")
-
-    d = A.dim
-    q_prev = np.zeros(d)
-    q = b / b_norm
-    beta_prev = 0.0
-    x = np.zeros(d)
-    p_prev = np.zeros(d)
+    b_norm = rec.b_norm
+    x = np.zeros(A.dim)
+    p_prev = np.zeros(A.dim)
     m_prev = 0.0
-    stored = [q] if mode is ReorthMode.FULL else None
 
     iterates, res, dirs = [], [], []
     termination = "max_iter"
     for n in range(k):
-        y = A.apply(q) - beta_prev * q_prev
-        alpha = float(q @ y)
-        z = y - alpha * q
-        if mode is ReorthMode.FULL:
-            Qm = np.stack(stored, axis=1)
-            for _ in range(2):
-                z = z - Qm @ (Qm.T @ z)
-        beta = float(np.linalg.norm(z))
-
+        broke = rec.step()
         # Cholesky update of T_n = L L^T: pivot must stay positive.
-        pivot = alpha - m_prev**2
+        pivot = rec.alphas[-1] - m_prev**2
         if pivot <= 0.0:
             termination = "singular_pivot"
             break
         l = math.sqrt(pivot)
-        p = (q - m_prev * p_prev) / l
+        p = (rec.q - m_prev * p_prev) / l
         x = x + float(p @ b) * p
 
         rnorm = _residual_norm(A, b, x)
@@ -186,16 +172,11 @@ def _cg_low_memory(A, b, k, mode, tol, keep_iterates, keep_directions):
         if rnorm <= tol * b_norm:
             termination = "converged"
             break
-        if beta <= 1e-12 * max(abs(alpha), beta_prev, 1e-300):
+        if broke or n == k - 1:
             break
-
-        m_prev = beta / l
+        m_prev = rec.beta / l
         p_prev = p
-        q_prev = q
-        beta_prev = beta
-        q = z / beta
-        if mode is ReorthMode.FULL:
-            stored.append(q)
+        rec.advance()
 
     return IterateHistory(
         iterates=iterates,
@@ -222,8 +203,10 @@ def cg(
     stored Lanczos decomposition (the small solve is redone per step);
     a near-singular small system is recorded as a gap (NaN residual) so
     indefinite problems still produce a full trace.  ``backend="low_memory"``
-    maintains only a constant number of length-d vectors via the
-    inverse-Cholesky update and stops at the first nonpositive pivot.
+    uses the inverse-Cholesky update and stops at the first nonpositive
+    pivot; it keeps a constant number of length-d vectors only with
+    ``mode=ReorthMode.NONE`` (the default ``mode=ReorthMode.FULL`` stores
+    the basis).
     """
     if backend == "tridiagonal":
         return _cg_tridiagonal(A, b, k, mode, tol, keep_iterates)

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinearOperator, SymTridiagonal, sym_tridiag_eig
+from .core import LinearOperator, sym_tridiag_eig
 from .errors import FunctionDomainError, SpectrumOutsideInterval
-from .matfunc import _streaming_pass, lanczos_qf
+from .lanczos import _Recurrence
+from .matfunc import lanczos_qf
 from .orthopoly import DiscreteMeasure, cheb_eval, jackson_damping
 
 __all__ = [
@@ -198,20 +199,17 @@ def slq_density(
     k-point Gaussian quadrature measures."""
     nodes, weights = [], []
     for i in range(m):
-        b = sampler.probe(i, A.dim)
-        alphas, betas, _, b_norm, _, _ = _streaming_pass(A, b, k)
-        T = SymTridiagonal(np.asarray(alphas), np.asarray(betas))
-        eig = sym_tridiag_eig(T)
+        rec = _Recurrence(A, sampler.probe(i, A.dim), k).run()
+        eig = sym_tridiag_eig(rec.T)
         nodes.append(eig.eigenvalues)
-        weights.append(b_norm**2 * eig.eigenvectors[0, :] ** 2 / m)
+        weights.append(rec.b_norm**2 * eig.eigenvectors[0, :] ** 2 / m)
     measure = DiscreteMeasure(np.concatenate(nodes), np.concatenate(weights))
     return DensityApprox(form="quadrature", measure=measure)
 
 
 def _ritz_extremes(A: LinearOperator, b: np.ndarray, steps: int) -> tuple:
-    alphas, betas, _, _, _, _ = _streaming_pass(A, b, steps)
-    T = SymTridiagonal(np.asarray(alphas), np.asarray(betas))
-    vals = sym_tridiag_eig(T).eigenvalues
+    rec = _Recurrence(A, b, steps).run()
+    vals = sym_tridiag_eig(rec.T).eigenvalues
     return float(vals[0]), float(vals[-1])
 
 
@@ -272,10 +270,9 @@ def kpm_density(
                 v, v_prev = 2.0 * amap(v) - v_prev, v
                 moments[n] += float(b @ v)
         else:
-            alphas, betas, _, b_norm, _, _ = _streaming_pass(A, b, k)
-            T = SymTridiagonal(np.asarray(alphas), np.asarray(betas))
-            eig = sym_tridiag_eig(T)
-            w = b_norm**2 * eig.eigenvectors[0, :] ** 2
+            rec = _Recurrence(A, b, k).run()
+            eig = sym_tridiag_eig(rec.T)
+            w = rec.b_norm**2 * eig.eigenvectors[0, :] ** 2
             xt = (2.0 * eig.eigenvalues - (a + b_right)) / span
             for n in range(n_coeffs):
                 moments[n] += float(np.sum(w * cheb_eval("T", n, xt)))

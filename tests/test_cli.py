@@ -313,6 +313,12 @@ class TestCliCommands:
         assert main(["run", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_function_section_rejected(self, tmp_path, capsys):
+        p = tmp_path / "exp.ini"
+        p.write_text("[experiment]\nname = cg-bounds\n[function]\nname = exp\n")
+        assert main(["run", str(p)]) == 2
+        assert "unknown config section [function]" in capsys.readouterr().err
+
     def test_unknown_experiment_exit_code(self, tmp_path, capsys):
         p = tmp_path / "exp.ini"
         p.write_text("[experiment]\nname = not-an-experiment\n")

@@ -259,3 +259,21 @@ class TestKrylovGrade:
     def test_repeated_eigenvalue(self):
         A = LinearOperator.diagonal([1.0, 1.0, 2.0])
         assert krylov_grade(A, np.ones(3) / np.sqrt(3)) == 2
+
+    def test_basis_storage_grows_with_steps_not_with_k(self):
+        # krylov_grade asks for k = dim steps; the basis store must grow
+        # with the steps taken, not allocate k x d up front.
+        import tracemalloc
+
+        d = 20_000
+        A = LinearOperator.diagonal(np.geomspace(1.0, 10.0, d))
+        b = np.zeros(d)
+        b[[0, d // 2, d - 1]] = 1.0
+        tracemalloc.start()
+        try:
+            grade = krylov_grade(A, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grade == 3
+        assert peak < 100 * d * 8  # d^2 * 8 bytes would be 3.2 GB
