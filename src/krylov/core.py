@@ -7,6 +7,7 @@ threads; ``LinearOperator.apply`` must tolerate concurrent calls.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -232,32 +233,77 @@ def _thomas_solve(T: SymTridiagonal, rhs: np.ndarray, shift) -> np.ndarray:
     return x
 
 
+def _givens(a, b: float):
+    """The rotation ``[[c, s], [-conj(s), c]]``, ``c`` real, that maps
+    ``(a, b)``, ``b`` real, to ``(r, 0)``.  Returns ``(c, s, r)``, where
+    ``s = a b / (|a| rho)`` with no conjugate for a complex ``a``."""
+    if a == 0:
+        return 0.0, 1.0, b
+    abs_a = abs(a)
+    rho = math.hypot(abs_a, b)
+    phase = a / abs_a
+    return abs_a / rho, phase * (b / rho), phase * rho
+
+
+def _qr_column(rot2, rot1, beta_prev: float, diag, beta: float):
+    """One column of the Givens QR of an extended (shifted) tridiagonal
+    (Paige & Saunders 1975).
+
+    Column n holds ``beta_prev``, ``diag`` and ``beta`` in rows n-1, n and
+    n+1.  Rotating rows (n-2, n-1) by ``rot2`` = G_{n-2} and rows (n-1, n)
+    by ``rot1`` = G_{n-1}, each a ``(c, s)`` pair, gives the entries
+    ``eps`` and ``delta`` of the triangular factor and ``gbar``, the last
+    diagonal of the factor of the square leading block.  Returns
+    ``eps, delta, gbar, (c, s, gamma)`` where G_n = ``(c, s)`` annihilates
+    ``beta`` against ``gbar`` and ``gamma`` is the final diagonal entry.
+    """
+    c2, s2 = rot2
+    c1, s1 = rot1
+    dbar = c2 * beta_prev
+    delta = c1 * dbar + s1 * diag
+    gbar = c1 * diag - s1.conjugate() * dbar
+    return s2 * beta_prev, delta, gbar, _givens(gbar, beta)
+
+
 def tridiag_solve(T, rhs: np.ndarray, shift=0.0) -> np.ndarray:
     """Solve a small (possibly shifted) tridiagonal system.
 
     Square ``SymTridiagonal``: exact solve of ``(T - shift I) x = rhs`` by
     banded elimination.  ``ExtendedTridiagonal`` (the (k+1)-by-k case):
-    minimum-residual least-squares solution via the normal equations,
-    with the shift applied to the square top block.
+    the least-squares solution, with the shift applied to the square top
+    block, by a Givens QR factorization column by column (the same
+    rotations MINRES uses), so the conditioning is not squared.  Raises
+    :class:`SingularSystem` when the triangular factor has a diagonal
+    entry below ``SINGULARITY_RTOL`` times the matrix scale (rank
+    deficiency).
     """
     if isinstance(T, SymTridiagonal):
         return _thomas_solve(T, rhs, shift)
     if isinstance(T, ExtendedTridiagonal):
-        M = T.to_dense().astype(
-            complex if np.iscomplexobj(np.asarray(shift)) else float
-        )
         k = T.base.size
-        M[:k, :] -= shift * np.eye(k)
         rhs = np.asarray(rhs)
         if rhs.shape != (k + 1,):
             raise ValueError("rhs must have length k + 1")
-        G = M.conj().T @ M
-        g = M.conj().T @ rhs
-        try:
-            x = np.linalg.solve(G, g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from exc
-        if not np.all(np.isfinite(x)):
+        dtype = complex if np.iscomplexobj(np.asarray(shift)) else float
+        diag = (T.base.alphas - shift).tolist()
+        betas = T.base.betas.tolist() + [float(T.trailing)]
+        t = rhs.astype(np.result_type(rhs, dtype))
+        # Upper-banded storage of R for solve_banded: rows eps, delta, gamma.
+        R = np.zeros((3, k), dtype=dtype)
+        rots = ((1.0, 0.0), (1.0, 0.0))
+        for n in range(k):
+            beta_prev = betas[n - 1] if n else 0.0
+            eps, delta, _, (c, s, gamma) = _qr_column(
+                *rots, beta_prev, diag[n], betas[n]
+            )
+            R[:, n] = eps, delta, gamma
+            t[n], t[n + 1] = (
+                c * t[n] + s * t[n + 1],
+                c * t[n + 1] - s.conjugate() * t[n],
+            )
+            rots = (rots[1], (c, s))
+        scale = max(T.base.norm_inf(), abs(T.trailing), abs(shift))
+        if np.abs(R[2]).min() < SINGULARITY_RTOL * (scale or 1.0):
             raise SingularSystem("rank-deficient rectangular system")
-        return x
+        return scipy.linalg.solve_banded((0, 2), R, t[:k])
     raise TypeError(f"unsupported tridiagonal type {type(T)!r}")

@@ -119,7 +119,10 @@ class _Basis:
     Capacity doubles, up to ``limit`` rows, when an append does not fit.
     The buffer grows in place (``realloc``), so rows are never re-stacked
     and no freed copy stays resident; ``resize`` raises if a view of the
-    buffer is alive, so none may be held across an append.
+    buffer is alive, so none may be held across an append.  Under a
+    profiler or tracer (``sys.setprofile``/``sys.settrace``) the hook holds
+    extra references and ``resize`` refuses; the buffer is then copied into
+    a new one instead.
     """
 
     def __init__(self, d: int, limit: int):
@@ -133,7 +136,12 @@ class _Basis:
         need = self.size + rows.shape[0]
         if need > self._buf.shape[0]:
             cap = max(need, min(2 * self._buf.shape[0], self._limit))
-            self._buf.resize((cap, self._buf.shape[1]))
+            try:
+                self._buf.resize((cap, self._buf.shape[1]))
+            except ValueError:
+                buf = np.empty((cap, self._buf.shape[1]))
+                buf[: self.size] = self._buf[: self.size]
+                self._buf = buf
         self._buf[self.size : need] = rows
         self.size = need
 

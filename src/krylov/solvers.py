@@ -11,18 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    ExtendedTridiagonal,
-    LinearOperator,
-    SymTridiagonal,
-    tridiag_solve,
-)
-from .errors import (
-    InsufficientIterates,
-    InvalidInterval,
-    SingularPivot,
-    SingularSystem,
-)
+from .core import SINGULARITY_RTOL, LinearOperator, _qr_column
+from .errors import InsufficientIterates, InvalidInterval
 from .lanczos import ReorthMode, _Recurrence, block_lanczos, lanczos
 
 __all__ = [
@@ -45,9 +35,10 @@ DEFAULT_TOL = 1e-10
 class IterateHistory:
     """Per-iteration solver output.
 
-    ``iterates[j]`` is the iterate after j+1 steps (``None`` where the
-    small solve was singular, or when retention is off).  Residual norms
-    are explicitly recomputed as ``||b - A x||`` (NaN at gaps).
+    ``iterates[j]`` is the iterate after j+1 steps (``None`` at a gap, a
+    CG step whose shifted tridiagonal ``T_{j+1} - z I`` is numerically
+    singular, or when retention is off).  Residual norms are explicitly
+    recomputed as ``||b - A x||`` (NaN at gaps).
     """
 
     iterates: list
@@ -108,26 +99,64 @@ def _residual_norm(A: LinearOperator, b: np.ndarray, x: np.ndarray, shift=0.0):
     return float(np.linalg.norm(r))
 
 
-def _cg_tridiagonal(A, b, k, mode, tol, keep_iterates):
-    dec = lanczos(A, b, k, mode=mode)
-    Q, T, b_norm = dec.basis, dec.T, dec.b_norm
+def _shifted_history(A, b, dec, z, method, tol, keep_iterates):
+    """The per-step ``method`` ("cg" or "minres") history for
+    ``(A - z I) x = b`` from the Lanczos decomposition ``dec`` of ``(A, b)``.
+
+    A Givens QR of the extended shifted tridiagonal ``[T_n - z I;
+    beta_n e_n^T]`` is updated one column per step (Paige & Saunders 1975),
+    keeping only the last two rotations, ``phibar``, the directions
+    w_{n-1}, w_{n-2} and the MINRES iterate: O(d) vector work and O(1)
+    scalars per step.  Both iterates come from the one factorization:
+    MINRES ``x^M_n = x^M_{n-1} + tau_n w_n`` and the CG (Galerkin) point
+    ``x^C_n = x^M_{n-1} + phibar_n u_n / gbar_n``, where
+    ``u_n = q_n - delta_n w_{n-1} - eps_n w_{n-2}`` and ``gbar_n`` is the
+    last diagonal of the triangular factor of ``T_n - z I``.  A CG step is
+    a gap (``None``, NaN residual) when ``|gbar_n| < SINGULARITY_RTOL *
+    max(||T_n||_inf, |z|)``.  Every other step gets an explicit residual;
+    the history stops there once it is at most ``tol * ||b||`` (never when
+    ``tol`` is None).
+    """
+    b_norm = dec.b_norm
+    alphas = dec.T.alphas.tolist()
+    betas = dec.T.betas.tolist() + [dec.trailing_beta]
+    want_cg = method == "cg"
+    dtype = complex if isinstance(z, complex) else float
+    x_m = w1 = w2 = np.zeros(A.dim, dtype)
+    rots = ((1.0, 0.0), (1.0, 0.0))
+    phibar, beta_prev, norm, row = b_norm, 0.0, 0.0, 0.0
     iterates, res = [], []
     termination = "max_iter"
-    for j in range(1, T.size + 1):
-        Tj = T.principal(j)
-        e1 = np.zeros(j)
-        e1[0] = b_norm
-        try:
-            y = tridiag_solve(Tj, e1)
-        except SingularSystem:
+    for n, (alpha, beta) in enumerate(zip(alphas, betas)):
+        # ||T_n||_inf: row n-1 gains |beta_{n-1}|, row n is new.
+        norm = max(norm, row + beta_prev, beta_prev + abs(alpha))
+        row = beta_prev + abs(alpha)
+        eps, delta, gbar, (c, s, gamma) = _qr_column(
+            *rots, beta_prev, alpha - z, beta
+        )
+        u = dec.basis[:, n] - delta * w1 - eps * w2
+        if want_cg:
+            threshold = SINGULARITY_RTOL * (max(norm, abs(z)) or 1.0)
+            x = x_m + (phibar / gbar) * u if abs(gbar) >= threshold else None
+        # gamma = 0 only when beta_n = 0 (the last step) and T_n - z I is
+        # singular; x^M_{n-1} is then a least-squares solution (tau_n = 0).
+        if gamma != 0:
+            w1, w2 = u / gamma, w1
+            x_m = x_m + (c * phibar) * w1
+        if not want_cg:
+            x = x_m
+        phibar = -s.conjugate() * phibar
+        rots = (rots[1], (c, s))
+        beta_prev = beta
+
+        if x is None:
             iterates.append(None)
             res.append(np.nan)
             continue
-        x = Q[:, :j] @ np.real(y)
-        rnorm = _residual_norm(A, b, x)
+        rnorm = _residual_norm(A, b, x, shift=z)
         iterates.append(x if keep_iterates else None)
         res.append(rnorm)
-        if rnorm <= tol * b_norm:
+        if tol is not None and rnorm <= tol * b_norm:
             termination = "converged"
             break
     return IterateHistory(
@@ -199,17 +228,22 @@ def cg(
 ) -> IterateHistory:
     """Conjugate gradient.
 
-    ``backend="tridiagonal"`` computes each iterate directly from a
-    stored Lanczos decomposition (the small solve is redone per step);
-    a near-singular small system is recorded as a gap (NaN residual) so
-    indefinite problems still produce a full trace.  ``backend="low_memory"``
+    ``backend="tridiagonal"`` runs one stored Lanczos decomposition and
+    updates a Givens QR of ``T`` one column per step (Paige & Saunders
+    1975); each CG iterate is the Galerkin point of that factorization, at
+    O(d) cost per step.  A step whose ``T_n`` is numerically singular
+    (last diagonal of its triangular factor below ``SINGULARITY_RTOL``
+    times ``||T_n||_inf``) is recorded as a gap (NaN residual) and later
+    steps are unaffected, so indefinite problems still produce a full
+    trace.  ``backend="low_memory"``
     uses the inverse-Cholesky update and stops at the first nonpositive
     pivot; it keeps a constant number of length-d vectors only with
     ``mode=ReorthMode.NONE`` (the default ``mode=ReorthMode.FULL`` stores
     the basis).
     """
     if backend == "tridiagonal":
-        return _cg_tridiagonal(A, b, k, mode, tol, keep_iterates)
+        dec = lanczos(A, b, k, mode=mode)
+        return _shifted_history(A, b, dec, 0.0, "cg", tol, keep_iterates)
     if backend == "low_memory":
         return _cg_low_memory(A, b, k, mode, tol, keep_iterates, keep_directions)
     raise ValueError(f"unknown backend {backend!r}")
@@ -224,31 +258,12 @@ def minres(
     keep_iterates: bool = True,
 ) -> IterateHistory:
     """MINRES: per step, the minimum-residual iterate over the Krylov
-    space, obtained from a small least-squares solve on the extended
-    tridiagonal matrix."""
+    space, i.e. the least-squares solution of the extended tridiagonal
+    system of one Lanczos run, updated incrementally by Givens rotations
+    (Paige & Saunders 1975) at O(d) cost per step.  Each step's residual
+    is recomputed explicitly."""
     dec = lanczos(A, b, k, mode=mode)
-    Q, T, b_norm = dec.basis, dec.T, dec.b_norm
-    betas_ext = np.concatenate((T.betas, [dec.trailing_beta]))
-    iterates, res = [], []
-    termination = "max_iter"
-    for j in range(1, T.size + 1):
-        Tj = ExtendedTridiagonal(T.principal(j), float(betas_ext[j - 1]))
-        rhs = np.zeros(j + 1)
-        rhs[0] = b_norm
-        y = np.real(tridiag_solve(Tj, rhs))
-        x = Q[:, :j] @ y
-        rnorm = _residual_norm(A, b, x)
-        iterates.append(x if keep_iterates else None)
-        res.append(rnorm)
-        if rnorm <= tol * b_norm:
-            termination = "converged"
-            break
-    return IterateHistory(
-        iterates=iterates,
-        residual_norms=np.asarray(res),
-        termination=termination,
-        b_norm=b_norm,
-    )
+    return _shifted_history(A, b, dec, 0.0, "minres", tol, keep_iterates)
 
 
 def multi_shift_solve(
@@ -263,51 +278,23 @@ def multi_shift_solve(
     """Solve (A - z_i I) x = b for every shift from one shared Lanczos run.
 
     Shift invariance of Krylov subspaces makes the per-shift iterate equal
-    to the single-shift solver's: only the small tridiagonal solves see
-    the shift.  Returns one :class:`IterateHistory` per shift.
+    to the single-shift solver's: only the small QR factorization sees the
+    shift.  Each shift keeps its own incremental Givens QR of
+    ``T - z_i I`` (complex for complex shifts), so every step costs O(d)
+    per shift; ``method="cg"`` records a gap where ``T_n - z_i I`` is
+    numerically singular.  Runs all k steps (no convergence test).
+    Returns one :class:`IterateHistory` per shift.
     """
+    if method not in ("cg", "minres"):
+        raise ValueError(f"unknown method {method!r}")
     shifts = np.asarray(shifts).ravel()
     dec = lanczos(A, b, k, mode=mode)
-    Q, T, b_norm = dec.basis, dec.T, dec.b_norm
-    betas_ext = np.concatenate((T.betas, [dec.trailing_beta]))
-
     histories = []
     for z in shifts:
         z = complex(z)
         zval = z if z.imag != 0.0 else z.real
-        iterates, res = [], []
-        termination = "max_iter"
-        for j in range(1, T.size + 1):
-            try:
-                if method == "cg":
-                    e1 = np.zeros(j)
-                    e1[0] = b_norm
-                    y = tridiag_solve(T.principal(j), e1, shift=zval)
-                elif method == "minres":
-                    Tj = ExtendedTridiagonal(
-                        T.principal(j), float(betas_ext[j - 1])
-                    )
-                    rhs = np.zeros(j + 1)
-                    rhs[0] = b_norm
-                    y = tridiag_solve(Tj, rhs, shift=zval)
-                else:
-                    raise ValueError(f"unknown method {method!r}")
-            except SingularSystem:
-                iterates.append(None)
-                res.append(np.nan)
-                continue
-            x = Q[:, :j] @ y
-            if z.imag == 0.0:
-                x = np.real(x)
-            iterates.append(x if keep_iterates else None)
-            res.append(_residual_norm(A, b, x, shift=z))
         histories.append(
-            IterateHistory(
-                iterates=iterates,
-                residual_norms=np.asarray(res),
-                termination=termination,
-                b_norm=b_norm,
-            )
+            _shifted_history(A, b, dec, zval, method, None, keep_iterates)
         )
     return histories
 

@@ -165,6 +165,25 @@ class TestTridiagSolve:
         M = ext.to_dense()
         assert np.abs(M.T @ (rhs - M @ x)).max() <= 1e-10 * np.linalg.norm(rhs)
 
+    def test_rectangular_ill_conditioned_matches_lstsq(self):
+        # cond(M) ~ 1e8: normal equations would square it past 1/eps.
+        ext = ExtendedTridiagonal(SymTridiagonal([1.0, 1.0], [1.0]), 1e-8)
+        rhs = np.array([1.0, 2.0, 3.0])
+        expected, *_ = np.linalg.lstsq(ext.to_dense(), rhs, rcond=None)
+        x = tridiag_solve(ext, rhs)
+        assert np.abs(x - expected).max() <= 1e-6 * np.abs(expected).max()
+        for shift in (0.5, 0.3 + 2.0j):
+            M = ext.to_dense().astype(complex)
+            M[:2] -= shift * np.eye(2)
+            expected, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+            x = tridiag_solve(ext, rhs, shift=shift)
+            assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_rectangular_rank_deficient_raises(self):
+        ext = ExtendedTridiagonal(SymTridiagonal([1.0, 1.0], [1.0]), 0.0)
+        with pytest.raises(SingularSystem):
+            tridiag_solve(ext, np.array([1.0, 0.0, 0.0]))
+
     def test_complex_shift(self):
         T = SymTridiagonal([1.0], [])
         x = tridiag_solve(T, np.array([1.0]), shift=1j)

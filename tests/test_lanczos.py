@@ -111,6 +111,25 @@ class TestLanczos:
         assert np.abs(dec1.T.alphas - dec2.T.alphas).max() <= 1e-10
         assert np.abs(dec1.T.betas - dec2.T.betas).max() <= 1e-10
 
+    def test_basis_growth_under_a_profile_hook(self):
+        # A profile hook holds references that make ndarray.resize refuse
+        # to grow the basis in place; the store must still grow, to the
+        # same bits.
+        import sys
+
+        A = LinearOperator.diagonal(np.linspace(1.0, 2.0, 200))
+        b = np.ones(200)
+        plain = lanczos(A, b, 40, mode=ReorthMode.FULL)
+        hook = sys.getprofile()
+        sys.setprofile(lambda *args: None)
+        try:
+            hooked = lanczos(A, b, 40, mode=ReorthMode.FULL)
+        finally:
+            sys.setprofile(hook)
+        assert np.array_equal(hooked.basis, plain.basis)
+        assert np.array_equal(hooked.T.alphas, plain.T.alphas)
+        assert np.array_equal(hooked.T.betas, plain.T.betas)
+
     def test_ritz_containment(self):
         from krylov.core import sym_tridiag_eig
 

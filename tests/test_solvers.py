@@ -3,7 +3,7 @@ import pytest
 
 from krylov.core import LinearOperator
 from krylov.errors import InsufficientIterates, InvalidInterval
-from krylov.lanczos import ReorthMode
+from krylov.lanczos import ReorthMode, lanczos
 from krylov.solvers import (
     ShiftFamily,
     block_cg,
@@ -109,6 +109,12 @@ class TestCG:
             assert rnorm / np.sqrt(vals.max()) <= anorm * (1 + 1e-8) + 1e-12
             assert anorm <= rnorm / np.sqrt(vals.min()) * (1 + 1e-8) + 1e-12
 
+    def test_singular_step_leaves_later_steps_intact(self):
+        # T_1 = [0] is singular; T_2 is not, so step 2 is the exact solve.
+        A = LinearOperator.diagonal([-1.0, 1.0])
+        hist = cg(A, np.ones(2), 2, tol=0.0)
+        np.testing.assert_allclose(hist.iterates[1], [-1.0, 1.0], atol=1e-12)
+
     def test_low_memory_flags_indefinite_pivot(self):
         A = LinearOperator.diagonal([-1.0, 2.0, 3.0])
         b = np.ones(3)
@@ -154,6 +160,22 @@ class TestMinres:
             r_opt = np.linalg.norm(b - M @ (Q @ y))
             r = np.linalg.norm(b - M @ x)
             assert r <= r_opt * (1 + 1e-8) + 1e-10
+
+    def test_ill_conditioned_indefinite_matches_least_squares(self):
+        rng = np.random.default_rng(21)
+        vals = np.array([-2.0, -1.0, -1e-9, 1e-9, 0.5, 1.0, 3.0, 4.0])
+        Q0, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        M = Q0 @ np.diag(vals) @ Q0.T
+        M = 0.5 * (M + M.T)
+        A = LinearOperator.from_matrix(M)
+        b = rng.standard_normal(8)
+        hist = minres(A, b, 8, tol=0.0)
+        assert hist.residual_norms[-1] <= 1e-5 * np.linalg.norm(b)
+        Q = lanczos(A, b, 8).basis
+        for j, x in enumerate(hist.iterates, start=1):
+            y, *_ = np.linalg.lstsq(M @ Q[:, :j], b, rcond=None)
+            opt = Q[:, :j] @ y
+            assert np.linalg.norm(x - opt) <= 1e-5 * np.linalg.norm(opt)
 
     def test_monotone_residuals(self):
         rng = np.random.default_rng(6)
@@ -226,9 +248,64 @@ class TestMultiShift:
                 <= 1e-9 * np.linalg.norm(x_direct)
             )
 
+    def test_singular_shifted_step_is_only_a_gap(self):
+        # T_1 - 2 = 0 exactly: step 1 is a gap, step 2 the exact solve.
+        A = LinearOperator.diagonal([1.0, 3.0])
+        (hist,) = multi_shift_solve(A, np.ones(2), [2.0], 2, method="cg")
+        assert hist.iterates[0] is None
+        assert np.isnan(hist.residual_norms[0])
+        np.testing.assert_allclose(hist.iterates[1], [-1.0, 1.0], atol=1e-12)
+
     def test_shift_family_rejects_duplicates(self):
         with pytest.raises(ValueError):
             ShiftFamily([1.0, 1.0], [0.5, 0.5])
+
+
+def counting(A):
+    """A wrapper of ``A`` and a one-element list counting its applications."""
+    calls = [0]
+
+    def matvec(v):
+        calls[0] += 1
+        return A.apply(v)
+
+    return LinearOperator(A.dim, matvec), calls
+
+
+class TestOperatorCalls:
+    # One Lanczos matvec per step plus one explicit residual per reported
+    # step and shift; nothing else may apply the operator.
+    K = 15
+
+    def _problem(self):
+        rng = np.random.default_rng(22)
+        M, _ = spd_operator(rng, 40, 1.0, 1e3)
+        return LinearOperator.from_matrix(M), rng.standard_normal(40)
+
+    def test_cg_and_minres(self):
+        A, b = self._problem()
+        for solve in (cg, minres):
+            op, calls = counting(A)
+            hist = solve(op, b, self.K, tol=0.0)
+            assert hist.k == self.K
+            assert calls[0] == 2 * self.K
+
+    def test_multi_shift(self):
+        A, b = self._problem()
+        op, calls = counting(A)
+        for method in ("cg", "minres"):
+            calls[0] = 0
+            multi_shift_solve(op, b, [-0.5, -2.0, -8.0], self.K, method=method)
+            assert calls[0] == self.K + 3 * self.K
+
+    def test_low_memory_cg(self):
+        A, b = self._problem()
+        op, calls = counting(A)
+        hist = cg(
+            op, b, self.K, backend="low_memory", mode=ReorthMode.NONE, tol=0.0
+        )
+        assert hist.k == self.K
+        assert calls[0] == 2 * self.K
 
 
 class TestPreconditioned:
