@@ -200,39 +200,6 @@ def tridiag_apply_function(T: SymTridiagonal, f) -> np.ndarray:
     return eig.eigenvectors @ (fvals * eig.eigenvectors[0, :])
 
 
-def _thomas_solve(T: SymTridiagonal, rhs: np.ndarray, shift) -> np.ndarray:
-    """Banded (Thomas) elimination for ``(T - shift I) x = rhs``.
-
-    No pivoting, matching the small-solve contract: a pivot of magnitude
-    below ``1e-14 * ||T||`` raises :class:`SingularSystem`.
-    """
-    k = T.size
-    dtype = complex if np.iscomplexobj(np.asarray(shift)) else float
-    diag = T.alphas.astype(dtype) - shift
-    off = T.betas.astype(float)
-    x = np.asarray(rhs, dtype=dtype).copy()
-    threshold = SINGULARITY_RTOL * max(T.norm_inf(), abs(shift))
-    if threshold == 0.0:
-        threshold = SINGULARITY_RTOL
-
-    # Forward elimination.
-    d = diag.copy()
-    for i in range(k - 1):
-        if abs(d[i]) < threshold:
-            raise SingularSystem(f"pivot {d[i]!r} at row {i} below threshold")
-        m = off[i] / d[i]
-        d[i + 1] -= m * off[i]
-        x[i + 1] -= m * x[i]
-    if abs(d[k - 1]) < threshold:
-        raise SingularSystem(f"pivot {d[k-1]!r} at row {k-1} below threshold")
-
-    # Back substitution.
-    x[k - 1] /= d[k - 1]
-    for i in range(k - 2, -1, -1):
-        x[i] = (x[i] - off[i] * x[i + 1]) / d[i]
-    return x
-
-
 def _givens(a, b: float):
     """The rotation ``[[c, s], [-conj(s), c]]``, ``c`` real, that maps
     ``(a, b)``, ``b`` real, to ``(r, 0)``.  Returns ``(c, s, r)``, where
@@ -266,44 +233,47 @@ def _qr_column(rot2, rot1, beta_prev: float, diag, beta: float):
 
 
 def tridiag_solve(T, rhs: np.ndarray, shift=0.0) -> np.ndarray:
-    """Solve a small (possibly shifted) tridiagonal system.
+    """Solve a small (possibly shifted) tridiagonal system by a Givens QR
+    factorization, column by column (the same rotations MINRES uses):
+    rotations need no pivoting and do not square the conditioning.
 
-    Square ``SymTridiagonal``: exact solve of ``(T - shift I) x = rhs`` by
-    banded elimination.  ``ExtendedTridiagonal`` (the (k+1)-by-k case):
-    the least-squares solution, with the shift applied to the square top
-    block, by a Givens QR factorization column by column (the same
-    rotations MINRES uses), so the conditioning is not squared.  Raises
+    Square ``SymTridiagonal``: the solution of ``(T - shift I) x = rhs``,
+    factored as the extended matrix below with a trailing entry of 0.
+    ``ExtendedTridiagonal`` (the (k+1)-by-k case): the least-squares
+    solution, with the shift applied to the square top block.  Raises
     :class:`SingularSystem` when the triangular factor has a diagonal
-    entry below ``SINGULARITY_RTOL`` times the matrix scale (rank
-    deficiency).
+    entry below ``SINGULARITY_RTOL`` times the matrix scale (a singular
+    or rank-deficient matrix).
     """
+    rhs = np.asarray(rhs)
     if isinstance(T, SymTridiagonal):
-        return _thomas_solve(T, rhs, shift)
-    if isinstance(T, ExtendedTridiagonal):
-        k = T.base.size
-        rhs = np.asarray(rhs)
-        if rhs.shape != (k + 1,):
-            raise ValueError("rhs must have length k + 1")
-        dtype = complex if np.iscomplexobj(np.asarray(shift)) else float
-        diag = (T.base.alphas - shift).tolist()
-        betas = T.base.betas.tolist() + [float(T.trailing)]
-        t = rhs.astype(np.result_type(rhs, dtype))
-        # Upper-banded storage of R for solve_banded: rows eps, delta, gamma.
-        R = np.zeros((3, k), dtype=dtype)
-        rots = ((1.0, 0.0), (1.0, 0.0))
-        for n in range(k):
-            beta_prev = betas[n - 1] if n else 0.0
-            eps, delta, _, (c, s, gamma) = _qr_column(
-                *rots, beta_prev, diag[n], betas[n]
-            )
-            R[:, n] = eps, delta, gamma
-            t[n], t[n + 1] = (
-                c * t[n] + s * t[n + 1],
-                c * t[n + 1] - s.conjugate() * t[n],
-            )
-            rots = (rots[1], (c, s))
-        scale = max(T.base.norm_inf(), abs(T.trailing), abs(shift))
-        if np.abs(R[2]).min() < SINGULARITY_RTOL * (scale or 1.0):
-            raise SingularSystem("rank-deficient rectangular system")
-        return scipy.linalg.solve_banded((0, 2), R, t[:k])
-    raise TypeError(f"unsupported tridiagonal type {type(T)!r}")
+        if rhs.shape != (T.size,):
+            raise ValueError("rhs must have length k")
+        T, rhs = ExtendedTridiagonal(T, 0.0), np.append(rhs, 0.0)
+    if not isinstance(T, ExtendedTridiagonal):
+        raise TypeError(f"unsupported tridiagonal type {type(T)!r}")
+    k = T.base.size
+    if rhs.shape != (k + 1,):
+        raise ValueError("rhs must have length k + 1")
+    dtype = complex if np.iscomplexobj(np.asarray(shift)) else float
+    diag = (T.base.alphas - shift).tolist()
+    betas = T.base.betas.tolist() + [float(T.trailing)]
+    t = rhs.astype(np.result_type(rhs, dtype)).tolist()
+    cols = []  # (eps, delta, gamma): column n of R, on and above its diagonal
+    rots = ((1.0, 0.0), (1.0, 0.0))
+    for n in range(k):
+        beta_prev = betas[n - 1] if n else 0.0
+        eps, delta, _, (c, s, gamma) = _qr_column(
+            *rots, beta_prev, diag[n], betas[n]
+        )
+        cols.append((eps, delta, gamma))
+        t[n], t[n + 1] = (
+            c * t[n] + s * t[n + 1],
+            c * t[n + 1] - s.conjugate() * t[n],
+        )
+        rots = (rots[1], (c, s))
+    R = np.array(cols, dtype=dtype).T  # upper-banded storage for solve_banded
+    scale = max(T.base.norm_inf(), abs(T.trailing), abs(shift))
+    if np.abs(R[2]).min() < SINGULARITY_RTOL * (scale or 1.0):
+        raise SingularSystem("singular or rank-deficient tridiagonal system")
+    return scipy.linalg.solve_banded((0, 2), R, np.asarray(t[:k]))

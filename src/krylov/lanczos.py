@@ -187,6 +187,8 @@ class _Recurrence:
         self.b_norm = float(np.linalg.norm(b))
         if self.b_norm == 0.0:
             raise ZeroStartVector("starting vector has zero norm")
+        if k < 1:
+            raise ValueError("k must be at least 1")
         self.A, self.k = A, k
         self.breakdown_tol = breakdown_tol
         self.q = b / self.b_norm
@@ -243,16 +245,26 @@ class _Recurrence:
         if self.basis is not None:
             self.basis.append(self.q)
 
-    def run(self) -> "_Recurrence":
-        """Step until breakdown or until k coefficients alpha are known;
-        records how it stopped in ``termination``."""
+    def steps(self):
+        """Yield ``(q_n, alpha_n, beta_n)`` for n = 0, 1, ... until
+        breakdown or until k coefficients alpha are known; records how it
+        stopped in ``termination``.  Step n+1 (its product with ``A``)
+        runs only when the caller asks for it."""
         self.termination = Termination("completed", self.k)
         for n in range(self.k):
-            if self.step():
-                self.termination = Termination("breakdown", n + 1)
-                break
-            if n < self.k - 1:
+            if n:
                 self.advance()
+            broke = self.step()
+            if broke:
+                self.termination = Termination("breakdown", n + 1)
+            yield self.q, self.alphas[-1], self.beta
+            if broke:
+                return
+
+    def run(self) -> "_Recurrence":
+        """Run :meth:`steps` to the end."""
+        for _ in self.steps():
+            pass
         return self
 
     def replay(self):
@@ -293,8 +305,6 @@ def lanczos(
     rec = _Recurrence(
         A, b, k, mode=mode, store_basis=True, breakdown_tol=breakdown_tol
     )
-    if k < 1:
-        raise ValueError("k must be at least 1")
     rec.run()
     return KrylovDecomposition(
         basis=rec.basis.rows.T,

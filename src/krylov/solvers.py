@@ -43,9 +43,9 @@ class IterateHistory:
 
     iterates: list
     residual_norms: np.ndarray
-    termination: str  # "max_iter", "converged", or "singular_pivot"
+    termination: str  # "max_iter", "converged", or "breakdown"
     b_norm: float
-    directions: list | None = None  # LowMemory CG search directions
+    directions: list | None = None  # CG steps x_n - x_{n-1}, on request
 
     @property
     def k(self) -> int:
@@ -99,9 +99,20 @@ def _residual_norm(A: LinearOperator, b: np.ndarray, x: np.ndarray, shift=0.0):
     return float(np.linalg.norm(r))
 
 
-def _shifted_history(A, b, dec, z, method, tol, keep_iterates):
+def _columns(dec):
+    """The steps ``(q_n, alpha_n, beta_n)`` of a stored Lanczos
+    decomposition, as :meth:`_Recurrence.steps` yields them."""
+    betas = dec.T.betas.tolist() + [dec.trailing_beta]
+    return zip(dec.basis.T, dec.T.alphas.tolist(), betas)
+
+
+def _shifted_history(
+    A, b, steps, b_norm, k, z, method, tol, keep_iterates, keep_directions=False
+):
     """The per-step ``method`` ("cg" or "minres") history for
-    ``(A - z I) x = b`` from the Lanczos decomposition ``dec`` of ``(A, b)``.
+    ``(A - z I) x = b`` from the Lanczos steps ``(q_n, alpha_n, beta_n)``
+    of ``(A, b)`` (at most ``k`` of them; ``b_norm = ||b||``), pulled one
+    at a time.
 
     A Givens QR of the extended shifted tridiagonal ``[T_n - z I;
     beta_n e_n^T]`` is updated one column per step (Paige & Saunders 1975),
@@ -113,35 +124,34 @@ def _shifted_history(A, b, dec, z, method, tol, keep_iterates):
     ``u_n = q_n - delta_n w_{n-1} - eps_n w_{n-2}`` and ``gbar_n`` is the
     last diagonal of the triangular factor of ``T_n - z I``.  A CG step is
     a gap (``None``, NaN residual) when ``|gbar_n| < SINGULARITY_RTOL *
-    max(||T_n||_inf, |z|)``.  Every other step gets an explicit residual;
-    the history stops there once it is at most ``tol * ||b||`` (never when
-    ``tol`` is None).
+    max(|alpha_i|, beta_i, |z|)`` over every coefficient up to beta_n.
+    Every other step gets an explicit residual; the history stops there
+    once it is at most ``tol * ||b||`` (never when ``tol`` is None), and
+    otherwise records a breakdown when the steps run out before ``k``.
+    ``keep_directions`` records each CG step ``x_n - x_{n-1}`` (``None``
+    next to a gap).
     """
-    b_norm = dec.b_norm
-    alphas = dec.T.alphas.tolist()
-    betas = dec.T.betas.tolist() + [dec.trailing_beta]
     want_cg = method == "cg"
     dtype = complex if isinstance(z, complex) else float
-    x_m = w1 = w2 = np.zeros(A.dim, dtype)
+    x_m = w1 = w2 = x_prev = np.zeros(A.dim, dtype)
     rots = ((1.0, 0.0), (1.0, 0.0))
-    phibar, beta_prev, norm, row = b_norm, 0.0, 0.0, 0.0
-    iterates, res = [], []
-    termination = "max_iter"
-    for n, (alpha, beta) in enumerate(zip(alphas, betas)):
-        # ||T_n||_inf: row n-1 gains |beta_{n-1}|, row n is new.
-        norm = max(norm, row + beta_prev, beta_prev + abs(alpha))
-        row = beta_prev + abs(alpha)
+    phibar, beta_prev, scale = b_norm, 0.0, abs(z)
+    iterates, res, dirs = [], [], []
+    for q, alpha, beta in steps:
+        scale = max(scale, abs(alpha), beta)
         eps, delta, gbar, (c, s, gamma) = _qr_column(
             *rots, beta_prev, alpha - z, beta
         )
-        u = dec.basis[:, n] - delta * w1 - eps * w2
+        u = q - delta * w1
+        u -= eps * w2
         if want_cg:
-            threshold = SINGULARITY_RTOL * (max(norm, abs(z)) or 1.0)
+            threshold = SINGULARITY_RTOL * (scale or 1.0)
             x = x_m + (phibar / gbar) * u if abs(gbar) >= threshold else None
         # gamma = 0 only when beta_n = 0 (the last step) and T_n - z I is
         # singular; x^M_{n-1} is then a least-squares solution (tau_n = 0).
         if gamma != 0:
-            w1, w2 = u / gamma, w1
+            u /= gamma
+            w1, w2 = u, w1
             x_m = x_m + (c * phibar) * w1
         if not want_cg:
             x = x_m
@@ -149,6 +159,9 @@ def _shifted_history(A, b, dec, z, method, tol, keep_iterates):
         rots = (rots[1], (c, s))
         beta_prev = beta
 
+        if keep_directions:
+            dirs.append(None if x is None or x_prev is None else x - x_prev)
+            x_prev = x
         if x is None:
             iterates.append(None)
             res.append(np.nan)
@@ -159,54 +172,8 @@ def _shifted_history(A, b, dec, z, method, tol, keep_iterates):
         if tol is not None and rnorm <= tol * b_norm:
             termination = "converged"
             break
-    return IterateHistory(
-        iterates=iterates,
-        residual_norms=np.asarray(res),
-        termination=termination,
-        b_norm=b_norm,
-    )
-
-
-def _cg_low_memory(A, b, k, mode, tol, keep_iterates, keep_directions):
-    """CG by the bidiagonal inverse-Cholesky update of the Lanczos
-    recurrence.  With ``mode=ReorthMode.NONE`` it keeps only the two
-    latest Lanczos vectors, the latest search direction and the running
-    iterate; ``mode=ReorthMode.FULL`` stores the whole basis to
-    reorthogonalize against it."""
-    rec = _Recurrence(A, b, k, mode=mode)
-    b = np.asarray(b, dtype=float)
-    b_norm = rec.b_norm
-    x = np.zeros(A.dim)
-    p_prev = np.zeros(A.dim)
-    m_prev = 0.0
-
-    iterates, res, dirs = [], [], []
-    termination = "max_iter"
-    for n in range(k):
-        broke = rec.step()
-        # Cholesky update of T_n = L L^T: pivot must stay positive.
-        pivot = rec.alphas[-1] - m_prev**2
-        if pivot <= 0.0:
-            termination = "singular_pivot"
-            break
-        l = math.sqrt(pivot)
-        p = (rec.q - m_prev * p_prev) / l
-        x = x + float(p @ b) * p
-
-        rnorm = _residual_norm(A, b, x)
-        iterates.append(x.copy() if keep_iterates else None)
-        res.append(rnorm)
-        if keep_directions:
-            dirs.append(p.copy())
-        if rnorm <= tol * b_norm:
-            termination = "converged"
-            break
-        if broke or n == k - 1:
-            break
-        m_prev = rec.beta / l
-        p_prev = p
-        rec.advance()
-
+    else:
+        termination = "breakdown" if len(res) < k else "max_iter"
     return IterateHistory(
         iterates=iterates,
         residual_norms=np.asarray(res),
@@ -228,25 +195,37 @@ def cg(
 ) -> IterateHistory:
     """Conjugate gradient.
 
-    ``backend="tridiagonal"`` runs one stored Lanczos decomposition and
-    updates a Givens QR of ``T`` one column per step (Paige & Saunders
-    1975); each CG iterate is the Galerkin point of that factorization, at
-    O(d) cost per step.  A step whose ``T_n`` is numerically singular
-    (last diagonal of its triangular factor below ``SINGULARITY_RTOL``
-    times ``||T_n||_inf``) is recorded as a gap (NaN residual) and later
-    steps are unaffected, so indefinite problems still produce a full
-    trace.  ``backend="low_memory"``
-    uses the inverse-Cholesky update and stops at the first nonpositive
-    pivot; it keeps a constant number of length-d vectors only with
-    ``mode=ReorthMode.NONE`` (the default ``mode=ReorthMode.FULL`` stores
-    the basis).
+    Each iterate is the Galerkin point of a Givens QR of the Lanczos
+    tridiagonal ``T``, updated one column per step (Paige & Saunders
+    1975) at O(d) cost per step.  A step whose ``T_n`` is numerically
+    singular (last diagonal of its triangular factor below
+    ``SINGULARITY_RTOL`` times the largest Lanczos coefficient so far) is
+    recorded as a gap (NaN residual) and later steps are unaffected, so
+    indefinite problems still produce a full trace.  ``termination`` is
+    ``"converged"`` at the first residual at most ``tol * ||b||``,
+    ``"breakdown"`` when the recurrence breaks down before step k, and
+    ``"max_iter"`` otherwise.  ``keep_directions`` records each step
+    ``x_n - x_{n-1}``, which is parallel to the search direction p_n.
+
+    Both backends return bit-identical histories.
+    ``backend="tridiagonal"`` runs all k steps of one stored Lanczos
+    decomposition first.  ``backend="low_memory"`` runs the recurrence
+    step by step and stops applying ``A`` at convergence; it keeps a
+    constant number of length-d vectors only with ``mode=ReorthMode.NONE``
+    and nothing kept per step (``keep_iterates=False``; the default
+    ``mode=ReorthMode.FULL`` stores the basis).
     """
     if backend == "tridiagonal":
         dec = lanczos(A, b, k, mode=mode)
-        return _shifted_history(A, b, dec, 0.0, "cg", tol, keep_iterates)
-    if backend == "low_memory":
-        return _cg_low_memory(A, b, k, mode, tol, keep_iterates, keep_directions)
-    raise ValueError(f"unknown backend {backend!r}")
+        steps, b_norm = _columns(dec), dec.b_norm
+    elif backend == "low_memory":
+        rec = _Recurrence(A, b, k, mode=mode)
+        steps, b_norm = rec.steps(), rec.b_norm
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    return _shifted_history(
+        A, b, steps, b_norm, k, 0.0, "cg", tol, keep_iterates, keep_directions
+    )
 
 
 def minres(
@@ -263,7 +242,9 @@ def minres(
     (Paige & Saunders 1975) at O(d) cost per step.  Each step's residual
     is recomputed explicitly."""
     dec = lanczos(A, b, k, mode=mode)
-    return _shifted_history(A, b, dec, 0.0, "minres", tol, keep_iterates)
+    return _shifted_history(
+        A, b, _columns(dec), dec.b_norm, k, 0.0, "minres", tol, keep_iterates
+    )
 
 
 def multi_shift_solve(
@@ -282,8 +263,9 @@ def multi_shift_solve(
     shift.  Each shift keeps its own incremental Givens QR of
     ``T - z_i I`` (complex for complex shifts), so every step costs O(d)
     per shift; ``method="cg"`` records a gap where ``T_n - z_i I`` is
-    numerically singular.  Runs all k steps (no convergence test).
-    Returns one :class:`IterateHistory` per shift.
+    numerically singular.  Runs all k steps (no convergence test) unless
+    the recurrence breaks down first, which every history records as
+    ``"breakdown"``.  Returns one :class:`IterateHistory` per shift.
     """
     if method not in ("cg", "minres"):
         raise ValueError(f"unknown method {method!r}")
@@ -293,9 +275,10 @@ def multi_shift_solve(
     for z in shifts:
         z = complex(z)
         zval = z if z.imag != 0.0 else z.real
-        histories.append(
-            _shifted_history(A, b, dec, zval, method, None, keep_iterates)
+        hist = _shifted_history(
+            A, b, _columns(dec), dec.b_norm, k, zval, method, None, keep_iterates
         )
+        histories.append(hist)
     return histories
 
 

@@ -150,6 +150,10 @@ class TestTridiagSolve:
         T = SymTridiagonal([2.0, 2.0], [1.0])
         x = tridiag_solve(T, np.array([1.0, 0.0]))
         np.testing.assert_allclose(x, [2 / 3, -1 / 3], atol=1e-14)
+        # Zero diagonal, eigenvalues +-1: elimination without pivoting fails.
+        T = SymTridiagonal([0.0, 0.0], [1.0])
+        x = tridiag_solve(T, np.array([1.0, 2.0]))
+        np.testing.assert_allclose(x, [2.0, 1.0], atol=1e-14)
 
     def test_rectangular_normal_equations(self):
         ext = ExtendedTridiagonal(SymTridiagonal([2.0], []), 1.0)

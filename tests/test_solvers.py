@@ -68,19 +68,29 @@ class TestCG:
             assert anorm <= anorm_opt * (1 + 1e-8) + 1e-10
 
     def test_backends_agree(self):
+        # Both backends feed the same Lanczos steps to the same small
+        # solve, so their histories are bit-identical.
         rng = np.random.default_rng(1)
         d = 40
         M, _ = spd_operator(rng, d, 1.0, 1e3)
-        A = LinearOperator.from_matrix(M)
-        b = rng.standard_normal(d)
-        h1 = cg(A, b, 15, backend="tridiagonal", tol=0.0)
-        h2 = cg(A, b, 15, backend="low_memory", tol=0.0)
-        n = min(h1.k, h2.k)
-        for j in range(n):
-            scale = np.linalg.norm(h1.iterates[j])
-            assert (
-                np.abs(h1.iterates[j] - h2.iterates[j]).max() <= 5e-7 * scale
-            )
+        problems = [
+            (LinearOperator.from_matrix(M), rng.standard_normal(d), 15),
+            (LinearOperator.diagonal([-1.0, 2.0, 3.0]), np.ones(3), 3),
+        ]
+        for A, b, k in problems:
+            for mode in (ReorthMode.NONE, ReorthMode.FULL):
+                h1 = cg(A, b, k, backend="tridiagonal", mode=mode, tol=0.0)
+                h2 = cg(A, b, k, backend="low_memory", mode=mode, tol=0.0)
+                assert h1.k == h2.k == k
+                assert h1.termination == h2.termination
+                assert np.array_equal(h1.residual_norms, h2.residual_norms)
+                for x1, x2 in zip(h1.iterates, h2.iterates):
+                    assert np.array_equal(x1, x2)
+        # Indefinite: T_3 is the whole operator, so step 3 is exact.
+        np.testing.assert_allclose(h2.iterates[2], [-1.0, 0.5, 1 / 3], atol=1e-14)
+        for backend in ("tridiagonal", "low_memory"):
+            with pytest.raises(ValueError):
+                cg(A, b, 0, backend=backend)
 
     def test_direction_conjugacy(self):
         rng = np.random.default_rng(2)
@@ -88,11 +98,26 @@ class TestCG:
         M, _ = spd_operator(rng, d)
         A = LinearOperator.from_matrix(M)
         b = rng.standard_normal(d)
-        hist = cg(A, b, 12, backend="low_memory", keep_directions=True, tol=0.0)
-        P = np.column_stack(hist.directions)
-        G = P.T @ M @ P
-        off = G - np.diag(np.diag(G))
-        assert np.abs(off).max() <= 1e-8 * np.abs(np.diag(G)).max()
+        for backend in ("tridiagonal", "low_memory"):
+            hist = cg(A, b, 12, backend=backend, keep_directions=True, tol=0.0)
+            P = np.column_stack(hist.directions)
+            G = P.T @ M @ P
+            off = G - np.diag(np.diag(G))
+            assert np.abs(off).max() <= 1e-8 * np.abs(np.diag(G)).max()
+
+    def test_breakdown_is_recorded(self):
+        # Two distinct eigenvalues: the recurrence breaks down at step 2.
+        A = LinearOperator.diagonal([1.0, 1.0, 4.0])
+        b = np.array([1.0, 2.0, 3.0])
+        hists = [
+            cg(A, b, 3, tol=0.0),
+            cg(A, b, 3, backend="low_memory", tol=0.0),
+            minres(A, b, 3, tol=0.0),
+            *multi_shift_solve(A, b, [-1.0, 0.5 + 1.0j], 3),
+        ]
+        for hist in hists:
+            assert hist.k == 2
+            assert hist.termination == "breakdown"
 
     def test_residual_error_sandwich(self):
         # sqrt(1/lam_max) ||r|| <= ||x - x*||_A <= sqrt(1/lam_min) ||r||.
@@ -113,13 +138,9 @@ class TestCG:
         # T_1 = [0] is singular; T_2 is not, so step 2 is the exact solve.
         A = LinearOperator.diagonal([-1.0, 1.0])
         hist = cg(A, np.ones(2), 2, tol=0.0)
+        assert hist.iterates[0] is None
+        assert np.isnan(hist.residual_norms[0])
         np.testing.assert_allclose(hist.iterates[1], [-1.0, 1.0], atol=1e-12)
-
-    def test_low_memory_flags_indefinite_pivot(self):
-        A = LinearOperator.diagonal([-1.0, 2.0, 3.0])
-        b = np.ones(3)
-        hist = cg(A, b, 3, backend="low_memory", tol=0.0)
-        assert hist.termination == "singular_pivot"
 
     def test_monotone_a_norm_error(self):
         rng = np.random.default_rng(4)
@@ -306,6 +327,13 @@ class TestOperatorCalls:
         )
         assert hist.k == self.K
         assert calls[0] == 2 * self.K
+        # Converged at step j < K: no Lanczos step past j is computed.
+        calls[0] = 0
+        hist = cg(
+            op, b, self.K, backend="low_memory", mode=ReorthMode.NONE, tol=0.5
+        )
+        assert hist.termination == "converged" and hist.k < self.K
+        assert calls[0] == 2 * hist.k
 
 
 class TestPreconditioned:
