@@ -168,11 +168,9 @@ def sym_tridiag_eig(T: SymTridiagonal) -> TridiagEig:
         T.alphas, T.betas, lapack_driver="stev"
     )
     # Deterministic sign convention: first nonzero component positive.
-    for j in range(vecs.shape[1]):
-        col = vecs[:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0:
-            vecs[:, j] = -col
+    first = vecs[np.argmax(vecs != 0, axis=0), np.arange(vecs.shape[1])]
+    flip = first < 0
+    vecs[:, flip] = -vecs[:, flip]
     return TridiagEig(vals, vecs)
 
 

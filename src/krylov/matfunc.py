@@ -18,6 +18,7 @@ from .core import (
 )
 from .errors import FunctionDomainError, NonFiniteSample, SingularSystem
 from .lanczos import ReorthMode, _Recurrence, block_lanczos, lanczos
+from .orthopoly import cheb_approximant
 
 __all__ = [
     "MatFuncResult",
@@ -85,14 +86,9 @@ def lanczos_fa(
         value = _pitfall_apply(Q, T, b, f)
     else:
         raise ValueError(f"unknown formula {formula!r}")
-    gram = Q.T @ Q
-    diagnostics = {
-        "orthogonality_loss": float(
-            np.abs(gram - np.eye(gram.shape[0])).max()
-        ),
-        "trailing_beta": dec.trailing_beta,
-    }
-    return MatFuncResult(value=value, k_used=T.size, diagnostics=diagnostics)
+    return MatFuncResult(
+        value=value, k_used=T.size, diagnostics={"trailing_beta": dec.trailing_beta}
+    )
 
 
 def two_pass_lanczos_fa(
@@ -118,7 +114,7 @@ def two_pass_lanczos_fa(
     return MatFuncResult(
         value=value,
         k_used=len(rec.alphas),
-        diagnostics={"orthogonality_loss": np.nan, "trailing_beta": rec.beta},
+        diagnostics={"trailing_beta": rec.beta},
     )
 
 
@@ -222,26 +218,20 @@ def _dense_symmetric_function(T: np.ndarray, f) -> np.ndarray:
 
 def fa_apriori_bound(f, interval, k: int, b_norm: float = 1.0) -> float:
     """A priori uniform-approximation bound 2 ||b|| min_{deg p < k}
-    ||f - p|| on the interval, with the min replaced by the Chebyshev
-    interpolant's sup error on a 10^4-point grid, inflated by a factor 4
-    of Lebesgue-constant slack."""
+    ||f - p|| on the interval.  The min is replaced by the sup error, on
+    a 10^4-point grid, of the degree-(k-1) Chebyshev approximant
+    ``cheb_approximant(f, k - 1, interval)`` (a near-best polynomial, so
+    never below the min up to the grid), inflated by a factor 4 of slack
+    for the grid and the near-best constant.
+
+    Raises :class:`NonFiniteSample` if ``f`` is NaN/Inf at a sample."""
     a, c = float(interval[0]), float(interval[1])
     if not c > a:
         raise ValueError("interval must have positive length")
     if k < 1:
         raise ValueError("k must be at least 1")
-    # Interpolation at the k Chebyshev points (degree k - 1).
-    theta = (np.arange(k) + 0.5) * np.pi / k
-    xt = np.cos(theta)
-    x = 0.5 * (c - a) * xt + 0.5 * (a + c)
-    fv = _finite_values(f, x, NonFiniteSample)
-    ns = np.arange(k)
-    coeffs = (np.cos(np.outer(ns, theta)) @ fv) * (2.0 / k)
-    coeffs[0] *= 0.5
-
-    grid_t = np.linspace(-1.0, 1.0, 10_000)
-    grid = 0.5 * (c - a) * grid_t + 0.5 * (a + c)
-    p = np.polynomial.chebyshev.chebval(grid_t, coeffs)
+    p = cheb_approximant(f, k - 1, (a, c))
+    grid = 0.5 * (c - a) * np.linspace(-1.0, 1.0, 10_000) + 0.5 * (a + c)
     fg = _finite_values(f, grid, NonFiniteSample)
-    err = float(np.abs(fg - p).max())
+    err = float(np.abs(fg - p(grid)).max())
     return 2.0 * b_norm * 4.0 * err

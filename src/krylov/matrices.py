@@ -11,9 +11,10 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .core import LinearOperator
+from .core import LinearOperator, _finite_values
 from .errors import (
     DimensionTooLarge,
+    FunctionDomainError,
     InvalidSpec,
     NotSymmetric,
     ParseError,
@@ -186,13 +187,15 @@ def load_matrix_market(path: str) -> LinearOperator:
 def optimal_ksm_error(A: LinearOperator, b: np.ndarray, f, k: int) -> np.ndarray:
     """Per-step 2-norm distance of f(A) b from the Krylov subspaces:
     the unbeatable baseline for any Krylov method.  Dense work, so the
-    dimension is capped."""
+    dimension is capped.  Raises :class:`FunctionDomainError` if ``f``
+    is NaN/Inf at an eigenvalue."""
     if A.dim > DENSE_ORACLE_LIMIT:
         raise DimensionTooLarge(f"dim {A.dim} exceeds {DENSE_ORACLE_LIMIT}")
     b = np.asarray(b, dtype=float)
     dense = A.to_dense()
     vals, vecs = np.linalg.eigh(dense)
-    target = vecs @ (np.asarray([f(t) for t in vals]) * (vecs.T @ b))
+    fvals = _finite_values(f, vals, FunctionDomainError)
+    target = vecs @ (fvals * (vecs.T @ b))
 
     errors = np.empty(k)
     basis: list[np.ndarray] = []

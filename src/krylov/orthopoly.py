@@ -91,20 +91,27 @@ class DiscreteMeasure:
         return DiscreteMeasure(self.nodes, self.weights / self.total_mass)
 
 
+def _cheb_rows(kind: str, n: int, x):
+    """Yield the Chebyshev polynomials P_0(x), ..., P_{n-1}(x) of kind
+    ``"T"`` or ``"U"`` by the forward three-term recurrence: the one
+    recurrence every Chebyshev evaluation in the library runs."""
+    if kind not in ("T", "U"):
+        raise ValueError("kind must be 'T' or 'U'")
+    x = np.asarray(x, dtype=float)
+    p_prev, p = np.ones_like(x), (x if kind == "T" else 2.0 * x)
+    yield from (p_prev, p)[:n]
+    for _ in range(n - 2):
+        p, p_prev = 2.0 * x * p - p_prev, p
+        yield p
+
+
 def cheb_eval(kind: str, n: int, x):
     """Evaluate the Chebyshev polynomial T_n or U_n by the forward
     three-term recurrence."""
-    if kind not in ("T", "U"):
-        raise ValueError("kind must be 'T' or 'U'")
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev if p_prev.ndim else float(p_prev)
-    p = x if kind == "T" else 2.0 * x
-    for _ in range(n - 1):
-        p, p_prev = 2.0 * x * p - p_prev, p
+    for p in _cheb_rows(kind, n + 1, x):
+        pass
     return p if p.ndim else float(p)
 
 
@@ -137,11 +144,9 @@ class ChebyshevExpansion:
         xt = _to_unit(x, self.interval)
         c = self.coefficients
         out = np.full_like(np.asarray(xt, dtype=float), c[0])
-        t_prev = np.ones_like(out)
-        t = xt
-        for n in range(1, c.size):
-            out = out + 2.0 * c[n] * t
-            t, t_prev = 2.0 * xt * t - t_prev, t
+        for n, t in enumerate(_cheb_rows("T", c.size, xt)):
+            if n:
+                out = out + 2.0 * c[n] * t
         return out
 
 
@@ -206,17 +211,10 @@ def modified_moments(
     if count < 1:
         raise ValueError("count must be positive")
     if kind == "monomial":
-        xt = measure.nodes
+        rows = (measure.nodes**j for j in range(count))
     else:
-        xt = _to_unit(measure.nodes, interval)
-    out = np.empty(count)
-    for j in range(count):
-        if kind == "monomial":
-            qj = xt**j
-        else:
-            qj = cheb_eval(kind, j, xt)
-        out[j] = float(np.sum(measure.weights * qj))
-    return out
+        rows = _cheb_rows(kind, count, _to_unit(measure.nodes, interval))
+    return np.asarray([float(np.sum(measure.weights * q)) for q in rows])
 
 
 @dataclass(frozen=True)

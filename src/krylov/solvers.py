@@ -95,7 +95,7 @@ def _residual_norm(A: LinearOperator, b: np.ndarray, x: np.ndarray, shift=0.0):
         Ax = np.asarray(A.apply(x.real), dtype=complex) + 1j * A.apply(x.imag)
     else:
         Ax = A.apply(x)
-    r = b - (Ax - shift * x)
+    r = b - Ax if shift == 0 else b - (Ax - shift * x)
     return float(np.linalg.norm(r))
 
 
@@ -390,7 +390,7 @@ def block_cg(
     m0 = widths[0]
 
     iterates, res = [], []
-    termination = "max_iter"
+    termination = "breakdown" if dec.termination.is_breakdown else "max_iter"
     for j in range(1, len(dec.block_diag) + 1):
         nj = int(offs[j])
         Tj = T[:nj, :nj]

@@ -14,11 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinearOperator, sym_tridiag_eig
+from .core import LinearOperator, _finite_values, sym_tridiag_eig
 from .errors import FunctionDomainError, SpectrumOutsideInterval
 from .lanczos import _Recurrence
 from .matfunc import lanczos_qf
-from .orthopoly import DiscreteMeasure, cheb_eval, jackson_damping
+from .orthopoly import (
+    DiscreteMeasure,
+    _cheb_rows,
+    gauss_quadrature,
+    jackson_damping,
+    modified_moments,
+)
 
 __all__ = [
     "ProbeSampler",
@@ -159,9 +165,10 @@ class DensityApprox:
 
         The KPM form uses a midpoint rule in the Chebyshev angle, which
         is exact when g is a polynomial of sufficiently low degree.
+        Raises :class:`FunctionDomainError` if ``g`` is NaN/Inf at a node.
         """
         if self.form == "quadrature":
-            vals = np.asarray([g(x) for x in self.measure.nodes])
+            vals = _finite_values(g, self.measure.nodes, FunctionDomainError)
             return float(np.sum(self.measure.weights * vals))
         a, b = self.interval
         c = self.coefficients
@@ -169,12 +176,9 @@ class DensityApprox:
             n_quad = 4 * c.size + 64
         theta = (np.arange(n_quad) + 0.5) * np.pi / n_quad
         xt = np.cos(theta)
-        series = np.full_like(xt, c[0])
-        for n in range(1, c.size):
-            series = series + c[n] * math.sqrt(2.0) * cheb_eval("T", n, xt)
         x = 0.5 * (b - a) * xt + 0.5 * (a + b)
-        gv = np.asarray([g(xi) for xi in x])
-        return float(np.sum(gv * series) / n_quad)
+        gv = _finite_values(g, x, FunctionDomainError)
+        return float(np.sum(gv * _kpm_series(c, xt)) / n_quad)
 
     def density(self, x) -> np.ndarray:
         """Pointwise density (KPM form only)."""
@@ -185,11 +189,17 @@ class DensityApprox:
         xt = (2.0 * x - (a + b)) / (b - a)
         with np.errstate(divide="ignore", invalid="ignore"):
             v = 1.0 / (np.pi * np.sqrt(1.0 - xt**2))
-        c = self.coefficients
-        series = np.full_like(xt, c[0])
-        for n in range(1, c.size):
-            series = series + c[n] * math.sqrt(2.0) * cheb_eval("T", n, xt)
-        return series * v * 2.0 / (b - a)
+        return _kpm_series(self.coefficients, xt) * v * 2.0 / (b - a)
+
+
+def _kpm_series(c: np.ndarray, xt: np.ndarray) -> np.ndarray:
+    """c_0 + sum_n c_n sqrt(2) T_n(xt): a KPM expansion against the
+    orthonormal Chebyshev basis, at points of the unit interval."""
+    series = np.full_like(xt, c[0])
+    for n, t in enumerate(_cheb_rows("T", c.size, xt)):
+        if n:
+            series = series + c[n] * math.sqrt(2.0) * t
+    return series
 
 
 def slq_density(
@@ -200,9 +210,9 @@ def slq_density(
     nodes, weights = [], []
     for i in range(m):
         rec = _Recurrence(A, sampler.probe(i, A.dim), k).run()
-        eig = sym_tridiag_eig(rec.T)
-        nodes.append(eig.eigenvalues)
-        weights.append(rec.b_norm**2 * eig.eigenvectors[0, :] ** 2 / m)
+        quad = gauss_quadrature(rec.T, rec.b_norm**2)
+        nodes.append(quad.nodes)
+        weights.append(quad.weights / m)
     measure = DiscreteMeasure(np.concatenate(nodes), np.concatenate(weights))
     return DensityApprox(form="quadrature", measure=measure)
 
@@ -271,11 +281,8 @@ def kpm_density(
                 moments[n] += float(b @ v)
         else:
             rec = _Recurrence(A, b, k).run()
-            eig = sym_tridiag_eig(rec.T)
-            w = rec.b_norm**2 * eig.eigenvectors[0, :] ** 2
-            xt = (2.0 * eig.eigenvalues - (a + b_right)) / span
-            for n in range(n_coeffs):
-                moments[n] += float(np.sum(w * cheb_eval("T", n, xt)))
+            quad = gauss_quadrature(rec.T, rec.b_norm**2)
+            moments += modified_moments(quad, n_coeffs, "T", (a, b_right))
     moments /= m
 
     # Coefficients against the orthonormal basis q_0 = T_0, q_n = sqrt(2) T_n.

@@ -224,10 +224,11 @@ class TestModifiedMoments:
     def test_brute_force(self):
         rng = np.random.default_rng(6)
         mu = random_measure(rng, 10)
-        m = modified_moments(mu, 6)
-        for j in range(6):
-            direct = np.sum(mu.weights * cheb_eval("T", j, mu.nodes))
-            assert abs(m[j] - direct) <= 1e-13
+        for kind in ("T", "U"):
+            m = modified_moments(mu, 6, kind)
+            for j in range(6):
+                direct = np.sum(mu.weights * cheb_eval(kind, j, mu.nodes))
+                assert m[j] == direct
 
 
 class TestJacksonDamping:

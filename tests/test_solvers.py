@@ -533,3 +533,11 @@ class TestBlockCG:
         B = rng.standard_normal((d, m))
         blk = block_cg(A, B, 12)
         assert blk.residual_norms[-1].max() <= 1e-8 * np.linalg.norm(B)
+
+    def test_breakdown_is_recorded(self):
+        # span{e1, e2} is invariant: block Lanczos stops after one step.
+        A = LinearOperator.diagonal([1.0, 2.0, 3.0, 4.0])
+        blk = block_cg(A, np.eye(4)[:, :2], 5)
+        assert len(blk.iterates) == 1
+        assert blk.termination == "breakdown"
+        assert blk.residual_norms[-1].max() <= 1e-14

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from krylov.core import LinearOperator
 from krylov.errors import FunctionDomainError, SpectrumOutsideInterval
-from krylov.orthopoly import DiscreteMeasure, wasserstein
+from krylov.matrices import optimal_ksm_error
+from krylov.orthopoly import ChebyshevExpansion, DiscreteMeasure, cheb_eval, wasserstein
 from krylov.trace import (
     ProbeSampler,
     control_variate_trace,
@@ -156,6 +159,16 @@ class TestSlqDensity:
         assert approx.measure.nodes.min() >= 2.0 - 1e-8
         assert approx.measure.nodes.max() <= 9.0 + 1e-8
 
+    def test_f_not_finite_on_a_spectrum_raises(self):
+        # sqrt is NaN at the negative nodes: neither the quadrature
+        # integral nor the dense oracle may return it.
+        A = LinearOperator.diagonal(np.linspace(-1.0, 1.0, 12))
+        approx = slq_density(A, 12, 1, ProbeSampler(seed=11))
+        with pytest.raises(FunctionDomainError):
+            approx.integrate(np.sqrt)
+        with pytest.raises(FunctionDomainError):
+            optimal_ksm_error(A, np.ones(12), np.sqrt, 3)
+
 
 def arcsine_operator(d=200):
     theta = (np.arange(d) + 0.5) * np.pi / d
@@ -219,6 +232,37 @@ class TestKpmDensity:
         A = LinearOperator.diagonal(np.linspace(-1.0, 1.0, 60))
         with pytest.raises(SpectrumOutsideInterval):
             kpm_density(A, 10, interval=(-0.5, 0.5))
+
+    def test_series_equal_per_degree_cheb_eval_sums(self):
+        # Every Chebyshev series is one running recurrence; its values
+        # must equal the per-degree cheb_eval sums bit for bit.
+        approx = kpm_density(
+            arcsine_operator(60), 9, interval=(-1.1, 1.3), damping=None
+        )
+        a, b = approx.interval
+        c = approx.coefficients
+
+        def series(xt, scale):
+            out = np.full_like(xt, c[0])
+            for n in range(1, c.size):
+                out = out + c[n] * scale * cheb_eval("T", n, xt)
+            return out
+
+        x = np.linspace(-1.05, 1.25, 301)
+        xt = (2.0 * x - (a + b)) / (b - a)
+        v = 1.0 / (np.pi * np.sqrt(1.0 - xt**2))
+        want = series(xt, math.sqrt(2.0)) * v * 2.0 / (b - a)
+        assert np.array_equal(approx.density(x), want)
+
+        n_quad = 4 * c.size + 64
+        xt = np.cos((np.arange(n_quad) + 0.5) * np.pi / n_quad)
+        gv = np.asarray([np.exp(t) for t in 0.5 * (b - a) * xt + 0.5 * (a + b)])
+        want = float(np.sum(gv * series(xt, math.sqrt(2.0))) / n_quad)
+        assert approx.integrate(np.exp) == want
+
+        expansion = ChebyshevExpansion(c, (a, b))
+        xt = (2.0 * x - (a + b)) / (b - a)
+        assert np.array_equal(expansion(x), series(xt, 2.0))
 
     def test_approximates_reference_density(self):
         # Operator with arcsine-distributed spectrum: the damped KPM
