@@ -5,7 +5,6 @@ __all__ = [
     "ZeroStartVector",
     "ZeroStartBlock",
     "SingularSystem",
-    "SingularPivot",
     "FunctionDomainError",
     "NonFiniteSample",
     "InsufficientSupport",
@@ -34,10 +33,6 @@ class ZeroStartBlock(KrylovError):
 
 class SingularSystem(KrylovError):
     """A small tridiagonal solve hit a pivot below the singularity threshold."""
-
-
-class SingularPivot(KrylovError):
-    """A Cholesky pivot of the tridiagonal matrix is not positive."""
 
 
 class FunctionDomainError(KrylovError):

@@ -85,12 +85,19 @@ class ArnoldiDecomposition:
 
 @dataclass(frozen=True)
 class BlockKrylovDecomposition:
-    """A block Lanczos decomposition with deflation metadata."""
+    """A block Lanczos decomposition with deflation metadata.
+
+    Block n of ``basis`` is the orthonormal Q_n of one column-pivoted QR
+    (columns in pivot order), so ``B = Q_0 initial_R`` and the step-n
+    residual block is ``Z_n = Q_{n+1} B_n``; neither ``initial_R`` nor
+    ``B_n`` is triangular in general.  A block step that deflates drops
+    columns; one of rank 0 ends the run as a breakdown.
+    """
 
     basis: np.ndarray  # d x (sum of block widths)
     block_diag: list  # square blocks A_n
-    block_offdiag: list  # blocks B_n coupling step n to n+1
-    initial_R: np.ndarray  # m x m upper-triangular factor of the start block
+    block_offdiag: list  # blocks B_n = Q_{n+1}^T Z_n coupling step n to n+1
+    initial_R: np.ndarray  # Q_0^T B, (width of Q_0) x m
     block_widths: list  # width per block step (never grows)
     termination: Termination
 
@@ -375,34 +382,23 @@ def arnoldi(
     )
 
 
-def _qr_deflate(Z: np.ndarray, tol_abs: float):
-    """Orthonormalize the columns of Z, dropping numerically dependent ones.
+def _qr_deflate(Z: np.ndarray, deflation_tol: float, scale: float):
+    """Orthonormalize the columns of Z with one column-pivoted QR,
+    ``Z P = Q R``, dropping numerically dependent columns.
 
-    Returns (Q, C, rank) with Q orthonormal of the detected rank and
-    C = Q^T Z the coupling block.  Rank is detected by column-pivoted QR;
-    when no deflation occurs C is upper-triangular with positive diagonal.
+    The rank is the number of diagonal entries of R above
+    ``deflation_tol * max(|R_00|, scale)``, where ``scale`` is the
+    caller's running coefficient scale (0 judges Z against itself).
+    Returns ``(Q, C, rank)``: Q keeps ``rank`` columns, signed so that
+    ``diag(R) >= 0``, and ``C = Q^T Z = R P^T`` is the coupling block.
     """
-    m = Z.shape[1]
-    if m == 0:
-        return Z[:, :0], np.zeros((0, 0)), 0
-    scale = float(np.linalg.norm(Z, 2)) if Z.size else 0.0
-    if scale == 0.0:
-        return Z[:, :0], np.zeros((0, m)), 0
-    Qp, Rp, _ = scipy.linalg.qr(Z, mode="economic", pivoting=True)
-    rank = int(np.sum(np.abs(np.diag(Rp)) > tol_abs))
-    if rank == 0:
-        return Z[:, :0], np.zeros((0, m)), 0
-    if rank == m:
-        Q, R = np.linalg.qr(Z)
-        signs = np.sign(np.diag(R))
-        signs[signs == 0] = 1.0
-        Q = Q * signs
-        R = signs[:, None] * R
-        return Q, R, m
-    # Deflated step: orthonormal basis from the pivoted factorization.
-    Q = Qp[:, :rank]
-    C = Q.T @ Z
-    return Q, C, rank
+    Q, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
+    r = np.diag(R)
+    rank = int(np.count_nonzero(np.abs(r) > deflation_tol * max(abs(r[0]), scale)))
+    signs = np.where(r[:rank] < 0, -1.0, 1.0)
+    C = np.empty((rank, Z.shape[1]))
+    C[:, piv] = signs[:, None] * R[:rank]
+    return Q[:, :rank] * signs, C, rank
 
 
 def block_lanczos(
@@ -412,49 +408,54 @@ def block_lanczos(
     mode: ReorthMode = ReorthMode.FULL,
     deflation_tol: float = DEFAULT_DEFLATION_TOL,
 ) -> BlockKrylovDecomposition:
-    """Run k block Lanczos steps with rank-revealing QR deflation."""
+    """Run k block Lanczos steps with rank-revealing QR deflation.
+
+    Each block is factored once by :func:`_qr_deflate`.  A column is
+    deflated when its pivot falls below ``deflation_tol`` times the
+    running coefficient scale (the largest entry of the A_n and B_n
+    blocks so far, as in :func:`lanczos`); the start block is judged
+    against its own largest column.  A step of rank 0 is a breakdown.
+    """
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[1] < 1:
         raise ValueError("B must be a d x m matrix with m >= 1")
     if deflation_tol <= 0:
         raise ValueError("deflation_tol must be positive")
 
-    scale0 = float(np.linalg.norm(B, 2))
-    Q0, R0, rank0 = _qr_deflate(B, deflation_tol * scale0 if scale0 else 0.0)
-    if rank0 == 0:
+    Qn, R0, rank = _qr_deflate(B, deflation_tol, 0.0)
+    if rank == 0:
         raise ZeroStartBlock("starting block has numerical rank zero")
 
-    basis = _Basis(A.dim, rank0 * k)
-    basis.append(Q0.T)
-    widths = [rank0]
+    basis = _Basis(A.dim, rank * k)
+    basis.append(Qn.T)
+    widths = [rank]
     block_diag: list[np.ndarray] = []
     block_offdiag: list[np.ndarray] = []
     termination = Termination("completed", k)
+    scale = 0.0
 
-    Qn = Q0
-    Qn_prev = None
-    Bn_prev = None
     for n in range(k):
         Y = np.column_stack([A.apply(Qn[:, j]) for j in range(Qn.shape[1])])
-        if n > 0:
-            Y = Y - Qn_prev @ Bn_prev.T
+        if n > 0:  # Bn still holds B_{n-1}
+            Y = Y - Qn_prev @ Bn.T
         An = Qn.T @ Y
         An = 0.5 * (An + An.T)
         Z = Y - Qn @ An
         if mode is ReorthMode.FULL:
             Z = basis.reorthogonalize(Z)
         block_diag.append(An)
+        scale = max(scale, float(np.abs(An).max()))
         if n == k - 1:
             break
-        zscale = float(np.linalg.norm(Z, 2)) if Z.size else 0.0
-        Qnext, Bn, rank = _qr_deflate(Z, deflation_tol * max(zscale, 1e-300))
+        Qnext, Bn, rank = _qr_deflate(Z, deflation_tol, scale)
         block_offdiag.append(Bn)
         if rank == 0:
             termination = Termination("breakdown", n + 1)
             break
+        scale = max(scale, float(np.abs(Bn).max()))
         basis.append(Qnext.T)
         widths.append(rank)
-        Qn_prev, Bn_prev, Qn = Qn, Bn, Qnext
+        Qn_prev, Qn = Qn, Qnext
 
     return BlockKrylovDecomposition(
         basis=basis.rows.T,

@@ -138,46 +138,28 @@ def rational_apply(
     b: np.ndarray,
     family,
     k: int,
-    method: str = "fa_shifted",
     mode: ReorthMode = ReorthMode.FULL,
 ):
     """Apply a rational approximation sum_i w_i (A - z_i I)^{-1} b with a
-    single shared Lanczos run.
-
-    ``method="fa_shifted"`` performs the shifted small tridiagonal solves
-    directly; ``method="multi_shift"`` routes through the multi-shift
-    solver.  When shifts come in conjugate pairs with conjugate weights
+    single shared Lanczos run and one shifted small tridiagonal solve per
+    shift.  When shifts come in conjugate pairs with conjugate weights
     the imaginary part (checked to be negligible) is discarded.
     """
     shifts = np.asarray(family.shifts, dtype=complex)
     weights = np.asarray(family.weights, dtype=complex)
-
-    if method == "multi_shift":
-        from .solvers import multi_shift_solve
-
-        hists = multi_shift_solve(A, b, shifts, k, method="cg", mode=mode)
-        parts = [h.final for h in hists]
-    elif method == "fa_shifted":
-        dec = lanczos(A, b, k, mode=mode)
-        Q, T, b_norm = dec.basis, dec.T, dec.b_norm
-        e1 = np.zeros(T.size)
-        e1[0] = b_norm
-        parts = []
-        errors = []
-        for z in shifts:
-            zval = z if z.imag != 0.0 else z.real
-            try:
-                y = tridiag_solve(T, e1, shift=zval)
-            except SingularSystem as exc:
-                errors.append((z, exc))
-                continue
-            parts.append(Q @ y)
-        if errors:
-            raise SingularSystem(
-                f"singular shifted solves at {[z for z, _ in errors]}"
-            )
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    dec = lanczos(A, b, k, mode=mode)
+    Q, T = dec.basis, dec.T
+    e1 = np.zeros(T.size)
+    e1[0] = dec.b_norm
+    parts, singular = [], []
+    for z in shifts:
+        zval = z if z.imag != 0.0 else z.real
+        try:
+            parts.append(Q @ tridiag_solve(T, e1, shift=zval))
+        except SingularSystem:
+            singular.append(z)
+    if singular:
+        raise SingularSystem(f"singular shifted solves at {singular}")
 
     result = np.zeros(A.dim, dtype=complex)
     for w, x in zip(weights, parts):

@@ -98,7 +98,8 @@ def _cheb_rows(kind: str, n: int, x):
     if kind not in ("T", "U"):
         raise ValueError("kind must be 'T' or 'U'")
     x = np.asarray(x, dtype=float)
-    p_prev, p = np.ones_like(x), (x if kind == "T" else 2.0 * x)
+    # T_1 is a copy of x, so no caller's result aliases its input.
+    p_prev, p = np.ones_like(x), (x.copy() if kind == "T" else 2.0 * x)
     yield from (p_prev, p)[:n]
     for _ in range(n - 2):
         p, p_prev = 2.0 * x * p - p_prev, p

@@ -45,7 +45,6 @@ class IterateHistory:
     residual_norms: np.ndarray
     termination: str  # "max_iter", "converged", or "breakdown"
     b_norm: float
-    directions: list | None = None  # CG steps x_n - x_{n-1}, on request
 
     @property
     def k(self) -> int:
@@ -106,9 +105,7 @@ def _columns(dec):
     return zip(dec.basis.T, dec.T.alphas.tolist(), betas)
 
 
-def _shifted_history(
-    A, b, steps, b_norm, k, z, method, tol, keep_iterates, keep_directions=False
-):
+def _shifted_history(A, b, steps, b_norm, k, z, method, tol, keep_iterates):
     """The per-step ``method`` ("cg" or "minres") history for
     ``(A - z I) x = b`` from the Lanczos steps ``(q_n, alpha_n, beta_n)``
     of ``(A, b)`` (at most ``k`` of them; ``b_norm = ||b||``), pulled one
@@ -128,15 +125,13 @@ def _shifted_history(
     Every other step gets an explicit residual; the history stops there
     once it is at most ``tol * ||b||`` (never when ``tol`` is None), and
     otherwise records a breakdown when the steps run out before ``k``.
-    ``keep_directions`` records each CG step ``x_n - x_{n-1}`` (``None``
-    next to a gap).
     """
     want_cg = method == "cg"
     dtype = complex if isinstance(z, complex) else float
-    x_m = w1 = w2 = x_prev = np.zeros(A.dim, dtype)
+    x_m = w1 = w2 = np.zeros(A.dim, dtype)
     rots = ((1.0, 0.0), (1.0, 0.0))
     phibar, beta_prev, scale = b_norm, 0.0, abs(z)
-    iterates, res, dirs = [], [], []
+    iterates, res = [], []
     for q, alpha, beta in steps:
         scale = max(scale, abs(alpha), beta)
         eps, delta, gbar, (c, s, gamma) = _qr_column(
@@ -159,9 +154,6 @@ def _shifted_history(
         rots = (rots[1], (c, s))
         beta_prev = beta
 
-        if keep_directions:
-            dirs.append(None if x is None or x_prev is None else x - x_prev)
-            x_prev = x
         if x is None:
             iterates.append(None)
             res.append(np.nan)
@@ -179,7 +171,6 @@ def _shifted_history(
         residual_norms=np.asarray(res),
         termination=termination,
         b_norm=b_norm,
-        directions=dirs if keep_directions else None,
     )
 
 
@@ -191,7 +182,6 @@ def cg(
     mode: ReorthMode = ReorthMode.FULL,
     tol: float = DEFAULT_TOL,
     keep_iterates: bool = True,
-    keep_directions: bool = False,
 ) -> IterateHistory:
     """Conjugate gradient.
 
@@ -204,8 +194,7 @@ def cg(
     indefinite problems still produce a full trace.  ``termination`` is
     ``"converged"`` at the first residual at most ``tol * ||b||``,
     ``"breakdown"`` when the recurrence breaks down before step k, and
-    ``"max_iter"`` otherwise.  ``keep_directions`` records each step
-    ``x_n - x_{n-1}``, which is parallel to the search direction p_n.
+    ``"max_iter"`` otherwise.
 
     Both backends return bit-identical histories.
     ``backend="tridiagonal"`` runs all k steps of one stored Lanczos
@@ -223,9 +212,7 @@ def cg(
         steps, b_norm = rec.steps(), rec.b_norm
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return _shifted_history(
-        A, b, steps, b_norm, k, 0.0, "cg", tol, keep_iterates, keep_directions
-    )
+    return _shifted_history(A, b, steps, b_norm, k, 0.0, "cg", tol, keep_iterates)
 
 
 def minres(
@@ -240,10 +227,11 @@ def minres(
     space, i.e. the least-squares solution of the extended tridiagonal
     system of one Lanczos run, updated incrementally by Givens rotations
     (Paige & Saunders 1975) at O(d) cost per step.  Each step's residual
-    is recomputed explicitly."""
-    dec = lanczos(A, b, k, mode=mode)
+    is recomputed explicitly.  The recurrence runs step by step and stops
+    applying ``A`` at convergence."""
+    rec = _Recurrence(A, b, k, mode=mode)
     return _shifted_history(
-        A, b, _columns(dec), dec.b_norm, k, 0.0, "minres", tol, keep_iterates
+        A, b, rec.steps(), rec.b_norm, k, 0.0, "minres", tol, keep_iterates
     )
 
 

@@ -217,12 +217,6 @@ def slq_density(
     return DensityApprox(form="quadrature", measure=measure)
 
 
-def _ritz_extremes(A: LinearOperator, b: np.ndarray, steps: int) -> tuple:
-    rec = _Recurrence(A, b, steps).run()
-    vals = sym_tridiag_eig(rec.T).eigenvalues
-    return float(vals[0]), float(vals[-1])
-
-
 def kpm_density(
     A: LinearOperator,
     k: int,
@@ -239,7 +233,9 @@ def kpm_density(
     basis are quadratic forms b^T q_n(A~) b averaged over probes, computed
     either by the explicit Chebyshev vector recurrence or from a k-step
     Lanczos quadrature (exact for these degrees, and forward-stable even
-    without reorthogonalization).
+    without reorthogonalization).  One min(2k, d)-step Lanczos run on
+    probe 0 sets the interval from its Ritz values (or checks a given
+    one), and the quadrature path reuses its first k steps.
     """
     if sampler is None:
         sampler = ProbeSampler()
@@ -248,8 +244,9 @@ def kpm_density(
     if damping not in (None, "none", "jackson"):
         raise ValueError("damping must be None or 'jackson'")
 
-    probe0 = sampler.probe(0, A.dim)
-    lo, hi = _ritz_extremes(A, probe0, min(2 * k, A.dim))
+    ritz = _Recurrence(A, sampler.probe(0, A.dim), min(2 * k, A.dim)).run()
+    vals = sym_tridiag_eig(ritz.T).eigenvalues
+    lo, hi = float(vals[0]), float(vals[-1])
     if interval is None:
         span = max(hi - lo, 1e-300)
         interval = (lo - 0.05 * span, hi + 0.05 * span)
@@ -280,8 +277,10 @@ def kpm_density(
                 v, v_prev = 2.0 * amap(v) - v_prev, v
                 moments[n] += float(b @ v)
         else:
-            rec = _Recurrence(A, b, k).run()
-            quad = gauss_quadrature(rec.T, rec.b_norm**2)
+            # Probe 0's first k steps are the Ritz run's first k steps.
+            rec = ritz if i == 0 and k <= ritz.k else _Recurrence(A, b, k).run()
+            T = rec.T.principal(min(k, rec.T.size))
+            quad = gauss_quadrature(T, rec.b_norm**2)
             moments += modified_moments(quad, n_coeffs, "T", (a, b_right))
     moments /= m
 

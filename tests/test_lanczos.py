@@ -5,6 +5,7 @@ from krylov.core import LinearOperator
 from krylov.errors import ZeroStartBlock, ZeroStartVector
 from krylov.lanczos import (
     ReorthMode,
+    Termination,
     arnoldi,
     block_lanczos,
     krylov_grade,
@@ -209,6 +210,68 @@ class TestBlockLanczos:
         dec = block_lanczos(A, B, 3)
         assert dec.total_width == 2
         assert dec.termination.is_breakdown
+
+    def test_rotated_invariant_subspace_is_a_breakdown(self):
+        # A start block spanning two eigenvectors of a rotated operator:
+        # the step-0 residual block is rounding noise against the running
+        # coefficient scale, so the run stops there, as lanczos does.
+        rng = np.random.default_rng(12)
+        d = 8
+        U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        M = U @ np.diag(np.arange(1.0, d + 1)) @ U.T
+        A = LinearOperator.from_matrix(0.5 * (M + M.T))
+        B = U[:, :2] @ rng.standard_normal((2, 2))
+        dec = block_lanczos(A, B, 3)
+        assert dec.termination == Termination("breakdown", 1)
+        assert dec.total_width == 2
+        assert lanczos(A, B[:, 0], 3).termination.is_breakdown
+
+    def test_blocks_reconstruct_their_inputs(self):
+        # B = Q_0 R_0 and Z_n = A Q_n - Q_n A_n - Q_{n-1} B_{n-1}^T =
+        # Q_{n+1} B_n to rounding, also where the start block and a later
+        # step deflate (an eigenvector in the start block leaves step 1
+        # one column short).
+        rng = np.random.default_rng(13)
+        d, k = 12, 4
+        U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        M = U @ np.diag(np.geomspace(1.0, 50.0, d)) @ U.T
+        M = 0.5 * (M + M.T)
+        w = rng.standard_normal(d)
+        B = np.column_stack([U[:, 0], w, U[:, 0] + w])
+        dec = block_lanczos(LinearOperator.from_matrix(M), B, k)
+        assert dec.block_widths == [2, 1, 1, 1]
+        offs = np.concatenate(([0], np.cumsum(dec.block_widths)))
+        Qs = [dec.basis[:, offs[j] : offs[j + 1]] for j in range(k)]
+        tol = 1e-13 * np.linalg.norm(M, 2)
+        assert np.abs(B - Qs[0] @ dec.initial_R).max() <= 1e-14 * np.abs(B).max()
+        for n in range(k - 1):
+            Z = M @ Qs[n] - Qs[n] @ dec.block_diag[n]
+            if n:
+                Z -= Qs[n - 1] @ dec.block_offdiag[n - 1].T
+            assert np.abs(Z - Qs[n + 1] @ dec.block_offdiag[n]).max() <= tol
+
+    def test_one_factorization_per_block(self, monkeypatch):
+        import scipy.linalg
+
+        calls = [0]
+        qr = scipy.linalg.qr
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return qr(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no SVD, 2-norm or second QR")
+
+        rng = np.random.default_rng(14)
+        A = LinearOperator.from_matrix(random_symmetric(rng, 30))
+        B = rng.standard_normal((30, 3))
+        monkeypatch.setattr(scipy.linalg, "qr", counted)
+        for name in ("norm", "svd", "qr"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        dec = block_lanczos(A, B, 5)
+        assert dec.termination == Termination("completed", 5)
+        assert calls[0] == len(dec.block_diag) == 5
 
     def test_full_rank_with_probability_one(self):
         # Gaussian start block on a spectrum with eigenvalue multiplicity

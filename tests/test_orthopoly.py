@@ -59,6 +59,15 @@ class TestChebEval:
             xs = np.linspace(-ext, ext, 1001)
             assert np.abs(cheb_eval("T", k, xs)).max() <= 2.0
 
+    def test_result_is_a_new_array(self):
+        # Writing into any degree's result leaves the input unchanged.
+        x = np.linspace(-1.0, 1.0, 5)
+        for kind in ("T", "U"):
+            for n in range(3):
+                out = cheb_eval(kind, n, x)
+                out[:] = 7.0
+                np.testing.assert_array_equal(x, np.linspace(-1.0, 1.0, 5))
+
     def test_extremality(self):
         # Among polynomials bounded by 1 on [-1, 1], T_k grows fastest
         # outside the interval.

@@ -99,8 +99,9 @@ class TestCG:
         A = LinearOperator.from_matrix(M)
         b = rng.standard_normal(d)
         for backend in ("tridiagonal", "low_memory"):
-            hist = cg(A, b, 12, backend=backend, keep_directions=True, tol=0.0)
-            P = np.column_stack(hist.directions)
+            hist = cg(A, b, 12, backend=backend, tol=0.0)
+            # The steps x_n - x_{n-1} (x_{-1} = 0) are the search directions.
+            P = np.diff(np.column_stack([np.zeros(d), *hist.iterates]), axis=1)
             G = P.T @ M @ P
             off = G - np.diag(np.diag(G))
             assert np.abs(off).max() <= 1e-8 * np.abs(np.diag(G)).max()
@@ -334,6 +335,15 @@ class TestOperatorCalls:
         )
         assert hist.termination == "converged" and hist.k < self.K
         assert calls[0] == 2 * hist.k
+
+    def test_minres_stops_at_convergence(self):
+        A, b = self._problem()
+        op, calls = counting(A)
+        for mode in (ReorthMode.NONE, ReorthMode.FULL):
+            calls[0] = 0
+            hist = minres(op, b, self.K, mode=mode, tol=0.5)
+            assert hist.termination == "converged" and hist.k < self.K
+            assert calls[0] == 2 * hist.k
 
 
 class TestPreconditioned:

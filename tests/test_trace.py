@@ -264,6 +264,22 @@ class TestKpmDensity:
         xt = (2.0 * x - (a + b)) / (b - a)
         assert np.array_equal(expansion(x), series(xt, 2.0))
 
+    def test_lanczos_qf_reuses_the_ritz_run(self):
+        # Probe 0's 2k-step Ritz run also gives its k-step quadrature:
+        # 2k operator calls in all, not 2k + k.
+        calls = [0]
+        D = LinearOperator.diagonal(np.linspace(-1.0, 1.0, 400))
+
+        def matvec(v):
+            calls[0] += 1
+            return D.apply(v)
+
+        op = LinearOperator(400, matvec)
+        got = kpm_density(op, 30, m=1, coeff_method="lanczos_qf")
+        assert calls[0] == 60
+        want = kpm_density(D, 30, m=1, coeff_method="recurrence")
+        assert np.abs(got.coefficients - want.coefficients).max() <= 1e-8
+
     def test_approximates_reference_density(self):
         # Operator with arcsine-distributed spectrum: the damped KPM
         # density stays close to the arcsine reference density.
