@@ -16,6 +16,7 @@ __all__ = [
     "NotSymmetric",
     "DimensionTooLarge",
     "SpectrumOutsideInterval",
+    "NonFiniteOperator",
 ]
 
 
@@ -77,3 +78,7 @@ class DimensionTooLarge(KrylovError):
 
 class SpectrumOutsideInterval(KrylovError):
     """Ritz values exit the declared spectrum interval by more than the slack."""
+
+
+class NonFiniteOperator(KrylovError):
+    """The operator's output made a recurrence coefficient NaN or Inf."""

@@ -8,13 +8,14 @@ and safe to share.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .core import LinearOperator, SymTridiagonal
-from .errors import ZeroStartBlock, ZeroStartVector
+from .errors import NonFiniteOperator, ZeroStartBlock, ZeroStartVector
 
 __all__ = [
     "ReorthMode",
@@ -172,9 +173,10 @@ class _Recurrence:
 
     Owns ``q_prev``, ``q`` and ``beta_prev``; :meth:`step` forms
     ``y = A q - beta_prev q_prev``, ``alpha = q . y``, ``z = y - alpha q``
-    (reorthogonalized when ``mode`` is FULL) and ``beta = ||z||``, and
-    reports breakdown when ``beta`` drops below ``breakdown_tol`` times
-    the running coefficient scale; :meth:`advance` moves to
+    (reorthogonalized when ``mode`` is FULL) and ``beta = ||z||``, raises
+    :class:`NonFiniteOperator` when either is NaN or Inf, and reports
+    breakdown when ``beta`` drops below ``breakdown_tol`` times the
+    running coefficient scale; :meth:`advance` moves to
     ``q = z / beta``.  Storage: nothing beyond the current pair, the full
     basis (``store_basis``, implied by FULL), or ``(q_prev, q)``
     checkpoints every ``checkpoint_stride`` steps for :meth:`replay`.
@@ -238,6 +240,8 @@ class _Recurrence:
         if self._reorth:
             z = self.basis.reorthogonalize(z)
         self.z, self.beta = z, float(np.linalg.norm(z))
+        if not (math.isfinite(alpha) and math.isfinite(self.beta)):
+            raise NonFiniteOperator(f"non-finite Lanczos coefficient at step {self.n}")
         self.alphas.append(alpha)
         self.scale = max(self.scale, abs(alpha))
         if self.beta <= self.breakdown_tol * self.scale:
@@ -305,7 +309,8 @@ def lanczos(
     resulting T is the finite-precision one -- no orthogonality guarantee.
 
     Terminates early when the new off-diagonal drops below
-    ``breakdown_tol`` times the running coefficient scale.  ``basis`` is
+    ``breakdown_tol`` times the running coefficient scale, and raises
+    :class:`NonFiniteOperator` on a NaN or Inf coefficient.  ``basis`` is
     a view, one column per step, of the row-major store the recurrence
     filled.
     """
@@ -414,7 +419,8 @@ def block_lanczos(
     deflated when its pivot falls below ``deflation_tol`` times the
     running coefficient scale (the largest entry of the A_n and B_n
     blocks so far, as in :func:`lanczos`); the start block is judged
-    against its own largest column.  A step of rank 0 is a breakdown.
+    against its own largest column.  A step of rank 0 is a breakdown;
+    a NaN or Inf in A_n raises :class:`NonFiniteOperator`.
     """
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[1] < 1:
@@ -439,6 +445,8 @@ def block_lanczos(
         if n > 0:  # Bn still holds B_{n-1}
             Y = Y - Qn_prev @ Bn.T
         An = Qn.T @ Y
+        if not np.isfinite(An).all():
+            raise NonFiniteOperator(f"non-finite block coefficient at step {n}")
         An = 0.5 * (An + An.T)
         Z = Y - Qn @ An
         if mode is ReorthMode.FULL:

@@ -1,7 +1,7 @@
 """Linear-system solvers on top of the Lanczos recurrence: CG (tridiagonal
-and low-memory backends), MINRES, multi-shift variants, preconditioned
-wrapping, a priori Chebyshev bounds, a posteriori error estimates, and
-block CG.
+and low-memory backends), MINRES and multi-shift solves, all read off one
+lockstep loop of per-shift Givens QR updates; preconditioned wrapping, a
+priori Chebyshev bounds, a posteriori error estimates, and block CG.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class ShiftFamily:
 
 def _residual_norm(A: LinearOperator, b: np.ndarray, x: np.ndarray, shift=0.0):
     """Explicitly recomputed residual norm for (A - shift I) x = b."""
-    x = np.asarray(x)
     if np.iscomplexobj(x):
         Ax = np.asarray(A.apply(x.real), dtype=complex) + 1j * A.apply(x.imag)
     else:
@@ -99,79 +98,81 @@ def _residual_norm(A: LinearOperator, b: np.ndarray, x: np.ndarray, shift=0.0):
 
 
 def _columns(dec):
-    """The steps ``(q_n, alpha_n, beta_n)`` of a stored Lanczos
-    decomposition, as :meth:`_Recurrence.steps` yields them."""
+    """A stored decomposition's steps, as :meth:`_Recurrence.steps` yields them."""
     betas = dec.T.betas.tolist() + [dec.trailing_beta]
     return zip(dec.basis.T, dec.T.alphas.tolist(), betas)
 
 
-def _shifted_history(A, b, steps, b_norm, k, z, method, tol, keep_iterates):
-    """The per-step ``method`` ("cg" or "minres") history for
-    ``(A - z I) x = b`` from the Lanczos steps ``(q_n, alpha_n, beta_n)``
-    of ``(A, b)`` (at most ``k`` of them; ``b_norm = ||b||``), pulled one
-    at a time.
+def _shifted_histories(A, b, steps, b_norm, k, shifts, method, tol, keep_iterates):
+    """The per-step ``method`` ("cg" or "minres") history of
+    ``(A - z I) x = b`` for each shift z, from one pass over the Lanczos
+    steps ``(q_n, alpha_n, beta_n)`` of ``(A, b)`` (at most ``k``;
+    ``b_norm = ||b||``), pulled one at a time.
 
-    A Givens QR of the extended shifted tridiagonal ``[T_n - z I;
-    beta_n e_n^T]`` is updated one column per step (Paige & Saunders 1975),
-    keeping only the last two rotations, ``phibar``, the directions
-    w_{n-1}, w_{n-2} and the MINRES iterate: O(d) vector work and O(1)
-    scalars per step.  Both iterates come from the one factorization:
-    MINRES ``x^M_n = x^M_{n-1} + tau_n w_n`` and the CG (Galerkin) point
-    ``x^C_n = x^M_{n-1} + phibar_n u_n / gbar_n``, where
-    ``u_n = q_n - delta_n w_{n-1} - eps_n w_{n-2}`` and ``gbar_n`` is the
-    last diagonal of the triangular factor of ``T_n - z I``.  A CG step is
-    a gap (``None``, NaN residual) when ``|gbar_n| < SINGULARITY_RTOL *
+    Each shift keeps its own Givens QR of the extended shifted tridiagonal
+    ``[T_n - z I; beta_n e_n^T]``, one column per step (Paige & Saunders
+    1975): two rotations, ``phibar``, the directions w_{n-1}, w_{n-2} and
+    the MINRES iterate ``x^M_n = x^M_{n-1} + tau_n w_n``.  The CG
+    (Galerkin) point is ``x^C_n = x^M_{n-1} + phibar_n u_n / gbar_n``, with
+    ``u_n = q_n - delta_n w_{n-1} - eps_n w_{n-2}`` and ``gbar_n`` the last
+    diagonal of the triangular factor of ``T_n - z I``; it is a gap
+    (``None``, NaN residual) when ``|gbar_n| < SINGULARITY_RTOL *
     max(|alpha_i|, beta_i, |z|)`` over every coefficient up to beta_n.
-    Every other step gets an explicit residual; the history stops there
-    once it is at most ``tol * ||b||`` (never when ``tol`` is None), and
-    otherwise records a breakdown when the steps run out before ``k``.
+    Every other step gets an explicit residual, and a shift stops there
+    once it is at most ``tol * ||b||`` (never when ``tol`` is None); no
+    step is pulled once every shift has stopped.  A history that runs out
+    of steps before ``k`` records a breakdown.
     """
     want_cg = method == "cg"
-    dtype = complex if isinstance(z, complex) else float
-    x_m = w1 = w2 = np.zeros(A.dim, dtype)
-    rots = ((1.0, 0.0), (1.0, 0.0))
-    phibar, beta_prev, scale = b_norm, 0.0, abs(z)
-    iterates, res = [], []
+    states = []  # per shift: x^M, w_{n-1}, w_{n-2}, rotations, phibar, scale
+    for z in shifts:
+        zero = np.zeros(A.dim, complex if isinstance(z, complex) else float)
+        states.append((zero, zero, zero, ((1.0, 0.0), (1.0, 0.0)), b_norm, abs(z)))
+    iterates, res = [[] for _ in shifts], [[] for _ in shifts]
+    termination = [None] * len(shifts)
+    live, beta_prev = range(len(shifts)), 0.0
     for q, alpha, beta in steps:
-        scale = max(scale, abs(alpha), beta)
-        eps, delta, gbar, (c, s, gamma) = _qr_column(
-            *rots, beta_prev, alpha - z, beta
-        )
-        u = q - delta * w1
-        u -= eps * w2
-        if want_cg:
-            threshold = SINGULARITY_RTOL * (scale or 1.0)
-            x = x_m + (phibar / gbar) * u if abs(gbar) >= threshold else None
-        # gamma = 0 only when beta_n = 0 (the last step) and T_n - z I is
-        # singular; x^M_{n-1} is then a least-squares solution (tau_n = 0).
-        if gamma != 0:
-            u /= gamma
-            w1, w2 = u, w1
-            x_m = x_m + (c * phibar) * w1
-        if not want_cg:
-            x = x_m
-        phibar = -s.conjugate() * phibar
-        rots = (rots[1], (c, s))
+        for i in live:
+            z = shifts[i]
+            x_m, w1, w2, rots, phibar, scale = states[i]
+            scale = max(scale, abs(alpha), beta)
+            eps, delta, gbar, (c, s, gamma) = _qr_column(
+                *rots, beta_prev, alpha - z, beta
+            )
+            u = q - delta * w1
+            u -= eps * w2
+            if want_cg:
+                threshold = SINGULARITY_RTOL * (scale or 1.0)
+                x = x_m + (phibar / gbar) * u if abs(gbar) >= threshold else None
+            # gamma = 0 only when beta_n = 0 (the last step) and T_n - z I is
+            # singular; x^M_{n-1} is then a least-squares solution (tau_n = 0).
+            if gamma != 0:
+                u /= gamma
+                w1, w2 = u, w1
+                x_m = x_m + (c * phibar) * w1
+            if not want_cg:
+                x = x_m
+            phibar = -s.conjugate() * phibar
+            states[i] = x_m, w1, w2, (rots[1], (c, s)), phibar, scale
+            if x is None:
+                iterates[i].append(None)
+                res[i].append(np.nan)
+                continue
+            rnorm = _residual_norm(A, b, x, shift=z)
+            iterates[i].append(x if keep_iterates else None)
+            res[i].append(rnorm)
+            if tol is not None and rnorm <= tol * b_norm:
+                termination[i] = "converged"
         beta_prev = beta
-
-        if x is None:
-            iterates.append(None)
-            res.append(np.nan)
-            continue
-        rnorm = _residual_norm(A, b, x, shift=z)
-        iterates.append(x if keep_iterates else None)
-        res.append(rnorm)
-        if tol is not None and rnorm <= tol * b_norm:
-            termination = "converged"
+        live = [i for i in live if termination[i] is None]
+        if not live:
             break
-    else:
-        termination = "breakdown" if len(res) < k else "max_iter"
-    return IterateHistory(
-        iterates=iterates,
-        residual_norms=np.asarray(res),
-        termination=termination,
-        b_norm=b_norm,
-    )
+    for i in live:  # the steps ran out
+        termination[i] = "breakdown" if len(res[i]) < k else "max_iter"
+    return [
+        IterateHistory(xs, np.asarray(r), t, b_norm)
+        for xs, r, t in zip(iterates, res, termination)
+    ]
 
 
 def cg(
@@ -212,7 +213,9 @@ def cg(
         steps, b_norm = rec.steps(), rec.b_norm
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    return _shifted_history(A, b, steps, b_norm, k, 0.0, "cg", tol, keep_iterates)
+    return _shifted_histories(
+        A, b, steps, b_norm, k, [0.0], "cg", tol, keep_iterates
+    )[0]
 
 
 def minres(
@@ -230,9 +233,9 @@ def minres(
     is recomputed explicitly.  The recurrence runs step by step and stops
     applying ``A`` at convergence."""
     rec = _Recurrence(A, b, k, mode=mode)
-    return _shifted_history(
-        A, b, rec.steps(), rec.b_norm, k, 0.0, "minres", tol, keep_iterates
-    )
+    return _shifted_histories(
+        A, b, rec.steps(), rec.b_norm, k, [0.0], "minres", tol, keep_iterates
+    )[0]
 
 
 def multi_shift_solve(
@@ -247,27 +250,23 @@ def multi_shift_solve(
     """Solve (A - z_i I) x = b for every shift from one shared Lanczos run.
 
     Shift invariance of Krylov subspaces makes the per-shift iterate equal
-    to the single-shift solver's: only the small QR factorization sees the
-    shift.  Each shift keeps its own incremental Givens QR of
-    ``T - z_i I`` (complex for complex shifts), so every step costs O(d)
-    per shift; ``method="cg"`` records a gap where ``T_n - z_i I`` is
-    numerically singular.  Runs all k steps (no convergence test) unless
-    the recurrence breaks down first, which every history records as
-    ``"breakdown"``.  Returns one :class:`IterateHistory` per shift.
+    to the single-shift solver's: each step of the one recurrence updates
+    every shift's own incremental Givens QR of ``T - z_i I`` (complex for
+    complex shifts), so each history is bit-identical to a call with that
+    shift alone.  ``method="cg"`` records a gap where ``T_n - z_i I`` is
+    numerically singular.  ``mode=ReorthMode.NONE`` with
+    ``keep_iterates=False`` keeps O(#shifts) length-d vectors for any k.
+    Runs all k steps (no convergence test) unless the recurrence breaks
+    down first, which every history records as ``"breakdown"``.  Returns
+    one :class:`IterateHistory` per shift.
     """
     if method not in ("cg", "minres"):
         raise ValueError(f"unknown method {method!r}")
-    shifts = np.asarray(shifts).ravel()
-    dec = lanczos(A, b, k, mode=mode)
-    histories = []
-    for z in shifts:
-        z = complex(z)
-        zval = z if z.imag != 0.0 else z.real
-        hist = _shifted_history(
-            A, b, _columns(dec), dec.b_norm, k, zval, method, None, keep_iterates
-        )
-        histories.append(hist)
-    return histories
+    shifts = [z if z.imag else z.real for z in map(complex, np.ravel(shifts))]
+    rec = _Recurrence(A, b, k, mode=mode)
+    return _shifted_histories(
+        A, b, rec.steps(), rec.b_norm, k, shifts, method, None, keep_iterates
+    )
 
 
 def preconditioned_solve(

@@ -10,12 +10,12 @@ any execution schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import LinearOperator, _finite_values, sym_tridiag_eig
-from .errors import FunctionDomainError, SpectrumOutsideInterval
+from .errors import FunctionDomainError, NonFiniteOperator, SpectrumOutsideInterval
 from .lanczos import _Recurrence
 from .matfunc import lanczos_qf
 from .orthopoly import (
@@ -82,6 +82,11 @@ class TraceEstimate:
         return total > 0 and self.n_skipped > 0.01 * total
 
 
+def _check_probes(m: int) -> None:
+    if m < 1:
+        raise ValueError("need at least one probe")
+
+
 def _mean_stderr(samples) -> tuple:
     samples = np.asarray(samples, dtype=float)
     m = samples.size
@@ -93,8 +98,7 @@ def _mean_stderr(samples) -> tuple:
 def hutchinson_trace(quad_form, d: int, m: int, sampler: ProbeSampler) -> TraceEstimate:
     """Hutchinson/Girard estimator of d^{-1} tr(M) from a quadratic-form
     evaluator ``quad_form(b) = b^T M b``."""
-    if m < 1:
-        raise ValueError("need at least one probe")
+    _check_probes(m)
     samples = [float(quad_form(sampler.probe(i, d))) for i in range(m)]
     mean, stderr = _mean_stderr(samples)
     return TraceEstimate(estimate=mean, stderr=stderr, n_probes=m)
@@ -108,8 +112,11 @@ def slq_trace(
     Lanczos quadrature (streaming, no basis storage).
 
     Probes on which ``f`` is undefined at a Ritz value are dropped and
-    counted; the estimate is flagged when more than 1% drop.
+    counted; the estimate is flagged when more than 1% drop.  A
+    non-finite operator output raises :class:`NonFiniteOperator` and is
+    never counted as a dropped probe.
     """
+    _check_probes(m)
     samples = []
     skipped = 0
     for i in range(m):
@@ -207,6 +214,7 @@ def slq_density(
 ) -> DensityApprox:
     """SLQ spectral-density estimate: the average of the m probes'
     k-point Gaussian quadrature measures."""
+    _check_probes(m)
     nodes, weights = [], []
     for i in range(m):
         rec = _Recurrence(A, sampler.probe(i, A.dim), k).run()
@@ -234,9 +242,13 @@ def kpm_density(
     either by the explicit Chebyshev vector recurrence or from a k-step
     Lanczos quadrature (exact for these degrees, and forward-stable even
     without reorthogonalization).  One min(2k, d)-step Lanczos run on
-    probe 0 sets the interval from its Ritz values (or checks a given
-    one), and the quadrature path reuses its first k steps.
+    probe 0 sets the interval from its Ritz values, and the quadrature
+    path reuses its first k steps.  A given ``interval`` still costs those
+    min(2k, d) matvecs, only to check that it encloses the Ritz values; an
+    empty one is rejected before any.  A NaN or Inf moment raises
+    :class:`NonFiniteOperator`.
     """
+    _check_probes(m)
     if sampler is None:
         sampler = ProbeSampler()
     if coeff_method not in ("recurrence", "lanczos_qf"):
@@ -244,6 +256,8 @@ def kpm_density(
     if damping not in (None, "none", "jackson"):
         raise ValueError("damping must be None or 'jackson'")
 
+    if interval is not None and not float(interval[1]) > float(interval[0]):
+        raise ValueError("interval must have positive length")
     ritz = _Recurrence(A, sampler.probe(0, A.dim), min(2 * k, A.dim)).run()
     vals = sym_tridiag_eig(ritz.T).eigenvalues
     lo, hi = float(vals[0]), float(vals[-1])
@@ -252,7 +266,7 @@ def kpm_density(
         interval = (lo - 0.05 * span, hi + 0.05 * span)
     a, b_right = float(interval[0]), float(interval[1])
     span = b_right - a
-    if span <= 0:
+    if span <= 0:  # an automatic interval around one Ritz value
         raise ValueError("interval must have positive length")
     if lo < a - 1e-8 * span or hi > b_right + 1e-8 * span:
         raise SpectrumOutsideInterval(
@@ -268,14 +282,20 @@ def kpm_density(
             def amap(v):
                 return (2.0 * A.apply(v) - (a + b_right) * v) / span
 
+            def moment(v):
+                mu = float(b @ v)
+                if not math.isfinite(mu):
+                    raise NonFiniteOperator("non-finite KPM moment")
+                return mu
+
             v_prev = b
             v = amap(b)
-            moments[0] += float(b @ v_prev)
+            moments[0] += moment(v_prev)
             if n_coeffs > 1:
-                moments[1] += float(b @ v)
+                moments[1] += moment(v)
             for n in range(2, n_coeffs):
                 v, v_prev = 2.0 * amap(v) - v_prev, v
-                moments[n] += float(b @ v)
+                moments[n] += moment(v)
         else:
             # Probe 0's first k steps are the Ritz run's first k steps.
             rec = ritz if i == 0 and k <= ritz.k else _Recurrence(A, b, k).run()
@@ -303,13 +323,7 @@ def control_variate_trace(
     """Control-variate trace estimate: the exact trace of an approximation
     plus a Hutchinson estimate of the residual's trace.  The standard
     error comes from the residual probes alone."""
-    if m < 1:
-        raise ValueError("need at least one probe")
-    samples = []
-    for i in range(m):
-        b = sampler.probe(i, d)
-        samples.append(float(A_func(b)) - float(Atilde_func(b)))
-    mean, stderr = _mean_stderr(samples)
-    return TraceEstimate(
-        estimate=Atilde_trace / d + mean, stderr=stderr, n_probes=m
+    residual = hutchinson_trace(
+        lambda b: float(A_func(b)) - float(Atilde_func(b)), d, m, sampler
     )
+    return replace(residual, estimate=Atilde_trace / d + residual.estimate)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from krylov.core import LinearOperator
-from krylov.errors import ZeroStartBlock, ZeroStartVector
+from krylov.errors import NonFiniteOperator, ZeroStartBlock, ZeroStartVector
 from krylov.lanczos import (
     ReorthMode,
     Termination,
@@ -20,6 +20,14 @@ def random_symmetric(rng, d):
 
 
 class TestLanczos:
+    @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
+    @pytest.mark.parametrize("after", [0, 3])
+    def test_nan_operator_raises(self, nan_after, mode, after):
+        # Raised, not reported as "completed" with a NaN basis.
+        A = nan_after(LinearOperator.diagonal(np.linspace(1.0, 2.0, 10)), after)
+        with pytest.raises(NonFiniteOperator):
+            lanczos(A, np.ones(10), 6, mode=mode)
+
     def test_zero_start(self):
         A = LinearOperator.diagonal([1.0, 2.0])
         with pytest.raises(ZeroStartVector):
@@ -184,6 +192,12 @@ class TestArnoldi:
 
 
 class TestBlockLanczos:
+    def test_nan_operator_raises(self, nan_after):
+        A = nan_after(LinearOperator.diagonal(np.linspace(1.0, 2.0, 10)), 4)
+        B = np.eye(10)[:, :2] + 1.0
+        with pytest.raises(NonFiniteOperator):
+            block_lanczos(A, B, 4)
+
     def test_zero_start_block(self):
         A = LinearOperator.diagonal([1.0, 2.0, 3.0])
         with pytest.raises(ZeroStartBlock):

@@ -1,0 +1,90 @@
+"""Bit-identity properties of the shared Lanczos recurrence, on random
+spectra drawn by hypothesis (profile in ``conftest.py``)."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from krylov.core import LinearOperator  # noqa: E402
+from krylov.lanczos import ReorthMode  # noqa: E402
+from krylov.matfunc import lanczos_fa, two_pass_lanczos_fa  # noqa: E402
+from krylov.solvers import cg, multi_shift_solve  # noqa: E402
+
+spectra = st.lists(
+    st.floats(-10.0, 10.0, allow_subnormal=False), min_size=2, max_size=30
+)
+start_seeds = st.integers(0, 2**32 - 1)
+shift_values = st.one_of(
+    st.floats(-5.0, 5.0, allow_subnormal=False),
+    st.builds(complex, st.floats(-5.0, 5.0), st.floats(0.1, 5.0)),
+)
+modes = st.sampled_from([ReorthMode.NONE, ReorthMode.FULL])
+
+
+def start_vector(seed, d):
+    return np.random.default_rng(seed).standard_normal(d)
+
+
+def assert_same_history(a, b):
+    assert a.termination == b.termination
+    assert a.b_norm == b.b_norm
+    assert np.array_equal(a.residual_norms, b.residual_norms, equal_nan=True)
+    assert len(a.iterates) == len(b.iterates)
+    for x, y in zip(a.iterates, b.iterates):
+        assert (x is None and y is None) or (
+            x.dtype == y.dtype and np.array_equal(x, y)
+        )
+
+
+@given(
+    spectra,
+    start_seeds,
+    st.lists(shift_values, min_size=1, max_size=4).flatmap(st.permutations),
+    st.integers(1, 40),
+    st.sampled_from(["cg", "minres"]),
+    modes,
+)
+def test_multi_shift_histories_do_not_couple(vals, seed, shifts, k, method, mode):
+    # Each shift's history from one lockstep call equals, bit for bit, the
+    # history of a call with that shift alone, whatever the shift order.
+    A = LinearOperator.diagonal(vals)
+    b = start_vector(seed, len(vals))
+    together = multi_shift_solve(A, b, shifts, k, method=method, mode=mode)
+    for z, hist in zip(shifts, together):
+        (alone,) = multi_shift_solve(A, b, [z], k, method=method, mode=mode)
+        assert_same_history(hist, alone)
+
+
+@given(
+    spectra,
+    start_seeds,
+    st.integers(1, 40),
+    st.sampled_from([0.0, 1e-8, None]),
+    modes,
+)
+def test_cg_backends_are_bit_identical(vals, seed, k, tol, mode):
+    A = LinearOperator.diagonal(vals)
+    b = start_vector(seed, len(vals))
+    kw = dict(mode=mode, tol=tol)
+    assert_same_history(
+        cg(A, b, k, backend="tridiagonal", **kw),
+        cg(A, b, k, backend="low_memory", **kw),
+    )
+
+
+@given(
+    st.lists(st.floats(0.0, 3.0), min_size=2, max_size=30),
+    start_seeds,
+    st.integers(1, 16),
+)
+def test_two_pass_fa_is_bit_identical_for_every_stride(vals, seed, k):
+    A = LinearOperator.diagonal(vals)
+    b = start_vector(seed, len(vals))
+    ref = lanczos_fa(A, b, np.exp, k, mode=ReorthMode.NONE)
+    for stride in range(1, k + 1):
+        two = two_pass_lanczos_fa(A, b, np.exp, k, checkpoint_stride=stride)
+        assert np.array_equal(two.value, ref.value)
+        assert two.k_used == ref.k_used

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from krylov.core import LinearOperator
-from krylov.errors import InsufficientIterates, InvalidInterval
+from krylov.errors import InsufficientIterates, InvalidInterval, NonFiniteOperator
 from krylov.lanczos import ReorthMode, lanczos
 from krylov.solvers import (
     ShiftFamily,
@@ -344,6 +346,51 @@ class TestOperatorCalls:
             hist = minres(op, b, self.K, mode=mode, tol=0.5)
             assert hist.termination == "converged" and hist.k < self.K
             assert calls[0] == 2 * hist.k
+
+
+class TestNonFiniteOperator:
+    # Raised, not reported as "max_iter" with all-NaN residuals.
+    def _op(self, nan_after, after):
+        return nan_after(LinearOperator.diagonal(np.linspace(1.0, 2.0, 10)), after)
+
+    @pytest.mark.parametrize("backend", ["tridiagonal", "low_memory"])
+    def test_cg(self, nan_after, backend):
+        for after in (0, 3):
+            with pytest.raises(NonFiniteOperator):
+                cg(self._op(nan_after, after), np.ones(10), 6, backend=backend)
+
+    def test_minres(self, nan_after):
+        with pytest.raises(NonFiniteOperator):
+            minres(self._op(nan_after, 0), np.ones(10), 6)
+
+    @pytest.mark.parametrize("method", ["cg", "minres"])
+    def test_multi_shift(self, nan_after, method):
+        with pytest.raises(NonFiniteOperator):
+            multi_shift_solve(
+                self._op(nan_after, 0), np.ones(10), [-1.0, 1j], 6, method=method
+            )
+
+
+class TestMultiShiftMemory:
+    def test_peak_does_not_grow_with_k(self):
+        # Without reorthogonalization or kept iterates, the shifts' lockstep
+        # Givens QR states are the only long vectors besides the recurrence.
+        d = 20_000
+        A = LinearOperator.diagonal(np.linspace(1.0, 10.0, d))
+        b = np.ones(d)
+        peaks = []
+        for k in (20, 80):
+            tracemalloc.start()
+            try:
+                multi_shift_solve(
+                    A, b, [-0.5, -1.0, 0.5j, -2.0], k,
+                    mode=ReorthMode.NONE, keep_iterates=False,
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 60 more steps may not cost even two more length-d vectors.
+        assert peaks[1] - peaks[0] < 2 * 8 * d
 
 
 class TestPreconditioned:

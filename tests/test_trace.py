@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from krylov.core import LinearOperator
-from krylov.errors import FunctionDomainError, SpectrumOutsideInterval
+from krylov.errors import (
+    FunctionDomainError,
+    NonFiniteOperator,
+    SpectrumOutsideInterval,
+)
 from krylov.matrices import optimal_ksm_error
 from krylov.orthopoly import ChebyshevExpansion, DiscreteMeasure, cheb_eval, wasserstein
 from krylov.trace import (
@@ -15,6 +19,62 @@ from krylov.trace import (
     slq_density,
     slq_trace,
 )
+
+
+def counting(A):
+    """A wrapper of ``A`` and a one-element list counting its applications."""
+    calls = [0]
+
+    def matvec(v):
+        calls[0] += 1
+        return A.apply(v)
+
+    return LinearOperator(A.dim, matvec), calls
+
+
+class TestRejectedBeforeAnyMatvec:
+    def test_no_probes(self):
+        op, calls = counting(LinearOperator.diagonal(np.linspace(1.0, 2.0, 10)))
+        s = ProbeSampler(seed=1)
+        for estimate in (
+            lambda: slq_trace(op, np.log, 4, 0, s),
+            lambda: slq_density(op, 4, 0, s),
+            lambda: kpm_density(op, 4, interval=(0.0, 3.0), m=0, sampler=s),
+            lambda: kpm_density(op, 4, m=-1, sampler=s),
+        ):
+            with pytest.raises(ValueError, match="need at least one probe"):
+                estimate()
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("interval", [(5.0, 1.0), (1.0, 1.0), (0.0, np.nan)])
+    def test_empty_kpm_interval(self, interval):
+        # Rejected before the 20-step Ritz run, not after it.
+        op, calls = counting(LinearOperator.diagonal(np.linspace(1.0, 2.0, 40)))
+        with pytest.raises(ValueError, match="positive length"):
+            kpm_density(op, 10, interval=interval)
+        assert calls[0] == 0
+
+
+class TestNonFiniteOperator:
+    def _op(self, nan_after, after):
+        return nan_after(LinearOperator.diagonal(np.linspace(1.0, 2.0, 10)), after)
+
+    def test_slq_trace_raises_and_drops_nothing(self, nan_after):
+        # With after=4, probe 0 runs its 4 steps and probe 1 meets the NaN.
+        # A non-finite operator is never a dropped probe.
+        for after in (0, 4):
+            with pytest.raises(NonFiniteOperator):
+                slq_trace(self._op(nan_after, after), np.log, 4, 3, ProbeSampler())
+
+    @pytest.mark.parametrize("coeff_method", ["recurrence", "lanczos_qf"])
+    def test_kpm_density(self, nan_after, coeff_method):
+        with pytest.raises(NonFiniteOperator):
+            kpm_density(self._op(nan_after, 0), 4, coeff_method=coeff_method)
+
+    def test_kpm_moment(self, nan_after):
+        # The 8-step Ritz run is finite; the Chebyshev recurrence is not.
+        with pytest.raises(NonFiniteOperator, match="moment"):
+            kpm_density(self._op(nan_after, 8), 4, interval=(0.0, 3.0))
 
 
 class TestProbeSampler:
