@@ -32,6 +32,13 @@ __all__ = [
 DEFAULT_BREAKDOWN_TOL = 1e-12
 DEFAULT_DEFLATION_TOL = 1e-10
 
+# The test of Daniel, Gragg, Kaufman & Stewart (1976), with the constant of
+# ARPACK's dsaitr: a classical Gram-Schmidt pass that keeps at least this
+# fraction of a vector's norm has left it orthogonal to the basis to working
+# precision.  Below it the pass cancelled, and a second pass restores
+# orthogonality ("twice is enough": Giraud, Langou & Rozloznik 2005).
+_DGKS_KEEP = 0.717
+
 
 class ReorthMode(enum.Enum):
     """Reorthogonalization policy for the Lanczos recurrence."""
@@ -121,6 +128,14 @@ class BlockKrylovDecomposition:
         return T
 
 
+def _squared_norms(z: np.ndarray):
+    """``||z||^2`` as a float for a vector (``sqrt`` of it is bit-equal to
+    ``np.linalg.norm``), per column for a ``d x m`` block."""
+    if z.ndim == 1:
+        return float(z @ z)
+    return np.einsum("ij,ij->j", z, z)
+
+
 class _Basis:
     """Row-major store of basis vectors: row j holds vector j.
 
@@ -158,13 +173,22 @@ class _Basis:
         """The stored vectors as an ``n x d`` view."""
         return self._buf[: self.size]
 
-    def reorthogonalize(self, z: np.ndarray) -> np.ndarray:
-        """Two classical Gram-Schmidt passes of ``z`` (a vector or a
-        ``d x m`` block) against every stored vector."""
+    def reorthogonalize(self, z: np.ndarray):
+        """Orthogonalize ``z`` (a vector or a ``d x m`` block) against every
+        stored vector by classical Gram-Schmidt: one pass, and a second
+        only where the first cancelled, i.e. left less than ``_DGKS_KEEP``
+        of a column's norm (one such column repeats the pass for the whole
+        block).  Returns ``(z, ||z||^2)``, the squared norm a float for a
+        vector and one entry per column for a block."""
         V = self.rows
-        for _ in range(2):
+        before = _squared_norms(z)
+        z = z - V.T @ (V @ z)
+        ss = _squared_norms(z)
+        cancelled = ss < _DGKS_KEEP**2 * before
+        if cancelled if z.ndim == 1 else cancelled.any():
             z = z - V.T @ (V @ z)
-        return z
+            ss = _squared_norms(z)
+        return z, ss
 
 
 class _Recurrence:
@@ -173,7 +197,8 @@ class _Recurrence:
 
     Owns ``q_prev``, ``q`` and ``beta_prev``; :meth:`step` forms
     ``y = A q - beta_prev q_prev``, ``alpha = q . y``, ``z = y - alpha q``
-    (reorthogonalized when ``mode`` is FULL) and ``beta = ||z||``, raises
+    (reorthogonalized when ``mode`` is FULL, which also hands back
+    ``||z||^2``) and ``beta = ||z||``, raises
     :class:`NonFiniteOperator` when either is NaN or Inf, and reports
     breakdown when ``beta`` drops below ``breakdown_tol`` times the
     running coefficient scale; :meth:`advance` moves to
@@ -238,8 +263,11 @@ class _Recurrence:
         alpha = float(self.q @ y)
         z = y - alpha * self.q
         if self._reorth:
-            z = self.basis.reorthogonalize(z)
-        self.z, self.beta = z, float(np.linalg.norm(z))
+            z, ss = self.basis.reorthogonalize(z)
+            beta = math.sqrt(ss)
+        else:
+            beta = float(np.linalg.norm(z))
+        self.z, self.beta = z, beta
         if not (math.isfinite(alpha) and math.isfinite(self.beta)):
             raise NonFiniteOperator(f"non-finite Lanczos coefficient at step {self.n}")
         self.alphas.append(alpha)
@@ -303,8 +331,10 @@ def lanczos(
     """Run k steps of the Lanczos three-term recurrence.
 
     With ``mode=ReorthMode.FULL`` every new direction is re-orthogonalized
-    (classical Gram-Schmidt against all stored vectors, applied twice)
-    before normalization, restoring orthogonality to machine precision.
+    before normalization by one classical Gram-Schmidt pass against all
+    stored vectors, repeated once where that pass cancelled (the DGKS test:
+    less than 0.717 of the norm left), which keeps the basis orthonormal to
+    machine precision.
     With ``mode=ReorthMode.NONE`` the plain recurrence runs and the
     resulting T is the finite-precision one -- no orthogonality guarantee.
 
@@ -420,7 +450,10 @@ def block_lanczos(
     running coefficient scale (the largest entry of the A_n and B_n
     blocks so far, as in :func:`lanczos`); the start block is judged
     against its own largest column.  A step of rank 0 is a breakdown;
-    a NaN or Inf in A_n raises :class:`NonFiniteOperator`.
+    a NaN or Inf in A_n raises :class:`NonFiniteOperator`.  With
+    ``mode=ReorthMode.FULL`` each residual block gets one classical
+    Gram-Schmidt pass against the stored basis before it is factored, and
+    a second when any column cancelled as in :func:`lanczos`.
     """
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[1] < 1:
@@ -450,7 +483,7 @@ def block_lanczos(
         An = 0.5 * (An + An.T)
         Z = Y - Qn @ An
         if mode is ReorthMode.FULL:
-            Z = basis.reorthogonalize(Z)
+            Z, _ = basis.reorthogonalize(Z)
         block_diag.append(An)
         scale = max(scale, float(np.abs(An).max()))
         if n == k - 1:

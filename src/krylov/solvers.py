@@ -103,11 +103,19 @@ def _columns(dec):
     return zip(dec.basis.T, dec.T.alphas.tolist(), betas)
 
 
-def _shifted_histories(A, b, steps, b_norm, k, shifts, method, tol, keep_iterates):
+def _explicit_residual(A, b):
+    """The ``residual`` of :func:`_shifted_histories` for ``(A - z I) x = b``
+    itself: the iterate as it is, and ``||b - (A - z I) x||``."""
+    return lambda x, z: (x, _residual_norm(A, b, x, shift=z))
+
+
+def _shifted_histories(
+    steps, rhs_norm, d, k, shifts, method, tol, keep_iterates, residual, b_norm
+):
     """The per-step ``method`` ("cg" or "minres") history of
-    ``(A - z I) x = b`` for each shift z, from one pass over the Lanczos
-    steps ``(q_n, alpha_n, beta_n)`` of ``(A, b)`` (at most ``k``;
-    ``b_norm = ||b||``), pulled one at a time.
+    ``(A - z I) x = r`` for each shift z, from one pass over the Lanczos
+    steps ``(q_n, alpha_n, beta_n)`` of ``(A, r)`` (at most ``k``;
+    ``rhs_norm = ||r||``, ``d`` the dimension), pulled one at a time.
 
     Each shift keeps its own Givens QR of the extended shifted tridiagonal
     ``[T_n - z I; beta_n e_n^T]``, one column per step (Paige & Saunders
@@ -118,16 +126,18 @@ def _shifted_histories(A, b, steps, b_norm, k, shifts, method, tol, keep_iterate
     diagonal of the triangular factor of ``T_n - z I``; it is a gap
     (``None``, NaN residual) when ``|gbar_n| < SINGULARITY_RTOL *
     max(|alpha_i|, beta_i, |z|)`` over every coefficient up to beta_n.
-    Every other step gets an explicit residual, and a shift stops there
-    once it is at most ``tol * ||b||`` (never when ``tol`` is None); no
-    step is pulled once every shift has stopped.  A history that runs out
-    of steps before ``k`` records a breakdown.
+    Every other step's point x goes to the caller's ``residual(x, z)``,
+    which returns the iterate to report and its explicitly recomputed
+    residual norm; a shift stops once that norm is at most
+    ``tol * b_norm`` (never when ``tol`` is None), and no step is pulled
+    once every shift has stopped.  A history that runs out of steps before
+    ``k`` records a breakdown.
     """
     want_cg = method == "cg"
     states = []  # per shift: x^M, w_{n-1}, w_{n-2}, rotations, phibar, scale
     for z in shifts:
-        zero = np.zeros(A.dim, complex if isinstance(z, complex) else float)
-        states.append((zero, zero, zero, ((1.0, 0.0), (1.0, 0.0)), b_norm, abs(z)))
+        zero = np.zeros(d, complex if isinstance(z, complex) else float)
+        states.append((zero, zero, zero, ((1.0, 0.0), (1.0, 0.0)), rhs_norm, abs(z)))
     iterates, res = [[] for _ in shifts], [[] for _ in shifts]
     termination = [None] * len(shifts)
     live, beta_prev = range(len(shifts)), 0.0
@@ -158,7 +168,7 @@ def _shifted_histories(A, b, steps, b_norm, k, shifts, method, tol, keep_iterate
                 iterates[i].append(None)
                 res[i].append(np.nan)
                 continue
-            rnorm = _residual_norm(A, b, x, shift=z)
+            x, rnorm = residual(x, z)
             iterates[i].append(x if keep_iterates else None)
             res[i].append(rnorm)
             if tol is not None and rnorm <= tol * b_norm:
@@ -214,7 +224,8 @@ def cg(
     else:
         raise ValueError(f"unknown backend {backend!r}")
     return _shifted_histories(
-        A, b, steps, b_norm, k, [0.0], "cg", tol, keep_iterates
+        steps, b_norm, A.dim, k, [0.0], "cg", tol, keep_iterates,
+        _explicit_residual(A, b), b_norm,
     )[0]
 
 
@@ -234,7 +245,8 @@ def minres(
     applying ``A`` at convergence."""
     rec = _Recurrence(A, b, k, mode=mode)
     return _shifted_histories(
-        A, b, rec.steps(), rec.b_norm, k, [0.0], "minres", tol, keep_iterates
+        rec.steps(), rec.b_norm, A.dim, k, [0.0], "minres", tol, keep_iterates,
+        _explicit_residual(A, b), rec.b_norm,
     )[0]
 
 
@@ -265,7 +277,8 @@ def multi_shift_solve(
     shifts = [z if z.imag else z.real for z in map(complex, np.ravel(shifts))]
     rec = _Recurrence(A, b, k, mode=mode)
     return _shifted_histories(
-        A, b, rec.steps(), rec.b_norm, k, shifts, method, None, keep_iterates
+        rec.steps(), rec.b_norm, A.dim, k, shifts, method, None, keep_iterates,
+        _explicit_residual(A, b), rec.b_norm,
     )
 
 
@@ -280,27 +293,28 @@ def preconditioned_solve(
     """Solve A x = b through the symmetric wrapping M A M y = M b,
     x = M y, for a symmetric preconditioning operator M.
 
-    Returned residual norms are recomputed for the *original* system.
+    ``method`` ("cg" or "minres") runs on one Lanczos recurrence of the
+    wrapped system, step by step.  Each step forms ``x = M y`` once and
+    recomputes the residual once, on the *original* system; the history
+    is ``"converged"`` at the first residual at most
+    ``DEFAULT_TOL * ||b||``, and no step runs past it.  Costs one product
+    with A and two with M per step, plus one with A and one with M per
+    reported iterate and one with M for ``M b``.
     """
+    if method not in ("cg", "minres"):
+        raise ValueError(f"unknown method {method!r}")
     b = np.asarray(b, dtype=float)
     wrapped = LinearOperator(A.dim, lambda v: M.apply(A.apply(M.apply(v))))
-    rhs = M.apply(b)
-    if method == "cg":
-        inner = cg(wrapped, rhs, k, mode=mode)
-    elif method == "minres":
-        inner = minres(wrapped, rhs, k, mode=mode)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    iterates = [None if y is None else M.apply(y) for y in inner.iterates]
-    res = np.asarray(
-        [np.nan if x is None else _residual_norm(A, b, x) for x in iterates]
-    )
-    return IterateHistory(
-        iterates=iterates,
-        residual_norms=res,
-        termination=inner.termination,
-        b_norm=float(np.linalg.norm(b)),
-    )
+    rec = _Recurrence(wrapped, M.apply(b), k, mode=mode)
+
+    def residual(y, z):
+        x = M.apply(y)
+        return x, _residual_norm(A, b, x)
+
+    return _shifted_histories(
+        rec.steps(), rec.b_norm, A.dim, k, [0.0], method, DEFAULT_TOL, True,
+        residual, float(np.linalg.norm(b)),
+    )[0]
 
 
 def chebyshev_bound(kind: str, params: dict, k: int) -> float:

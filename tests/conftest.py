@@ -1,6 +1,10 @@
 """Shared test configuration: a derandomized, bounded hypothesis profile
-(the property tests then give the same examples on every run) and an
-operator that starts returning NaN after a given number of calls."""
+(the property tests then give the same examples on every run), the
+checkout's ``src/`` on the import path of subprocesses, and an operator
+that starts returning NaN after a given number of calls."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,16 @@ else:
         "krylov", derandomize=True, max_examples=25, deadline=None, database=None
     )
     settings.load_profile("krylov")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_subprocess_path():
+    """``pyproject.toml`` puts ``src/`` on pytest's own import path; a
+    subprocess such as ``python -m krylov.cli`` gets it from PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from krylov.errors import NonFiniteOperator, ZeroStartBlock, ZeroStartVector
 from krylov.lanczos import (
     ReorthMode,
     Termination,
+    _Basis,
     arnoldi,
     block_lanczos,
     krylov_grade,
@@ -152,6 +155,62 @@ class TestLanczos:
             norm = vals.max()
             assert ritz.min() >= vals.min() - eta * norm
             assert ritz.max() <= vals.max() + eta * norm
+
+
+class TestReorthogonalize:
+    # One classical Gram-Schmidt pass, and a second only where the first
+    # left less than 0.717 of a column's norm (the DGKS test).
+    D, N = 50, 6
+
+    def _basis(self, rng):
+        V, _ = np.linalg.qr(rng.standard_normal((self.D, self.N)))
+        basis = _Basis(self.D, self.N)
+        basis.append(V.T)
+        return basis, V
+
+    def _near_span(self, rng, V):
+        # Within 1e-8 of span(V): one pass leaves an error of about
+        # 1e-16 * ||z|| on a remainder of about 1e-8 * ||z||.
+        return V @ rng.standard_normal(self.N) + 1e-8 * rng.standard_normal(self.D)
+
+    def test_cancelled_vector_gets_a_second_pass(self):
+        rng = np.random.default_rng(30)
+        basis, V = self._basis(rng)
+        z, ss = basis.reorthogonalize(self._near_span(rng, V))
+        assert ss == z @ z
+        assert np.abs(V.T @ z).max() <= 1e-14 * np.linalg.norm(z)
+
+    def test_one_cancelled_column_repeats_the_pass_for_the_block(self):
+        rng = np.random.default_rng(31)
+        basis, V = self._basis(rng)
+        Z = rng.standard_normal((self.D, 3))
+        Z[:, 1] = self._near_span(rng, V)
+        Z, ss = basis.reorthogonalize(Z)
+        assert np.array_equal(ss, np.einsum("ij,ij->j", Z, Z))
+        assert (np.abs(V.T @ Z).max(axis=0) <= 1e-14 * np.sqrt(ss)).all()
+
+    def test_full_lanczos_makes_one_pass_per_step(self, monkeypatch):
+        # Each pass is two products with the stored basis, V @ z and
+        # V^T @ (V @ z); count them through a wrapped basis store.
+        products = [0]
+
+        class CountingRows(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                products[0] += ufunc is np.matmul
+                inputs = [np.asarray(x) for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        class CountingBasis(_Basis):
+            @property
+            def rows(self):
+                return super().rows.view(CountingRows)
+
+        monkeypatch.setattr(sys.modules["krylov.lanczos"], "_Basis", CountingBasis)
+        A = LinearOperator.diagonal(np.geomspace(1.0, 1e4, 2000))
+        b = np.random.default_rng(32).standard_normal(2000)
+        dec = lanczos(A, b, 40, mode=ReorthMode.FULL)
+        assert dec.termination == Termination("completed", 40)
+        assert products[0] == 2 * 40
 
 
 class TestArnoldi:

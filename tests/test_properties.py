@@ -1,5 +1,7 @@
-"""Bit-identity properties of the shared Lanczos recurrence, on random
-spectra drawn by hypothesis (profile in ``conftest.py``)."""
+"""Properties of the shared Lanczos recurrence on random spectra drawn by
+hypothesis (profile in ``conftest.py``): bit identities between callers,
+orthonormality of the reorthogonalized basis, and the polynomial
+exactness of Lanczos-FA and Gauss quadrature."""
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from krylov.core import LinearOperator  # noqa: E402
-from krylov.lanczos import ReorthMode  # noqa: E402
-from krylov.matfunc import lanczos_fa, two_pass_lanczos_fa  # noqa: E402
+from krylov.lanczos import ReorthMode, lanczos  # noqa: E402
+from krylov.matfunc import lanczos_fa, lanczos_qf, two_pass_lanczos_fa  # noqa: E402
 from krylov.solvers import cg, multi_shift_solve  # noqa: E402
 
 spectra = st.lists(
@@ -22,6 +24,11 @@ shift_values = st.one_of(
     st.builds(complex, st.floats(-5.0, 5.0), st.floats(0.1, 5.0)),
 )
 modes = st.sampled_from([ReorthMode.NONE, ReorthMode.FULL])
+polynomials = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=10)
+# Bound on the rounding error of a polynomial's value, relative to
+# sum_j |c_j| rho^j ||b|| (||b||^2 for a quadratic form), rho the spectral
+# radius; 1500 drawn examples stayed below 6e-14.
+EXACTNESS_RTOL = 1e-11
 
 
 def start_vector(seed, d):
@@ -88,3 +95,57 @@ def test_two_pass_fa_is_bit_identical_for_every_stride(vals, seed, k):
         two = two_pass_lanczos_fa(A, b, np.exp, k, checkpoint_stride=stride)
         assert np.array_equal(two.value, ref.value)
         assert two.k_used == ref.k_used
+
+
+def rotated(vals, seed):
+    """A dense symmetric matrix with spectrum ``vals`` in a random basis."""
+    U, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(vals),) * 2))
+    return (U * np.asarray(vals)) @ U.T
+
+
+def polynomial_scale(coeffs, vals):
+    rho = float(np.abs(vals).max())
+    return sum(abs(c) * rho**j for j, c in enumerate(coeffs))
+
+
+@given(spectra, start_seeds, st.integers(1, 40))
+def test_full_lanczos_basis_is_orthonormal(vals, seed, k):
+    A = LinearOperator.diagonal(vals)
+    Q = lanczos(A, start_vector(seed, len(vals)), k, mode=ReorthMode.FULL).basis
+    assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-13
+
+
+@given(spectra, start_seeds, polynomials, st.integers(0, 5))
+def test_full_lanczos_fa_is_exact_below_degree_k(vals, seed, coeffs, extra):
+    k = len(coeffs) + extra  # degree len(coeffs) - 1 < k
+    M = rotated(vals, seed)
+    b = start_vector(seed, len(vals))
+    w, X = np.linalg.eigh(M)
+    exact = X @ (np.polynomial.polynomial.polyval(w, coeffs) * (X.T @ b))
+    got = lanczos_fa(
+        LinearOperator.from_matrix(M),
+        b,
+        lambda x: np.polynomial.polynomial.polyval(x, coeffs),
+        k,
+        mode=ReorthMode.FULL,
+    ).value
+    scale = polynomial_scale(coeffs, vals) * np.linalg.norm(b)
+    assert np.linalg.norm(got - exact) <= EXACTNESS_RTOL * scale
+
+
+@given(spectra, start_seeds, polynomials, st.integers(0, 5))
+def test_lanczos_qf_is_exact_below_degree_2k(vals, seed, coeffs, extra):
+    k = (len(coeffs) + 1) // 2 + extra  # degree len(coeffs) - 1 < 2k
+    M = rotated(vals, seed)
+    b = start_vector(seed, len(vals))
+    w, X = np.linalg.eigh(M)
+    exact = float((X.T @ b) ** 2 @ np.polynomial.polynomial.polyval(w, coeffs))
+    got = lanczos_qf(
+        LinearOperator.from_matrix(M),
+        b,
+        lambda x: np.polynomial.polynomial.polyval(x, coeffs),
+        k,
+        mode=ReorthMode.FULL,
+    )
+    scale = polynomial_scale(coeffs, vals) * float(b @ b)
+    assert abs(got - exact) <= EXACTNESS_RTOL * scale

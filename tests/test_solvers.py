@@ -7,6 +7,7 @@ from krylov.core import LinearOperator
 from krylov.errors import InsufficientIterates, InvalidInterval, NonFiniteOperator
 from krylov.lanczos import ReorthMode, lanczos
 from krylov.solvers import (
+    DEFAULT_TOL,
     ShiftFamily,
     block_cg,
     cg,
@@ -425,6 +426,32 @@ class TestPreconditioned:
         plain = cg(A, b, k, tol=0.0)
         prec = preconditioned_solve(A, M, b, k)
         assert prec.residual_norms[-1] < plain.residual_norms[-1] * 0.1
+
+
+    @pytest.mark.parametrize("method", ["cg", "minres"])
+    def test_operator_calls(self, method):
+        # Per step one product with A and two with M in the recurrence,
+        # then M y and one residual on the original system; plus M b once.
+        # The wrapped system's own residuals are never formed.
+        vals = np.geomspace(1.0, 1e4, 40)
+        A, a_calls = counting(LinearOperator.diagonal(vals))
+        M, m_calls = counting(LinearOperator.diagonal(vals**-0.25))
+        b = np.random.default_rng(13).standard_normal(40)
+        hist = preconditioned_solve(A, M, b, 10, method=method)
+        assert hist.termination == "max_iter" and hist.k == 10
+        assert (a_calls[0], m_calls[0]) == (20, 31)
+
+    @pytest.mark.parametrize("method", ["cg", "minres"])
+    def test_converged_on_original_residuals(self, method):
+        vals = np.geomspace(1.0, 1e4, 60)
+        A = LinearOperator.diagonal(vals)
+        M = LinearOperator.diagonal(vals**-0.25)
+        b = np.random.default_rng(14).standard_normal(60)
+        hist = preconditioned_solve(A, M, b, 60, method=method)
+        tol = DEFAULT_TOL * hist.b_norm
+        assert hist.termination == "converged"
+        assert hist.residual_norms[-1] <= tol
+        assert (hist.residual_norms[:-1] > tol).all()
 
 
 class TestChebyshevBound:
