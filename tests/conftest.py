@@ -1,14 +1,17 @@
 """Shared test configuration: a derandomized, bounded hypothesis profile
 (the property tests then give the same examples on every run), the
-checkout's ``src/`` on the import path of subprocesses, and an operator
-that starts returning NaN after a given number of calls."""
+checkout's ``src/`` on the import path of subprocesses, an operator that
+starts returning NaN after a given number of calls, and a probe pool
+forced on at any operator size."""
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import krylov.trace
 from krylov.core import LinearOperator
 
 try:
@@ -46,3 +49,33 @@ def nan_after():
         return LinearOperator(A.dim, matvec)
 
     return wrap
+
+
+@contextmanager
+def _probe_pool(workers=3):
+    """Run every probe map of ``krylov.trace`` on a fresh pool of
+    ``workers`` threads at any operator size; ``workers=1`` keeps every map
+    serial.  The pool is shut down on exit, its queued work cancelled."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(krylov.trace, "_POOL_MIN_DIM", 0)
+        mp.setattr(krylov.trace, "_usable_cpus", lambda: workers)
+        mp.setattr(krylov.trace, "_pool", None)
+        try:
+            yield
+        finally:
+            if krylov.trace._pool is not None:
+                krylov.trace._pool.shutdown(cancel_futures=True)
+
+
+@pytest.fixture(scope="session")
+def probe_pool():
+    """``with probe_pool(workers): ...``; session-scoped, so that
+    hypothesis tests may take it."""
+    return _probe_pool
+
+
+@pytest.fixture
+def pooled():
+    """The test body runs with the probe pool forced on (3 threads)."""
+    with _probe_pool():
+        yield

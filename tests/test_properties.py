@@ -1,7 +1,8 @@
 """Properties of the shared Lanczos recurrence on random spectra drawn by
 hypothesis (profile in ``conftest.py``): bit identities between callers,
-orthonormality of the reorthogonalized basis, and the polynomial
-exactness of Lanczos-FA and Gauss quadrature."""
+orthonormality of the reorthogonalized basis, the polynomial exactness of
+Lanczos-FA and Gauss quadrature, and stochastic estimates that do not
+depend on probe scheduling."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from krylov.core import LinearOperator  # noqa: E402
 from krylov.lanczos import ReorthMode, lanczos  # noqa: E402
 from krylov.matfunc import lanczos_fa, lanczos_qf, two_pass_lanczos_fa  # noqa: E402
 from krylov.solvers import cg, multi_shift_solve  # noqa: E402
+from krylov.trace import ProbeSampler, kpm_density, slq_density, slq_trace  # noqa: E402
 
 spectra = st.lists(
     st.floats(-10.0, 10.0, allow_subnormal=False), min_size=2, max_size=30
@@ -149,3 +151,53 @@ def test_lanczos_qf_is_exact_below_degree_2k(vals, seed, coeffs, extra):
     )
     scale = polynomial_scale(coeffs, vals) * float(b @ b)
     assert abs(got - exact) <= EXACTNESS_RTOL * scale
+
+
+def estimator_outcomes(A, k, m, sampler):
+    """The bytes of every SLQ and KPM estimate, or the exception raised."""
+    vals = A.to_dense().diagonal()
+    lo, hi = float(vals.min()), float(vals.max())
+    calls = {
+        # drops the probes with a Ritz value below -8
+        "slq_trace": lambda: slq_trace(A, lambda x: np.log(x + 8.0), k, m, sampler),
+        "slq_density": lambda: slq_density(A, k, m, sampler).measure,
+    }
+    intervals = {"auto": None, "wide": (lo - 1.0, hi + 1.0), "narrow": (lo + 0.5, hi)}
+    for method in ("recurrence", "lanczos_qf"):
+        for name, interval in intervals.items():
+            calls[f"kpm {method} {name}"] = lambda method=method, interval=interval: (
+                kpm_density(A, k, interval, coeff_method=method, m=m, sampler=sampler)
+            )
+    out = {}
+    for name, call in calls.items():
+        try:
+            r = call()
+        except Exception as e:  # the outcome compared is the exception itself
+            out[name] = (type(e), str(e))
+        else:
+            out[name] = tuple(
+                np.asarray(v).tobytes() if isinstance(v, np.ndarray) else v
+                for v in vars(r).values()
+            )
+    return out
+
+
+@given(
+    vals=spectra,
+    seed=start_seeds,
+    k=st.integers(1, 12),
+    m=st.sampled_from([1, 2, 7]),
+    distribution=st.sampled_from(["unit_sphere", "rademacher"]),
+)
+def test_estimates_do_not_depend_on_probe_scheduling(
+    probe_pool, vals, seed, k, m, distribution
+):
+    # Bit for bit with the probes serial and on a 3-thread pool, dropped
+    # probes and raised errors (SpectrumOutsideInterval) included.
+    A = LinearOperator.diagonal(vals)
+    sampler = ProbeSampler(distribution, seed)
+    with probe_pool(1):
+        serial = estimator_outcomes(A, k, m, sampler)
+    with probe_pool(3):
+        pooled = estimator_outcomes(A, k, m, sampler)
+    assert pooled == serial

@@ -1,8 +1,12 @@
 import math
+import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import krylov.trace
 from krylov.core import LinearOperator
 from krylov.errors import (
     FunctionDomainError,
@@ -352,6 +356,192 @@ class TestKpmDensity:
         got = approx.density(xs)
         rel = np.abs(got - ref) / ref
         assert np.median(rel) <= 0.15
+
+
+# The estimator tests again, with every probe map on a forced 3-thread pool.
+@pytest.mark.usefixtures("pooled")
+class TestSlqTraceOnPool(TestSlqTrace):
+    pass
+
+
+@pytest.mark.usefixtures("pooled")
+class TestSlqDensityOnPool(TestSlqDensity):
+    pass
+
+
+@pytest.mark.usefixtures("pooled")
+class TestKpmDensityOnPool(TestKpmDensity):
+    pass
+
+
+def keyed(A, bad):
+    """``A``, except that it returns NaN for the vectors of ``bad`` (probes
+    or their normalizations).  Scheduling cannot move the fault to another
+    probe, as a call counter would."""
+
+    def matvec(v):
+        if any(np.array_equal(v, u) for u in bad):
+            return np.full(A.dim, np.nan)
+        return A.apply(v)
+
+    return LinearOperator(A.dim, matvec)
+
+
+def starts(sampler, i, d):
+    b = sampler.probe(i, d)
+    return [b, b / float(np.linalg.norm(b))]
+
+
+class TestProbePool:
+    d = 64
+
+    def op(self):
+        # log is undefined at one eigenvalue: some probes drop, not all
+        return LinearOperator.diagonal(np.r_[-1.0, np.linspace(1.0, 2.0, self.d - 1)])
+
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_nan_from_a_later_probe_raises_and_drops_nothing(self, pooled, j):
+        # log drops the probes whose Ritz values dip below zero; probe j's
+        # NaN is an operator fault and must not be one more drop.
+        s = ProbeSampler(seed=2)
+        assert 0 < slq_trace(self.op(), np.log, 2, 5, s).n_skipped < 4
+        A = keyed(self.op(), starts(s, j, self.d))
+        with pytest.raises(NonFiniteOperator):
+            slq_trace(A, np.log, 2, 5, s)
+        with pytest.raises(NonFiniteOperator):
+            slq_density(A, 6, 5, s)
+        for method in ("recurrence", "lanczos_qf"):
+            for interval in (None, (-2.0, 5.0)):
+                with pytest.raises(NonFiniteOperator):
+                    kpm_density(A, 6, interval, coeff_method=method, m=5, sampler=s)
+
+    def test_drop_counts_equal_the_serial_ones(self, probe_pool):
+        s = ProbeSampler(seed=5)
+        with probe_pool(1):
+            serial = slq_trace(self.op(), np.log, 2, 12, s)
+        with probe_pool(3):
+            pooled = slq_trace(self.op(), np.log, 2, 12, s)
+        assert 0 < serial.n_skipped < 12
+        assert pooled == serial
+
+    def test_first_failing_probe_in_index_order_raises(self, pooled):
+        # Probes 2 and 5 fail, probe 5 first: the serial loop raises
+        # probe 2's error, and so must the pool.
+        s = ProbeSampler(seed=3)
+        (_, q2), (_, q5) = starts(s, 2, self.d), starts(s, 5, self.d)
+        failed5 = threading.Event()
+        D = self.op()
+
+        def matvec(v):
+            if np.array_equal(v, q2):
+                failed5.wait(5.0)
+                raise ValueError("probe 2")
+            if np.array_equal(v, q5):
+                failed5.set()
+                raise ValueError("probe 5")
+            return D.apply(v)
+
+        with pytest.raises(ValueError, match="probe 2"):
+            slq_trace(LinearOperator(self.d, matvec), np.exp, 4, 7, s)
+
+    def test_spectrum_outside_interval_precedes_probe_errors(self, pooled):
+        s = ProbeSampler(seed=4)
+        A = keyed(self.op(), starts(s, 1, self.d))
+        for method in ("recurrence", "lanczos_qf"):
+            with pytest.raises(SpectrumOutsideInterval):
+                kpm_density(A, 6, (0.0, 1.0), coeff_method=method, m=3, sampler=s)
+
+    def test_nested_estimator_in_a_worker_returns(self, pooled):
+        # Each outer probe's matvec runs a whole inner estimate; on a full
+        # pool the inner maps must not wait for workers they occupy.
+        inner_op = self.op()
+        seen = []
+
+        def matvec(v):
+            seen.append(threading.current_thread().name)
+            slq_trace(inner_op, np.exp, 3, 4, ProbeSampler(seed=1))
+            return inner_op.apply(v)
+
+        outer = LinearOperator(self.d, matvec)
+        done = []
+        t = threading.Thread(
+            target=lambda: done.append(slq_trace(outer, np.exp, 3, 7, ProbeSampler(seed=1))),
+            daemon=True,
+        )
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive() and len(done) == 1
+        assert done[0] == slq_trace(inner_op, np.exp, 3, 7, ProbeSampler(seed=1))
+        assert all(name.startswith("krylov-probe") for name in seen)
+
+    def test_below_the_cutoff_every_matvec_runs_on_the_calling_thread(self):
+        d = krylov.trace._POOL_MIN_DIM - 1
+        D = LinearOperator.diagonal(np.linspace(1.0, 2.0, d))
+        threads = set()
+
+        def matvec(v):
+            threads.add(threading.get_ident())
+            return D.apply(v)
+
+        A = LinearOperator(d, matvec)
+        s = ProbeSampler(seed=6)
+        slq_trace(A, np.log, 3, 4, s)
+        slq_density(A, 3, 4, s)
+        kpm_density(A, 3, (0.5, 2.5), m=4, sampler=s)
+        assert threads == {threading.get_ident()}
+
+    def test_many_workers_and_fast_switching_keep_bits_and_counts(self, probe_pool):
+        # More workers than cores, and the interpreter switching threads
+        # every microsecond: the same bits and the same operator calls.
+        lock = threading.Lock()
+        calls = [0]
+        D = self.op()
+
+        def matvec(v):
+            with lock:
+                calls[0] += 1
+            return D.apply(v)
+
+        A = LinearOperator(self.d, matvec)
+        s = ProbeSampler("rademacher", seed=7)
+
+        def run():
+            calls[0] = 0
+            out = (
+                slq_trace(A, np.exp, 8, 16, s),
+                slq_density(A, 8, 16, s).measure.nodes.tobytes(),
+                kpm_density(A, 8, (-2.0, 5.0), m=16, sampler=s).coefficients.tobytes(),
+            )
+            return out, calls[0]
+
+        with probe_pool(1):
+            serial = run()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with probe_pool(8):
+                pooled = run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == serial
+
+    def test_forked_child_builds_its_own_pool(self, pooled):
+        s = ProbeSampler(seed=8)
+        want = slq_trace(self.op(), np.exp, 4, 4, s)  # the parent's pool exists now
+        assert krylov.trace._pool is not None
+        ctx = multiprocessing.get_context("fork")
+        queue = ctx.Queue()
+        child = ctx.Process(
+            target=lambda: queue.put(
+                (krylov.trace._pool is None, slq_trace(self.op(), np.exp, 4, 4, s))
+            ),
+            daemon=True,
+        )
+        child.start()
+        got = queue.get(timeout=30)
+        child.join(timeout=30)
+        assert child.exitcode == 0
+        assert got == (True, want)
 
 
 class TestControlVariate:
