@@ -13,6 +13,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dstev
 
 from .errors import FunctionDomainError, SingularSystem
 
@@ -157,16 +158,24 @@ class TridiagEig:
 def sym_tridiag_eig(T: SymTridiagonal) -> TridiagEig:
     """Full eigendecomposition of a symmetric tridiagonal matrix.
 
-    Uses the implicit-shift QL/QR LAPACK kernel on the (alpha, beta) pair;
-    no dense matrix is formed.
+    Calls LAPACK ``dstev`` (implicit-shift QL/QR) on the (alpha, beta)
+    pair directly, the routine ``scipy.linalg.eigh_tridiagonal`` runs with
+    ``lapack_driver="stev"``, without its per-call argument checks; no
+    dense matrix is formed.  Raises ``ValueError`` if an entry is NaN or
+    Inf, and ``numpy.linalg.LinAlgError`` if the QL/QR iteration does not
+    converge.
     """
     if T.size == 1:
         vals = np.array([T.alphas[0]])
         vecs = np.array([[1.0]])
         return TridiagEig(vals, vecs)
-    vals, vecs = scipy.linalg.eigh_tridiagonal(
-        T.alphas, T.betas, lapack_driver="stev"
-    )
+    if not (np.isfinite(T.alphas).all() and np.isfinite(T.betas).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    vals, vecs, info = dstev(T.alphas, T.betas)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"dstev: {info} off-diagonal elements did not converge to zero"
+        )
     # Deterministic sign convention: first nonzero component positive.
     first = vecs[np.argmax(vecs != 0, axis=0), np.arange(vecs.shape[1])]
     flip = first < 0
@@ -187,6 +196,12 @@ def _finite_values(f, points: np.ndarray, error: type) -> np.ndarray:
     return fvals
 
 
+def _eig_apply_function(eig: TridiagEig, fvals: np.ndarray) -> np.ndarray:
+    """``f(T) e_1`` from the eigendecomposition of ``T`` and ``f`` at its
+    eigenvalues."""
+    return eig.eigenvectors @ (fvals * eig.eigenvectors[0, :])
+
+
 def tridiag_apply_function(T: SymTridiagonal, f) -> np.ndarray:
     """Return ``f(T) e_1`` via the eigendecomposition of ``T``.
 
@@ -195,7 +210,7 @@ def tridiag_apply_function(T: SymTridiagonal, f) -> np.ndarray:
     """
     eig = sym_tridiag_eig(T)
     fvals = _finite_values(f, eig.eigenvalues, FunctionDomainError)
-    return eig.eigenvectors @ (fvals * eig.eigenvectors[0, :])
+    return _eig_apply_function(eig, fvals)
 
 
 def _givens(a, b: float):

@@ -10,16 +10,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import sym_tridiag_eig, tridiag_apply_function
-from .errors import InvalidSpec
+from .core import (
+    _eig_apply_function,
+    _finite_values,
+    sym_tridiag_eig,
+    tridiag_apply_function,
+)
+from .errors import FunctionDomainError, InvalidSpec
 from .lanczos import ReorthMode, lanczos
-from .matfunc import _pitfall_apply
+from .matfunc import _eig_pitfall
 from .matrices import (
     ClusterPerturbed,
     ExplicitEigenvalues,
     GradedSpectrum,
+    _optimal_ksm,
     generate_operator,
-    optimal_ksm_error,
 )
 from .orthopoly import (
     DiscreteMeasure,
@@ -28,7 +33,7 @@ from .orthopoly import (
     wasserstein,
 )
 from .solvers import cg, chebyshev_bound, minres
-from .trace import ProbeSampler, kpm_density, slq_density
+from .trace import ProbeSampler, _slq_densities, kpm_density
 
 __all__ = [
     "ExperimentConfig",
@@ -364,10 +369,7 @@ def _fa_optimality(cfg: ExperimentConfig) -> ExperimentReport:
     b = _start_vector(A.dim)
     f = np.sqrt
 
-    dense = A.to_dense()
-    w, V = np.linalg.eigh(dense)
-    target = V @ (np.sqrt(np.maximum(w, 0.0)) * (V.T @ b))
-    opt = optimal_ksm_error(A, b, f, k)
+    target, opt = _optimal_ksm(A, b, f, k)
 
     dec = lanczos(A, b, k, mode=ReorthMode.FULL)
     rows = []
@@ -409,10 +411,11 @@ def _fa_formulas(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     correct_err = pitfall_err = np.nan
     for j in range(1, dec.T.size + 1):
-        Tj = dec.T.principal(j)
-        coeffs = tridiag_apply_function(Tj, f)
-        correct = dec.b_norm * (Q[:, :j] @ coeffs)
-        pitfall = _pitfall_apply(Q[:, :j], Tj, b, f)
+        # One eigendecomposition and one set of f values feed both formulas.
+        eig = sym_tridiag_eig(dec.T.principal(j))
+        fvals = _finite_values(f, eig.eigenvalues, FunctionDomainError)
+        correct = dec.b_norm * (Q[:, :j] @ _eig_apply_function(eig, fvals))
+        pitfall = _eig_pitfall(Q[:, :j], eig, fvals, b)
         correct_err = float(np.linalg.norm(target - correct)) / tnorm
         pitfall_err = float(np.linalg.norm(target - pitfall)) / tnorm
         rows.append(("rel_error_correct", j, correct_err))
@@ -444,8 +447,7 @@ def _slq_wasserstein(cfg: ExperimentConfig) -> ExperimentReport:
     ks = (8, 16, 32)
     dists = []
     rows = []
-    for k in ks:
-        approx = slq_density(A, k, m, sampler)
+    for k, approx in zip(ks, _slq_densities(A, ks, m, sampler)):
         dw = wasserstein(phi, approx.measure)
         dists.append(dw)
         rows.append(("wasserstein", k, dw))

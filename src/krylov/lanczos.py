@@ -264,10 +264,9 @@ class _Recurrence:
         z = y - alpha * self.q
         if self._reorth:
             z, ss = self.basis.reorthogonalize(z)
-            beta = math.sqrt(ss)
         else:
-            beta = float(np.linalg.norm(z))
-        self.z, self.beta = z, beta
+            ss = float(z @ z)  # sqrt of it is bit-equal to np.linalg.norm
+        self.z, self.beta = z, math.sqrt(ss)
         if not (math.isfinite(alpha) and math.isfinite(self.beta)):
             raise NonFiniteOperator(f"non-finite Lanczos coefficient at step {self.n}")
         self.alphas.append(alpha)

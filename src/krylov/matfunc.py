@@ -54,13 +54,19 @@ def _ordered_accumulate(columns, coeffs, b_norm):
     return res
 
 
+def _eig_pitfall(Q: np.ndarray, eig, fvals: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Q f(T) Q^T b from the eigendecomposition of T and f at its
+    eigenvalues."""
+    w = eig.eigenvectors.T @ (Q.T @ np.asarray(b, dtype=float))
+    return Q @ (eig.eigenvectors @ (fvals * w))
+
+
 def _pitfall_apply(Q: np.ndarray, T, b: np.ndarray, f) -> np.ndarray:
     """Q f(T) Q^T b: equal to the correct ||b|| Q f(T) e1 only while Q
     stays orthonormal."""
     eig = sym_tridiag_eig(T)
     fvals = _finite_values(f, eig.eigenvalues, FunctionDomainError)
-    w = eig.eigenvectors.T @ (Q.T @ np.asarray(b, dtype=float))
-    return Q @ (eig.eigenvectors @ (fvals * w))
+    return _eig_pitfall(Q, eig, fvals, b)
 
 
 def lanczos_fa(

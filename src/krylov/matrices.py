@@ -189,6 +189,16 @@ def optimal_ksm_error(A: LinearOperator, b: np.ndarray, f, k: int) -> np.ndarray
     the unbeatable baseline for any Krylov method.  Dense work, so the
     dimension is capped.  Raises :class:`FunctionDomainError` if ``f``
     is NaN/Inf at an eigenvalue."""
+    return _optimal_ksm(A, b, f, k)[1]
+
+
+def _optimal_ksm(A: LinearOperator, b: np.ndarray, f, k: int):
+    """``(f(A) b, optimal_ksm_error(A, b, f, k))`` from one dense operator
+    and one ``eigh``.
+
+    The residual of ``f(A) b`` against the Krylov basis is kept as it
+    grows: each new basis vector's projection is subtracted once, in the
+    order a full recomputation at every step would subtract it."""
     if A.dim > DENSE_ORACLE_LIMIT:
         raise DimensionTooLarge(f"dim {A.dim} exceeds {DENSE_ORACLE_LIMIT}")
     b = np.asarray(b, dtype=float)
@@ -199,6 +209,7 @@ def optimal_ksm_error(A: LinearOperator, b: np.ndarray, f, k: int) -> np.ndarray
 
     errors = np.empty(k)
     basis: list[np.ndarray] = []
+    resid = target
     v = b / np.linalg.norm(b)
     exhausted = False
     for j in range(k):
@@ -211,13 +222,12 @@ def optimal_ksm_error(A: LinearOperator, b: np.ndarray, f, k: int) -> np.ndarray
             if nw <= 1e-12:
                 exhausted = True
             else:
-                basis.append(w / nw)
-                v = dense @ basis[-1]
-        resid = target.copy()
-        for u in basis:
-            resid = resid - (u @ target) * u
+                u = w / nw
+                basis.append(u)
+                v = dense @ u
+                resid = resid - (u @ target) * u
         errors[j] = np.linalg.norm(resid)
-    return errors
+    return target, errors
 
 
 def parse_matrix_spec(text: str):

@@ -300,18 +300,31 @@ def slq_density(
     """SLQ spectral-density estimate: the average of the m probes'
     k-point Gaussian quadrature measures.  Probes run concurrently on
     large operators (see the module docstring), with the same result."""
+    return _slq_densities(A, (k,), m, sampler)[0]
+
+
+def _slq_densities(A: LinearOperator, ks, m: int, sampler: ProbeSampler) -> list:
+    """``[slq_density(A, k, m, sampler) for k in ks]``, bit for bit, from
+    one ``max(ks)``-step run per probe: a k-step run is the first k steps
+    of a longer one from the same start vector, so degree k reads its
+    quadrature off the leading ``min(k, steps run)`` block of T."""
     _check_probes(m)
+    if min(ks) < 1:
+        raise ValueError("k must be at least 1")
 
-    def quadrature(i):
-        rec = _Recurrence(A, sampler.probe(i, A.dim), k).run()
-        return gauss_quadrature(rec.T, rec.b_norm**2)
+    def quadratures(i):
+        rec = _Recurrence(A, sampler.probe(i, A.dim), max(ks)).run()
+        T, mass = rec.T, rec.b_norm**2
+        return [gauss_quadrature(T.principal(min(k, T.size)), mass) for k in ks]
 
-    quads = _map_probes(quadrature, m, A.dim)
-    measure = DiscreteMeasure(
-        np.concatenate([q.nodes for q in quads]),
-        np.concatenate([q.weights / m for q in quads]),
-    )
-    return DensityApprox(form="quadrature", measure=measure)
+    out = []
+    for quads in zip(*_map_probes(quadratures, m, A.dim)):  # one degree at a time
+        measure = DiscreteMeasure(
+            np.concatenate([q.nodes for q in quads]),
+            np.concatenate([q.weights / m for q in quads]),
+        )
+        out.append(DensityApprox(form="quadrature", measure=measure))
+    return out
 
 
 def _enclosing_interval(T, interval) -> tuple:

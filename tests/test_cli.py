@@ -152,6 +152,42 @@ class TestOptimalKsmError:
         with pytest.raises(DimensionTooLarge):
             optimal_ksm_error(A, np.ones(2001), np.exp, 3)
 
+    @pytest.mark.parametrize("d, k", [(30, 12), (8, 8), (8, 11), (5, 9)])
+    def test_running_residual_matches_recomputation(self, d, k):
+        # The residual kept as the basis grows equals, bit for bit, the
+        # residual recomputed in full at every step, including the
+        # steps past an exhausted basis (k > d).
+        rng = np.random.default_rng(d + k)
+        vals = np.geomspace(0.1, 1.0, d)
+        A = LinearOperator.diagonal(vals)
+        b = rng.standard_normal(d)
+        dense = A.to_dense()
+        w, V = np.linalg.eigh(dense)
+        target = V @ (np.exp(w) * (V.T @ b))
+        ref = np.empty(k)
+        basis = []
+        v = b / np.linalg.norm(b)
+        exhausted = False
+        for j in range(k):
+            if not exhausted:
+                x = v.copy()
+                for _ in range(2):
+                    for u in basis:
+                        x = x - (u @ x) * u
+                nx = np.linalg.norm(x)
+                if nx <= 1e-12:
+                    exhausted = True
+                else:
+                    basis.append(x / nx)
+                    v = dense @ basis[-1]
+            resid = target.copy()
+            for u in basis:
+                resid = resid - (u @ target) * u
+            ref[j] = np.linalg.norm(resid)
+        got = optimal_ksm_error(A, b, np.exp, k)
+        assert got.tobytes() == ref.tobytes()
+        assert exhausted == (k > d)
+
 
 class TestParseMatrixSpec:
     def test_graded(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import krylov.core
 from krylov.core import (
     ExtendedTridiagonal,
     LinearOperator,
@@ -89,6 +90,23 @@ class TestSymTridiagEig:
             assert min(
                 np.abs(col - p).max(), np.abs(col + p).max()
             ) <= 1e-8
+
+    @pytest.mark.parametrize("where", ["alphas", "betas"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises(self, where, bad):
+        T = random_tridiag(np.random.default_rng(5), 6)
+        entries = {"alphas": T.alphas.copy(), "betas": T.betas.copy()}
+        entries[where][2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            sym_tridiag_eig(SymTridiagonal(**entries))
+
+    def test_no_convergence_raises(self, monkeypatch):
+        # dstev's info > 0: the QL/QR iteration left off-diagonals nonzero.
+        monkeypatch.setattr(
+            krylov.core, "dstev", lambda d, e: (d.copy(), np.eye(d.size), 2)
+        )
+        with pytest.raises(np.linalg.LinAlgError):
+            sym_tridiag_eig(random_tridiag(np.random.default_rng(6), 4))
 
 
 class TestTridiagApplyFunction:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from krylov.core import LinearOperator
 from krylov.errors import KrylovError
 from krylov.experiments import (
     ExperimentConfig,
@@ -18,6 +19,41 @@ def test_experiment_passes_with_defaults(name, tmp_path):
     failed = [a.name for a in report.assertions if not a.passed]
     assert report.passed, f"failed assertions: {failed}"
     assert report.csv_path is not None
+
+
+# Operator applications per default run: every Lanczos prefix and dense
+# oracle is formed once.  slq-wasserstein reads its degrees 8 and 16 off
+# each probe's 32-step run (8 x 32), and fa-optimality forms the dense
+# operator once for both its target and the optimal baseline (100 + 40).
+# 1208 in all.
+OPERATOR_CALLS = {
+    "cg-bounds": 180,
+    "fa-formulas": 124,
+    "fa-optimality": 140,
+    "fp-lanczos": 80,
+    "indefinite": 160,
+    "kpm-density": 98,
+    "moment-stability": 80,
+    "nearby-problem": 90,
+    "slq-wasserstein": 256,
+}
+
+
+def test_default_operator_call_budget(monkeypatch):
+    apply = LinearOperator.apply
+    calls = [0]
+
+    def counted(self, v):
+        calls[0] += 1
+        return apply(self, v)
+
+    monkeypatch.setattr(LinearOperator, "apply", counted)
+    got = {}
+    for name in list_experiments():
+        calls[0] = 0
+        run_experiment(ExperimentConfig(experiment=name))
+        got[name] = calls[0]
+    assert got == OPERATOR_CALLS
 
 
 def test_unknown_experiment_raises():

@@ -1,21 +1,29 @@
 """Properties of the shared Lanczos recurrence on random spectra drawn by
 hypothesis (profile in ``conftest.py``): bit identities between callers,
 orthonormality of the reorthogonalized basis, the polynomial exactness of
-Lanczos-FA and Gauss quadrature, and stochastic estimates that do not
-depend on probe scheduling."""
+Lanczos-FA and Gauss quadrature, stochastic estimates that do not
+depend on probe scheduling, the tridiagonal eigensolver against scipy's,
+and multi-degree SLQ densities against one-degree calls."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from krylov.core import LinearOperator  # noqa: E402
+from krylov.core import LinearOperator, SymTridiagonal, sym_tridiag_eig  # noqa: E402
 from krylov.lanczos import ReorthMode, lanczos  # noqa: E402
 from krylov.matfunc import lanczos_fa, lanczos_qf, two_pass_lanczos_fa  # noqa: E402
 from krylov.solvers import cg, multi_shift_solve  # noqa: E402
-from krylov.trace import ProbeSampler, kpm_density, slq_density, slq_trace  # noqa: E402
+from krylov.trace import (  # noqa: E402
+    ProbeSampler,
+    _slq_densities,
+    kpm_density,
+    slq_density,
+    slq_trace,
+)
 
 spectra = st.lists(
     st.floats(-10.0, 10.0, allow_subnormal=False), min_size=2, max_size=30
@@ -201,3 +209,72 @@ def test_estimates_do_not_depend_on_probe_scheduling(
     with probe_pool(3):
         pooled = estimator_outcomes(A, k, m, sampler)
     assert pooled == serial
+
+
+tridiagonal_entries = st.integers(1, 60).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=n, max_size=n),
+        st.lists(
+            st.floats(-1e3, 1e3, allow_subnormal=False), min_size=n - 1, max_size=n - 1
+        ),
+    )
+)
+
+
+@given(tridiagonal_entries)
+def test_sym_tridiag_eig_is_scipy_stev(entries):
+    # LAPACK dstev called directly gives the bytes of scipy's
+    # eigh_tridiagonal(lapack_driver="stev") under the sign convention
+    # (first nonzero component of each eigenvector positive).
+    T = SymTridiagonal(*entries)
+    vals, vecs = scipy.linalg.eigh_tridiagonal(T.alphas, T.betas, lapack_driver="stev")
+    first = vecs[np.argmax(vecs != 0, axis=0), np.arange(vecs.shape[1])]
+    vecs[:, first < 0] *= -1.0
+    eig = sym_tridiag_eig(T)
+    assert eig.eigenvalues.tobytes() == vals.tobytes()
+    assert eig.eigenvectors.tobytes() == vecs.tobytes()
+
+
+def assert_densities_match_one_degree_calls(A, ks, m, sampler):
+    together = _slq_densities(A, ks, m, sampler)
+    assert len(together) == len(ks)
+    for k, approx in zip(ks, together):
+        alone = slq_density(A, k, m, sampler)
+        assert approx.measure.nodes.tobytes() == alone.measure.nodes.tobytes()
+        assert approx.measure.weights.tobytes() == alone.measure.weights.tobytes()
+    return together
+
+
+# At most three distinct eigenvalues: every probe breaks down by step 3.
+few_distinct = st.lists(st.sampled_from([-2.0, 0.5, 3.0]), min_size=2, max_size=30)
+
+
+@given(
+    vals=st.one_of(spectra, few_distinct),
+    seed=start_seeds,
+    ks=st.lists(st.integers(1, 40), min_size=1, max_size=4),
+    m=st.sampled_from([1, 2, 7]),
+)
+def test_slq_densities_equal_one_degree_calls(probe_pool, vals, seed, ks, m):
+    # Each degree read off one max(ks)-step run per probe has the bytes of
+    # its own slq_density call, with the probes serial and on a pool.
+    A = LinearOperator.diagonal(vals)
+    sampler = ProbeSampler(seed=seed)
+    with probe_pool(1):
+        serial = assert_densities_match_one_degree_calls(A, ks, m, sampler)
+    with probe_pool(3):
+        pooled = assert_densities_match_one_degree_calls(A, ks, m, sampler)
+    for a, b in zip(serial, pooled):
+        assert a.measure.nodes.tobytes() == b.measure.nodes.tobytes()
+        assert a.measure.weights.tobytes() == b.measure.weights.tobytes()
+
+
+def test_slq_densities_after_early_breakdown(pooled):
+    # Three distinct eigenvalues: each probe stops at step 3 of 16, so
+    # degrees 5 and 16 both put every probe's nodes on the spectrum.
+    A = LinearOperator.diagonal(np.repeat([1.0, 2.0, 4.0], 20))
+    ks, m = (2, 16, 5), 7
+    out = assert_densities_match_one_degree_calls(A, ks, m, ProbeSampler(seed=3))
+    assert out[0].measure.nodes.size == 2 * m
+    for approx in out[1:]:  # coincident nodes merge across probes
+        np.testing.assert_allclose(approx.measure.nodes, [1.0, 2.0, 4.0], rtol=1e-12)
