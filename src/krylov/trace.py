@@ -309,8 +309,6 @@ def _slq_densities(A: LinearOperator, ks, m: int, sampler: ProbeSampler) -> list
     of a longer one from the same start vector, so degree k reads its
     quadrature off the leading ``min(k, steps run)`` block of T."""
     _check_probes(m)
-    if min(ks) < 1:
-        raise ValueError("k must be at least 1")
 
     def quadratures(i):
         rec = _Recurrence(A, sampler.probe(i, A.dim), max(ks)).run()
