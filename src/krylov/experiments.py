@@ -497,8 +497,11 @@ def _kpm_density(cfg: ExperimentConfig) -> ExperimentReport:
     for _ in range(10):
         p = rng.standard_normal(2 * k)  # power-basis coefficients, deg < 2k
 
-        def poly(x, p=p):
-            return np.polynomial.polynomial.polyval(x, p)
+        def poly(x, p=p.tolist()):  # Horner's rule, as polyval runs it
+            acc = p[-1]
+            for coef in p[-2::-1]:
+                acc = coef + acc * x
+            return acc
 
         lhs = plain.integrate(poly)
         rhs = float(np.sum(psi.weights * poly(psi.nodes)))

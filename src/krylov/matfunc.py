@@ -83,15 +83,15 @@ def lanczos_fa(
     evaluates Q f(T) Q^T b instead, which is *not* equivalent once
     orthogonality degrades; it exists only to demonstrate the failure.
     """
+    if formula not in ("correct", "pitfall"):
+        raise ValueError(f"unknown formula {formula!r}")
     dec = lanczos(A, b, k, mode=mode)
     Q, T, b_norm = dec.basis, dec.T, dec.b_norm
     if formula == "correct":
         coeffs = tridiag_apply_function(T, f)
         value = _ordered_accumulate(Q.T, coeffs, b_norm)
-    elif formula == "pitfall":
-        value = _pitfall_apply(Q, T, b, f)
     else:
-        raise ValueError(f"unknown formula {formula!r}")
+        value = _pitfall_apply(Q, T, b, f)
     return MatFuncResult(
         value=value, k_used=T.size, diagnostics={"trailing_beta": dec.trailing_beta}
     )
@@ -147,33 +147,32 @@ def rational_apply(
     mode: ReorthMode = ReorthMode.FULL,
 ):
     """Apply a rational approximation sum_i w_i (A - z_i I)^{-1} b with a
-    single shared Lanczos run and one shifted small tridiagonal solve per
-    shift.  When shifts come in conjugate pairs with conjugate weights
-    the imaginary part (checked to be negligible) is discarded.
+    single shared Lanczos run: the coefficients c = sum_i w_i
+    (T - z_i I)^{-1} e1 come from one shifted small tridiagonal solve per
+    shift, and ||b|| Q c is accumulated once.  When shifts come in
+    conjugate pairs with conjugate weights the imaginary part of c (checked
+    to be negligible) is discarded and the result is real.
     """
     shifts = np.asarray(family.shifts, dtype=complex)
     weights = np.asarray(family.weights, dtype=complex)
     dec = lanczos(A, b, k, mode=mode)
-    Q, T = dec.basis, dec.T
+    T = dec.T
     e1 = np.zeros(T.size)
-    e1[0] = dec.b_norm
-    parts, singular = [], []
-    for z in shifts:
+    e1[0] = 1.0
+    coeffs = np.zeros(T.size, dtype=complex)
+    singular = []
+    for w, z in zip(weights, shifts):
         zval = z if z.imag != 0.0 else z.real
         try:
-            parts.append(Q @ tridiag_solve(T, e1, shift=zval))
+            coeffs = coeffs + w * tridiag_solve(T, e1, shift=zval)
         except SingularSystem:
             singular.append(z)
     if singular:
         raise SingularSystem(f"singular shifted solves at {singular}")
-
-    result = np.zeros(A.dim, dtype=complex)
-    for w, x in zip(weights, parts):
-        result = result + w * np.asarray(x, dtype=complex)
-    scale = float(np.abs(result).max()) or 1.0
-    if float(np.abs(result.imag).max()) <= 1e-10 * scale:
-        return result.real
-    return result
+    scale = float(np.abs(coeffs).max()) or 1.0
+    if float(np.abs(coeffs.imag).max()) <= 1e-10 * scale:
+        coeffs = coeffs.real
+    return _ordered_accumulate(dec.basis.T, coeffs, dec.b_norm)
 
 
 def block_lanczos_fa(A: LinearOperator, B: np.ndarray, f, k: int) -> np.ndarray:

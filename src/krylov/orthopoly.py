@@ -106,6 +106,17 @@ def _cheb_rows(kind: str, n: int, x):
         yield p
 
 
+def _cheb_series(c: np.ndarray, xt, scale: float):
+    """c_0 + scale * sum_{n>=1} c_n T_n(xt), summed in degree order: the
+    one Chebyshev-T series loop, for the classical expansion (scale 2) and
+    the orthonormal KPM basis (scale sqrt(2))."""
+    out = np.full_like(np.asarray(xt, dtype=float), c[0])
+    for n, t in enumerate(_cheb_rows("T", c.size, xt)):
+        if n:
+            out = out + (scale * c[n]) * t
+    return out
+
+
 def cheb_eval(kind: str, n: int, x):
     """Evaluate the Chebyshev polynomial T_n or U_n by the forward
     three-term recurrence."""
@@ -142,13 +153,7 @@ class ChebyshevExpansion:
         return self.coefficients.size - 1
 
     def __call__(self, x):
-        xt = _to_unit(x, self.interval)
-        c = self.coefficients
-        out = np.full_like(np.asarray(xt, dtype=float), c[0])
-        for n, t in enumerate(_cheb_rows("T", c.size, xt)):
-            if n:
-                out = out + 2.0 * c[n] * t
-        return out
+        return _cheb_series(self.coefficients, _to_unit(x, self.interval), 2.0)
 
 
 def cheb_approximant(f, degree: int, interval=(-1.0, 1.0)) -> ChebyshevExpansion:

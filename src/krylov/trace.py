@@ -5,13 +5,14 @@ densities, and kernel-polynomial (KPM) densities with damping.
 Probes are independent work items keyed by (seed, probe index); all
 reductions run in probe-index order so results are deterministic under
 any execution schedule.  The probes of :func:`slq_trace`,
-:func:`slq_density` and :func:`kpm_density` run on a process-wide thread
-pool, one thread per usable CPU (so CPU affinity, e.g. ``taskset``,
-limits the workers), when the operator dimension is at least
-``_POOL_MIN_DIM``: scipy's sparse products and numpy's vector arithmetic
-release the interpreter lock, so probes overlap.  Each probe builds its
-own recurrence; only ``A``, ``f`` and the sampler are shared, so
-``LinearOperator.apply`` must tolerate concurrent calls (see ``core``).
+:func:`slq_density` and :func:`kpm_density` run on a thread pool that
+each call starts and shuts down, one thread per usable CPU up to one per
+probe (so CPU affinity, e.g. ``taskset``, limits the workers), when the
+operator dimension is at least ``_POOL_MIN_DIM``: scipy's sparse products
+and numpy's vector arithmetic release the interpreter lock, so probes
+overlap.  Each probe builds its own recurrence; only ``A``, ``f`` and the
+sampler are shared, so ``LinearOperator.apply`` must tolerate concurrent
+calls (see ``core``).
 Estimates are bit-identical for any number of workers.
 :func:`hutchinson_trace` and :func:`control_variate_trace` call user
 callables that make no such promise, and stay serial.
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,7 +34,7 @@ from .lanczos import _Recurrence
 from .matfunc import lanczos_qf
 from .orthopoly import (
     DiscreteMeasure,
-    _cheb_rows,
+    _cheb_series,
     gauss_quadrature,
     jackson_damping,
     modified_moments,
@@ -102,9 +103,7 @@ class TraceEstimate:
 # up to d=1.3e4, 1.1x at d=1.6e4, 1.3-1.7x from d=2.6e4 to 2e5.
 _POOL_MIN_DIM = 16_384
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-_worker = threading.local()  # ``active`` is set on the pool's threads
+_worker = threading.local()  # ``active`` is set on the probe threads
 
 
 def _usable_cpus() -> int:
@@ -114,54 +113,29 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _drop_pool() -> None:
-    """Forget the executor: a forked child inherits it without its threads."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
 def _mark_worker() -> None:
     _worker.active = True
 
 
-def _executor() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(
-                max_workers=_usable_cpus(),
-                thread_name_prefix="krylov-probe",
-                initializer=_mark_worker,
-            )
-        return _pool
-
-
 def _map_probes(fn, m: int, d: int) -> list:
-    """``[fn(0), ..., fn(m - 1)]``, on the pool when that can pay.
+    """``[fn(0), ..., fn(m - 1)]``, on threads of this call when that can pay.
 
     Serial with fewer than two usable CPUs or items, below
-    ``_POOL_MIN_DIM``, or inside a pool worker (a nested estimator would
-    otherwise wait on the pool it occupies).  As in the serial loop, the
-    first item to fail in index order raises its own exception; items not
-    yet started are cancelled and running ones finish before it does.
+    ``_POOL_MIN_DIM``, or inside a probe thread (a nested estimator would
+    otherwise start threads of its own for every outer probe).  The pool
+    lives for this call only.  As in the serial loop, the first item to
+    fail in index order raises its own exception; items not yet started
+    are cancelled and running ones finish before it does.
     """
-    if (
-        m < 2
-        or d < _POOL_MIN_DIM
-        or getattr(_worker, "active", False)
-        or _usable_cpus() < 2
-    ):
+    workers = min(m, _usable_cpus())
+    if workers < 2 or d < _POOL_MIN_DIM or getattr(_worker, "active", False):
         return [fn(i) for i in range(m)]
-    pool = _executor()
-    futures = [pool.submit(fn, i) for i in range(m)]
-    try:
-        return [f.result() for f in futures]
-    finally:  # a cancelled future never runs; wait for the rest
-        wait([f for f in futures if not f.cancel()])
+    with ThreadPoolExecutor(workers, "krylov-probe", _mark_worker) as pool:
+        futures = [pool.submit(fn, i) for i in range(m)]
+        try:
+            return [f.result() for f in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def _check_probes(m: int) -> None:
@@ -270,7 +244,7 @@ class DensityApprox:
         xt = np.cos(theta)
         x = 0.5 * (b - a) * xt + 0.5 * (a + b)
         gv = _finite_values(g, x, FunctionDomainError)
-        return float(np.sum(gv * _kpm_series(c, xt)) / n_quad)
+        return float(np.sum(gv * _cheb_series(c, xt, math.sqrt(2.0))) / n_quad)
 
     def density(self, x) -> np.ndarray:
         """Pointwise density (KPM form only)."""
@@ -281,17 +255,7 @@ class DensityApprox:
         xt = (2.0 * x - (a + b)) / (b - a)
         with np.errstate(divide="ignore", invalid="ignore"):
             v = 1.0 / (np.pi * np.sqrt(1.0 - xt**2))
-        return _kpm_series(self.coefficients, xt) * v * 2.0 / (b - a)
-
-
-def _kpm_series(c: np.ndarray, xt: np.ndarray) -> np.ndarray:
-    """c_0 + sum_n c_n sqrt(2) T_n(xt): a KPM expansion against the
-    orthonormal Chebyshev basis, at points of the unit interval."""
-    series = np.full_like(xt, c[0])
-    for n, t in enumerate(_cheb_rows("T", c.size, xt)):
-        if n:
-            series = series + c[n] * math.sqrt(2.0) * t
-    return series
+        return _cheb_series(self.coefficients, xt, math.sqrt(2.0)) * v * 2.0 / (b - a)
 
 
 def slq_density(

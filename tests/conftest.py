@@ -53,18 +53,12 @@ def nan_after():
 
 @contextmanager
 def _probe_pool(workers=3):
-    """Run every probe map of ``krylov.trace`` on a fresh pool of
-    ``workers`` threads at any operator size; ``workers=1`` keeps every map
-    serial.  The pool is shut down on exit, its queued work cancelled."""
+    """Run every probe map of ``krylov.trace`` on up to ``workers``
+    threads at any operator size; ``workers=1`` keeps every map serial."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(krylov.trace, "_POOL_MIN_DIM", 0)
         mp.setattr(krylov.trace, "_usable_cpus", lambda: workers)
-        mp.setattr(krylov.trace, "_pool", None)
-        try:
-            yield
-        finally:
-            if krylov.trace._pool is not None:
-                krylov.trace._pool.shutdown(cancel_futures=True)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -133,6 +133,18 @@ class TestLanczosFA:
         with pytest.raises(FunctionDomainError):
             lanczos_fa(A, np.ones(2), np.sqrt, 2)
 
+    def test_unknown_formula_is_rejected_before_any_matvec(self):
+        calls = [0]
+        D = LinearOperator.diagonal([1.0, 2.0, 3.0])
+
+        def matvec(v):
+            calls[0] += 1
+            return D.apply(v)
+
+        with pytest.raises(ValueError, match="unknown formula"):
+            lanczos_fa(LinearOperator(3, matvec), np.ones(3), np.exp, 3, formula="exact")
+        assert calls[0] == 0
+
 
 class TestTwoPass:
     @pytest.mark.parametrize("stride", [1, 8, 100])
@@ -299,6 +311,26 @@ class TestRationalApply:
             xz = np.linalg.solve(M - z * np.eye(d), b)
             per_pole += abs(w) * np.linalg.norm(h.final - xz)
         assert np.linalg.norm(got - exact) <= per_pole * (1 + 1e-6) + 1e-12
+
+
+def test_rational_apply_holds_one_real_basis():
+    # NONE mode stores the k-vector basis once; summing the shifts on T
+    # and accumulating ||b|| Q c once adds no complex copy of it.
+    import tracemalloc
+
+    d, k = 20_000, 40
+    A = LinearOperator.diagonal(np.geomspace(1.0, 100.0, d))
+    b = np.random.default_rng(19).standard_normal(d)
+    z, w = -1.0 + 2.0j, 0.5 - 0.25j
+    fam = ShiftFamily([-0.5, z, np.conj(z), -3.0], [1.0, w, np.conj(w), 2.0])
+    tracemalloc.start()
+    try:
+        got = rational_apply(A, b, fam, k, mode=ReorthMode.NONE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isrealobj(got)
+    assert peak < 2 * k * d * 8
 
 
 class TestBlockMatFunc:

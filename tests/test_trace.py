@@ -474,6 +474,24 @@ class TestProbePool:
         assert done[0] == slq_trace(inner_op, np.exp, 3, 7, ProbeSampler(seed=1))
         assert all(name.startswith("krylov-probe") for name in seen)
 
+    def test_nested_estimator_runs_on_its_probe_thread(self, pooled):
+        # An estimator called inside a probe runs serially on that probe's
+        # thread; it starts no pool of its own for each outer probe.
+        D = self.op()
+
+        def matvec(v):
+            threads = set()
+
+            def inner(u):
+                threads.add(threading.get_ident())
+                return D.apply(u)
+
+            slq_trace(LinearOperator(self.d, inner), np.exp, 3, 4, ProbeSampler(seed=1))
+            assert threads == {threading.get_ident()}
+            return D.apply(v)
+
+        slq_trace(LinearOperator(self.d, matvec), np.exp, 2, 4, ProbeSampler(seed=1))
+
     def test_below_the_cutoff_every_matvec_runs_on_the_calling_thread(self):
         d = krylov.trace._POOL_MIN_DIM - 1
         D = LinearOperator.diagonal(np.linspace(1.0, 2.0, d))
@@ -525,23 +543,40 @@ class TestProbePool:
             sys.setswitchinterval(interval)
         assert pooled == serial
 
+    def test_no_probe_thread_outlives_its_call(self, pooled):
+        def probe_threads():
+            return [t for t in threading.enumerate() if t.name.startswith("krylov-probe")]
+
+        s = ProbeSampler(seed=9)
+        seen = []
+        D = self.op()
+
+        def matvec(v):
+            seen.append(threading.current_thread().name)
+            return D.apply(v)
+
+        slq_trace(LinearOperator(self.d, matvec), np.exp, 4, 4, s)
+        assert seen and all(name.startswith("krylov-probe") for name in seen)
+        assert probe_threads() == []
+        A = keyed(self.op(), starts(s, 2, self.d))
+        with pytest.raises(NonFiniteOperator):
+            slq_trace(A, np.exp, 4, 4, s)
+        assert probe_threads() == []
+
     def test_forked_child_builds_its_own_pool(self, pooled):
         s = ProbeSampler(seed=8)
-        want = slq_trace(self.op(), np.exp, 4, 4, s)  # the parent's pool exists now
-        assert krylov.trace._pool is not None
+        want = slq_trace(self.op(), np.exp, 4, 4, s)
         ctx = multiprocessing.get_context("fork")
         queue = ctx.Queue()
         child = ctx.Process(
-            target=lambda: queue.put(
-                (krylov.trace._pool is None, slq_trace(self.op(), np.exp, 4, 4, s))
-            ),
+            target=lambda: queue.put(slq_trace(self.op(), np.exp, 4, 4, s)),
             daemon=True,
         )
         child.start()
         got = queue.get(timeout=30)
         child.join(timeout=30)
         assert child.exitcode == 0
-        assert got == (True, want)
+        assert got == want
 
 
 class TestControlVariate:
