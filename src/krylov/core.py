@@ -169,18 +169,34 @@ def sym_tridiag_eig(T: SymTridiagonal) -> TridiagEig:
         vals = np.array([T.alphas[0]])
         vecs = np.array([[1.0]])
         return TridiagEig(vals, vecs)
-    if not (np.isfinite(T.alphas).all() and np.isfinite(T.betas).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    vals, vecs, info = dstev(T.alphas, T.betas)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"dstev: {info} off-diagonal elements did not converge to zero"
-        )
+    vals, vecs = _dstev(T)
     # Deterministic sign convention: first nonzero component positive.
     first = vecs[np.argmax(vecs != 0, axis=0), np.arange(vecs.shape[1])]
     flip = first < 0
     vecs[:, flip] = -vecs[:, flip]
     return TridiagEig(vals, vecs)
+
+
+def _tridiag_eigenvalues(T: SymTridiagonal) -> np.ndarray:
+    """The ascending eigenvalues of ``T`` alone: ``dstev`` without
+    eigenvectors (LAPACK's root-free QL/QR ``dsterf``), so no k-by-k
+    matrix is formed.  They may differ from :func:`sym_tridiag_eig`'s in
+    the last bits.  Raises as :func:`sym_tridiag_eig` does."""
+    if T.size == 1:
+        return np.array([T.alphas[0]])
+    return _dstev(T, compute_v=0)[0]
+
+
+def _dstev(T: SymTridiagonal, **options) -> tuple:
+    """``dstev``'s values and vectors, after the checks both callers share."""
+    if not (np.isfinite(T.alphas).all() and np.isfinite(T.betas).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    vals, vecs, info = dstev(T.alphas, T.betas, **options)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"dstev: {info} off-diagonal elements did not converge to zero"
+        )
+    return vals, vecs
 
 
 def _finite_values(f, points: np.ndarray, error: type) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import LinearOperator, _finite_values, sym_tridiag_eig
+from .core import LinearOperator, _finite_values, _tridiag_eigenvalues
 from .errors import FunctionDomainError, NonFiniteOperator, SpectrumOutsideInterval
 from .lanczos import _Recurrence
 from .matfunc import lanczos_qf
@@ -292,7 +292,7 @@ def _slq_densities(A: LinearOperator, ks, m: int, sampler: ProbeSampler) -> list
 def _enclosing_interval(T, interval) -> tuple:
     """The KPM interval: ``interval`` checked to enclose the Ritz values of
     ``T``, or, when None, their hull widened by 5% of its length each side."""
-    vals = sym_tridiag_eig(T).eigenvalues
+    vals = _tridiag_eigenvalues(T)
     lo, hi = float(vals[0]), float(vals[-1])
     if interval is None:
         span = max(hi - lo, 1e-300)
@@ -322,11 +322,19 @@ def kpm_density(
     basis are quadratic forms b^T q_n(A~) b averaged over probes, computed
     either by the explicit Chebyshev vector recurrence or from a k-step
     Lanczos quadrature (exact for these degrees, and forward-stable even
-    without reorthogonalization).  One min(2k, d)-step Lanczos run on
-    probe 0 sets the interval from its Ritz values, and the quadrature
-    path reuses its first k steps.  A given ``interval`` still costs those
-    min(2k, d) matvecs, only to check that it encloses the Ritz values; an
-    empty one is rejected before any.  A NaN or Inf moment raises
+    without reorthogonalization).  The recurrence forms v_n = T_n(A~) b
+    for n <= k only and takes mu_n = b^T v_n there; above k it uses the
+    product identities T_{2j} = 2 T_j^2 - T_0 and
+    T_{2j+1} = 2 T_{j+1} T_j - T_1, so mu_{2j} = 2 v_j^T v_j - mu_0 and
+    mu_{2j+1} = 2 v_{j+1}^T v_j - mu_1 (Weisse, Wellein, Alvermann &
+    Fehske 2006, "The kernel polynomial method", Sec. II.C).  One
+    min(2k, d)-step Lanczos run on probe 0 sets the interval from the
+    extremes of its Ritz values, and the quadrature path reuses its first
+    k steps.  Operator applications, at most: min(2k, d) + m k for the
+    recurrence, min(2k, d) + (m - 1) k for ``"lanczos_qf"``.  A given
+    ``interval`` still costs those min(2k, d) matvecs, only to check that
+    it encloses the Ritz values; an empty one is rejected before any.  A
+    NaN or Inf moment, direct or doubled, raises
     :class:`NonFiniteOperator`.  Probes run concurrently on large operators
     (see the module docstring), with the same result; with ``interval``
     given the enclosure check runs alongside them, and its
@@ -360,23 +368,31 @@ def kpm_density(
             quad = gauss_quadrature(T, rec.b_norm**2)
             return modified_moments(quad, n_coeffs, "T", (a, b_right))
 
-        # v_{n+1} = 2 A~ v_n - v_{n-1} on the mapped operator
+        # v_{n+1} = 2 A~ v_n - v_{n-1} on the mapped operator, to v_k: k
+        # products.  mu_n = b . v_n up to n = k; above k the doubling
+        # identities give mu_{2j} = 2 v_j . v_j - mu_0 and
+        # mu_{2j-1} = 2 v_j . v_{j-1} - mu_1, as soon as v_j exists.
         def amap(v):
             return (2.0 * A.apply(v) - (a + b_right) * v) / span
 
-        def moment(v):
-            mu = float(b @ v)
+        mus = np.empty(n_coeffs)
+
+        def record(n, mu):
             if not math.isfinite(mu):
                 raise NonFiniteOperator("non-finite KPM moment")
-            return mu
+            mus[n] = mu
 
-        v_prev = b
-        v = amap(b)
-        mus = [moment(v_prev), moment(v)]
-        for _ in range(2, n_coeffs):
+        v_prev, v = b, amap(b)
+        record(0, float(b @ v_prev))
+        record(1, float(b @ v))
+        for j in range(2, k + 1):
             v, v_prev = 2.0 * amap(v) - v_prev, v
-            mus.append(moment(v))
-        return np.asarray(mus)
+            record(j, float(b @ v))
+            if 2 * j - 1 > k:
+                record(2 * j - 1, 2.0 * float(v @ v_prev) - mus[1])
+            if k < 2 * j < n_coeffs:
+                record(2 * j, 2.0 * float(v @ v) - mus[0])
+        return mus
 
     if interval is None:  # the moments need the interval the Ritz run sets
         ritz, (a, b_right) = ritz_run()

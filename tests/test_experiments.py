@@ -25,14 +25,14 @@ def test_experiment_passes_with_defaults(name, tmp_path):
 # oracle is formed once.  slq-wasserstein reads its degrees 8 and 16 off
 # each probe's 32-step run (8 x 32), and fa-optimality forms the dense
 # operator once for both its target and the optimal baseline (100 + 40).
-# 1208 in all.
+# 1190 in all.
 OPERATOR_CALLS = {
     "cg-bounds": 180,
     "fa-formulas": 124,
     "fa-optimality": 140,
     "fp-lanczos": 80,
     "indefinite": 160,
-    "kpm-density": 98,
+    "kpm-density": 80,
     "moment-stability": 80,
     "nearby-problem": 90,
     "slq-wasserstein": 256,

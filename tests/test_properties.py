@@ -3,7 +3,10 @@ hypothesis (profile in ``conftest.py``): bit identities between callers,
 orthonormality of the reorthogonalized basis, the polynomial exactness of
 Lanczos-FA and Gauss quadrature, stochastic estimates that do not
 depend on probe scheduling, the tridiagonal eigensolver against scipy's,
-and multi-degree SLQ densities against one-degree calls."""
+multi-degree SLQ densities against one-degree calls, and the doubled KPM
+moments against the plain Chebyshev recurrence."""
+
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +16,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from krylov.core import LinearOperator, SymTridiagonal, sym_tridiag_eig  # noqa: E402
+from krylov.core import (  # noqa: E402
+    LinearOperator,
+    SymTridiagonal,
+    _tridiag_eigenvalues,
+    sym_tridiag_eig,
+)
 from krylov.lanczos import ReorthMode, lanczos  # noqa: E402
 from krylov.matfunc import lanczos_fa, lanczos_qf, two_pass_lanczos_fa  # noqa: E402
 from krylov.solvers import cg, multi_shift_solve  # noqa: E402
@@ -233,6 +241,59 @@ def test_sym_tridiag_eig_is_scipy_stev(entries):
     eig = sym_tridiag_eig(T)
     assert eig.eigenvalues.tobytes() == vals.tobytes()
     assert eig.eigenvectors.tobytes() == vecs.tobytes()
+
+
+@given(tridiagonal_entries)
+def test_tridiag_eigenvalues_are_scipy_stev_values(entries):
+    # The eigenvalues-only dstev call gives the bytes of scipy's
+    # eigh_tridiagonal(eigvals_only=True, lapack_driver="stev").
+    T = SymTridiagonal(*entries)
+    want = scipy.linalg.eigh_tridiagonal(
+        T.alphas, T.betas, eigvals_only=True, lapack_driver="stev"
+    )
+    assert _tridiag_eigenvalues(T).tobytes() == want.tobytes()
+
+
+def plain_kpm_coefficients(A, k, interval, m, sampler):
+    """Undamped KPM coefficients from the plain three-term recurrence:
+    2k - 1 operator applications per probe, every mu_n = b . v_n."""
+    a, b_right = interval
+    span = b_right - a
+
+    def amap(v):
+        return (2.0 * A.apply(v) - (a + b_right) * v) / span
+
+    moments = np.zeros(2 * k)
+    for i in range(m):
+        b = sampler.probe(i, A.dim)
+        v_prev, v = b, amap(b)
+        mus = [float(b @ v_prev), float(b @ v)]
+        for _ in range(2, 2 * k):
+            v, v_prev = 2.0 * amap(v) - v_prev, v
+            mus.append(float(b @ v))
+        moments += np.asarray(mus)
+    moments /= m
+    moments[1:] *= math.sqrt(2.0)
+    return moments
+
+
+@given(
+    vals=spectra,
+    seed=start_seeds,
+    k=st.integers(1, 40),
+    m=st.sampled_from([1, 2, 3]),
+    pads=st.tuples(st.floats(1e-3, 5.0), st.floats(1e-3, 5.0)),
+)
+def test_kpm_doubled_moments_match_the_plain_recurrence(vals, seed, k, m, pads):
+    # Degrees 0..k are b . v_n as before, bit for bit; degrees k+1..2k-1
+    # come from the doubling identities, within rounding of mu_0.
+    A = LinearOperator.diagonal(vals)
+    interval = (min(vals) - pads[0], max(vals) + pads[1])
+    sampler = ProbeSampler(seed=seed)
+    got = kpm_density(A, k, interval, damping=None, m=m, sampler=sampler).coefficients
+    want = plain_kpm_coefficients(A, k, interval, m, sampler)
+    assert got[: k + 1].tobytes() == want[: k + 1].tobytes()
+    assert np.abs(got[k + 1 :] - want[k + 1 :]).max(initial=0.0) <= 1e-12 * want[0]
 
 
 def assert_densities_match_one_degree_calls(A, ks, m, sampler):

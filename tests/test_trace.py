@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,10 +76,28 @@ class TestNonFiniteOperator:
         with pytest.raises(NonFiniteOperator):
             kpm_density(self._op(nan_after, 0), 4, coeff_method=coeff_method)
 
-    def test_kpm_moment(self, nan_after):
-        # The 8-step Ritz run is finite; the Chebyshev recurrence is not.
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize(
+        "first_bad, value",
+        [(9, np.nan), (12, np.nan), (11, 1e200)],
+        ids=["direct-step-1", "direct-step-4", "doubled-step-3"],
+    )
+    def test_kpm_moment(self, first_bad, value):
+        # The 8-step Ritz run is finite; from call `first_bad` on, the
+        # operator returns `value` everywhere, and the Chebyshev recurrence
+        # (k = 4 products, calls 9-12) raises at that step.  NaN makes the
+        # direct mu_j = b . v_j NaN; 1e200 at step 3 keeps mu_3 and mu_5
+        # finite and overflows the doubled mu_6 = 2 v_3 . v_3 - mu_0.
+        D = LinearOperator.diagonal(np.linspace(1.0, 2.0, 10))
+        calls = [0]
+
+        def matvec(v):
+            calls[0] += 1
+            return np.full(D.dim, value) if calls[0] >= first_bad else D.apply(v)
+
         with pytest.raises(NonFiniteOperator, match="moment"):
-            kpm_density(self._op(nan_after, 8), 4, interval=(0.0, 3.0))
+            kpm_density(LinearOperator(D.dim, matvec), 4, interval=(0.0, 3.0))
+        assert calls[0] == first_bad
 
 
 class TestProbeSampler:
@@ -343,6 +362,31 @@ class TestKpmDensity:
         assert calls[0] == 60
         want = kpm_density(D, 30, m=1, coeff_method="recurrence")
         assert np.abs(got.coefficients - want.coefficients).max() <= 1e-8
+
+    def test_recurrence_operator_calls(self):
+        # min(2k, d) for probe 0's Ritz run, then k per probe: the doubling
+        # identities give degrees k+1..2k-1 from v_0..v_k.
+        D = LinearOperator.diagonal(np.linspace(-1.0, 1.0, 400))
+        for interval, m, want in ((None, 1, 90), ((-1.1, 1.1), 3, 150)):
+            op, calls = counting(D)
+            kpm_density(op, 30, interval, m=m, coeff_method="recurrence")
+            assert calls[0] == want
+
+    def test_recurrence_peak_does_not_grow_with_k(self):
+        # The Ritz run keeps its tridiagonal and takes only its extreme
+        # eigenvalues; the moments keep a few d-vectors.  Eight times the
+        # steps may not cost one more d-vector.
+        d = 20_000
+        A = LinearOperator.diagonal(np.linspace(1.0, 10.0, d))
+        peaks = []
+        for k in (20, 160):
+            tracemalloc.start()
+            try:
+                kpm_density(A, k)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 8 * d
 
     def test_approximates_reference_density(self):
         # Operator with arcsine-distributed spectrum: the damped KPM
