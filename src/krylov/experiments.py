@@ -13,6 +13,7 @@ import numpy as np
 from .core import (
     _eig_apply_function,
     _finite_values,
+    _tridiag_eigenvalues,
     sym_tridiag_eig,
     tridiag_apply_function,
 )
@@ -100,7 +101,7 @@ def _start_vector(d: int) -> np.ndarray:
 def _ghost_multiplicity(T, lam_max: float) -> int:
     """Number of Ritz values within 1e-6 (scaled) of the top eigenvalue."""
     tol = 1e-6 * max(abs(lam_max), 1.0)
-    ritz = sym_tridiag_eig(T).eigenvalues
+    ritz = _tridiag_eigenvalues(T)
     return int(np.sum(np.abs(ritz - lam_max) <= tol))
 
 

@@ -1,7 +1,9 @@
 """Linear-system solvers on top of the Lanczos recurrence: CG (tridiagonal
 and low-memory backends), MINRES and multi-shift solves, all read off one
-lockstep loop of per-shift Givens QR updates; preconditioned wrapping, a
-priori Chebyshev bounds, a posteriori error estimates, and block CG.
+lockstep loop of per-shift Givens QR updates in which each shift stops at
+its own first explicit residual at most ``tol * ||b||``; preconditioned
+wrapping, a priori Chebyshev bounds, a posteriori error estimates, and
+block CG.
 """
 
 from __future__ import annotations
@@ -258,6 +260,7 @@ def multi_shift_solve(
     method: str = "cg",
     mode: ReorthMode = ReorthMode.FULL,
     keep_iterates: bool = True,
+    tol: float = DEFAULT_TOL,
 ) -> list:
     """Solve (A - z_i I) x = b for every shift from one shared Lanczos run.
 
@@ -268,16 +271,23 @@ def multi_shift_solve(
     shift alone.  ``method="cg"`` records a gap where ``T_n - z_i I`` is
     numerically singular.  ``mode=ReorthMode.NONE`` with
     ``keep_iterates=False`` keeps O(#shifts) length-d vectors for any k.
-    Runs all k steps (no convergence test) unless the recurrence breaks
-    down first, which every history records as ``"breakdown"``.  Returns
-    one :class:`IterateHistory` per shift.
+
+    Each shift stops on its own, as :func:`cg` and :func:`minres` do: its
+    history is ``"converged"`` at its first explicitly recomputed residual
+    at most ``tol * ||b||``, and a stopped shift costs no further vector
+    update or residual matvec.  The recurrence stops applying ``A`` once
+    every shift has stopped.  A shift still running when the recurrence
+    breaks down before step k records ``"breakdown"``, one that reaches
+    step k ``"max_iter"``.  ``tol=None`` runs every shift to step k;
+    ``tol=0.0`` does too, except that an exactly zero residual counts as
+    converged.  Returns one :class:`IterateHistory` per shift.
     """
     if method not in ("cg", "minres"):
         raise ValueError(f"unknown method {method!r}")
     shifts = [z if z.imag else z.real for z in map(complex, np.ravel(shifts))]
     rec = _Recurrence(A, b, k, mode=mode)
     return _shifted_histories(
-        rec.steps(), rec.b_norm, A.dim, k, shifts, method, None, keep_iterates,
+        rec.steps(), rec.b_norm, A.dim, k, shifts, method, tol, keep_iterates,
         _explicit_residual(A, b), rec.b_norm,
     )
 

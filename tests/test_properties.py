@@ -1,5 +1,6 @@
 """Properties of the shared Lanczos recurrence on random spectra drawn by
 hypothesis (profile in ``conftest.py``): bit identities between callers,
+multi-shift histories that stop early as bit-identical prefixes,
 orthonormality of the reorthogonalized basis, the polynomial exactness of
 Lanczos-FA and Gauss quadrature, stochastic estimates that do not
 depend on probe scheduling, the tridiagonal eigensolver against scipy's,
@@ -24,7 +25,13 @@ from krylov.core import (  # noqa: E402
 )
 from krylov.lanczos import ReorthMode, lanczos  # noqa: E402
 from krylov.matfunc import lanczos_fa, lanczos_qf, two_pass_lanczos_fa  # noqa: E402
-from krylov.solvers import cg, multi_shift_solve  # noqa: E402
+from krylov.solvers import (  # noqa: E402
+    DEFAULT_TOL,
+    IterateHistory,
+    cg,
+    minres,
+    multi_shift_solve,
+)
 from krylov.trace import (  # noqa: E402
     ProbeSampler,
     _slq_densities,
@@ -42,6 +49,8 @@ shift_values = st.one_of(
     st.builds(complex, st.floats(-5.0, 5.0), st.floats(0.1, 5.0)),
 )
 modes = st.sampled_from([ReorthMode.NONE, ReorthMode.FULL])
+methods = st.sampled_from(["cg", "minres"])
+shift_lists = st.lists(shift_values, min_size=1, max_size=4).flatmap(st.permutations)
 polynomials = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=10)
 # Bound on the rounding error of a polynomial's value, relative to
 # sum_j |c_j| rho^j ||b|| (||b||^2 for a quadratic form), rho the spectral
@@ -67,20 +76,73 @@ def assert_same_history(a, b):
 @given(
     spectra,
     start_seeds,
-    st.lists(shift_values, min_size=1, max_size=4).flatmap(st.permutations),
+    shift_lists,
     st.integers(1, 40),
-    st.sampled_from(["cg", "minres"]),
+    methods,
     modes,
+    st.sampled_from([None, 0.0, 1e-8, DEFAULT_TOL]),
 )
-def test_multi_shift_histories_do_not_couple(vals, seed, shifts, k, method, mode):
+def test_multi_shift_histories_do_not_couple(vals, seed, shifts, k, method, mode, tol):
     # Each shift's history from one lockstep call equals, bit for bit, the
-    # history of a call with that shift alone, whatever the shift order.
+    # history of a call with that shift alone, whatever the shift order and
+    # whenever the other shifts stop.
     A = LinearOperator.diagonal(vals)
     b = start_vector(seed, len(vals))
-    together = multi_shift_solve(A, b, shifts, k, method=method, mode=mode)
+    kw = dict(method=method, mode=mode, tol=tol)
+    together = multi_shift_solve(A, b, shifts, k, **kw)
     for z, hist in zip(shifts, together):
-        (alone,) = multi_shift_solve(A, b, [z], k, method=method, mode=mode)
+        (alone,) = multi_shift_solve(A, b, [z], k, **kw)
         assert_same_history(hist, alone)
+
+
+@given(
+    spectra,
+    start_seeds,
+    shift_lists,
+    st.integers(1, 40),
+    methods,
+    modes,
+    st.sampled_from([DEFAULT_TOL, 1e-8, 1e-4, 0.1]),
+)
+def test_multi_shift_stops_each_shift_at_its_first_small_residual(
+    vals, seed, shifts, k, method, mode, tol
+):
+    # Stopping only cuts a history short: each one is a bit-identical
+    # prefix of its tol=0.0 history, ending at its first residual at most
+    # tol * ||b|| ("converged"), or else at step k or at a breakdown.
+    A = LinearOperator.diagonal(vals)
+    b = start_vector(seed, len(vals))
+    kw = dict(method=method, mode=mode)
+    stopped = multi_shift_solve(A, b, shifts, k, tol=tol, **kw)
+    full = multi_shift_solve(A, b, shifts, k, tol=0.0, **kw)
+    for hist, ref in zip(stopped, full):
+        small = np.flatnonzero(ref.residual_norms <= tol * ref.b_norm)
+        if small.size:
+            n, termination = small[0] + 1, "converged"
+        else:
+            n, termination = ref.k, ref.termination
+        prefix = IterateHistory(
+            ref.iterates[:n], ref.residual_norms[:n], termination, ref.b_norm
+        )
+        assert_same_history(hist, prefix)
+
+
+@given(
+    spectra,
+    start_seeds,
+    st.integers(1, 40),
+    methods,
+    modes,
+    st.sampled_from([None, 0.0, 1e-8, DEFAULT_TOL]),
+)
+def test_multi_shift_at_zero_is_the_single_solver(vals, seed, k, method, mode, tol):
+    # One stopping rule: the shift-0 history is cg's or minres's, bit for
+    # bit, at every tol.
+    A = LinearOperator.diagonal(vals)
+    b = start_vector(seed, len(vals))
+    single = cg if method == "cg" else minres
+    (hist,) = multi_shift_solve(A, b, [0.0], k, method=method, mode=mode, tol=tol)
+    assert_same_history(hist, single(A, b, k, mode=mode, tol=tol))
 
 
 @given(

@@ -117,7 +117,7 @@ class TestCG:
             cg(A, b, 3, tol=0.0),
             cg(A, b, 3, backend="low_memory", tol=0.0),
             minres(A, b, 3, tol=0.0),
-            *multi_shift_solve(A, b, [-1.0, 0.5 + 1.0j], 3),
+            *multi_shift_solve(A, b, [-1.0, 0.5 + 1.0j], 3, tol=0.0),
         ]
         for hist in hists:
             assert hist.k == 2
@@ -323,6 +323,23 @@ class TestOperatorCalls:
             multi_shift_solve(op, b, [-0.5, -2.0, -8.0], self.K, method=method)
             assert calls[0] == self.K + 3 * self.K
 
+    def test_multi_shift_stops_each_shift_at_convergence(self):
+        # A converged shift costs no further residual, and no Lanczos step
+        # runs past the last shift to converge (no gaps: SPD, shifts < 0).
+        A, b = self._problem()
+        op, calls = counting(A)
+        for method in ("cg", "minres"):
+            for mode in (ReorthMode.NONE, ReorthMode.FULL):
+                calls[0] = 0
+                hists = multi_shift_solve(
+                    op, b, [-0.5, -2.0, -8.0], self.K, method=method,
+                    mode=mode, tol=0.5,
+                )
+                ks = [h.k for h in hists]
+                assert all(h.termination == "converged" for h in hists)
+                assert max(ks) < self.K
+                assert calls[0] == max(ks) + sum(ks)
+
     def test_low_memory_cg(self):
         A, b = self._problem()
         op, calls = counting(A)
@@ -385,7 +402,7 @@ class TestMultiShiftMemory:
             try:
                 multi_shift_solve(
                     A, b, [-0.5, -1.0, 0.5j, -2.0], k,
-                    mode=ReorthMode.NONE, keep_iterates=False,
+                    mode=ReorthMode.NONE, keep_iterates=False, tol=0.0,
                 )
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
