@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .errors import KrylovError
+from .errors import InvalidSpec, KrylovError
 from .experiments import ExperimentConfig, list_experiments, run_experiment
 from .matrices import generate_operator, parse_matrix_spec
 
@@ -42,6 +42,14 @@ def _matrix_from_section(sec) -> object:
     if kind == "mm":
         return parse_matrix_spec(f"mm:{sec.get('path', '')}")
     return parse_matrix_spec(f"{kind}:{','.join(parts)}")
+
+
+def _integer(section, key: str) -> int:
+    value = section[key]
+    try:
+        return int(value)
+    except ValueError:
+        raise InvalidSpec(f"[{section.name}] {key} must be an integer, not {value!r}") from None
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -73,9 +81,9 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(
         experiment=exp["name"],
         matrix=matrix,
-        k=exp.getint("k") if "k" in exp else None,
-        m=exp.getint("m") if "m" in exp else None,
-        seed=exp.getint("seed") if "seed" in exp else 0,
+        k=_integer(exp, "k") if "k" in exp else None,
+        m=_integer(exp, "m") if "m" in exp else None,
+        seed=_integer(exp, "seed") if "seed" in exp else 0,
         out_dir=out_dir,
     )
 
@@ -159,8 +167,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except KrylovError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KrylovError, configparser.Error) as exc:
+        # configparser's messages span lines; the report is one line
+        print("error: " + " ".join(str(exc).split()), file=sys.stderr)
         return 2
 
 

@@ -562,11 +562,16 @@ def _write_csv(report: ExperimentReport, cfg: ExperimentConfig) -> str:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run one named experiment; write its CSV when an output directory is
-    configured."""
+    configured.  Raises :class:`InvalidSpec` for an unknown experiment or a
+    ``k`` or ``m`` below one."""
     if cfg.experiment not in EXPERIMENTS:
         raise InvalidSpec(
             f"unknown experiment {cfg.experiment!r}; see list_experiments()"
         )
+    for name in ("k", "m"):  # None selects the experiment's default
+        value = getattr(cfg, name)
+        if value is not None and value < 1:
+            raise InvalidSpec(f"{name} must be at least 1, got {value}")
     report = EXPERIMENTS[cfg.experiment](cfg)
     if cfg.out_dir is not None:
         path = _write_csv(report, cfg)

@@ -306,12 +306,46 @@ def _enclosing_interval(T, interval) -> tuple:
     return a, b
 
 
+def _chebyshev_moments(A: LinearOperator, b: np.ndarray, k: int, interval) -> np.ndarray:
+    """Probe ``b``'s Chebyshev moments mu_0..mu_{2k-1} on ``interval`` from
+    the vector recurrence v_{n+1} = 2 A~ v_n - v_{n-1} on the mapped
+    operator, run to v_k: k products.  mu_n = b . v_n up to n = k; above k
+    the doubling identities give mu_{2j} = 2 v_j . v_j - mu_0 and
+    mu_{2j-1} = 2 v_j . v_{j-1} - mu_1, as soon as v_j exists.  ``b`` is
+    only read."""
+    a, b_right = interval
+    span = b_right - a
+    n_coeffs = 2 * k
+
+    def amap(v):
+        return (2.0 * A.apply(v) - (a + b_right) * v) / span
+
+    mus = np.empty(n_coeffs)
+
+    def record(n, mu):
+        if not math.isfinite(mu):
+            raise NonFiniteOperator("non-finite KPM moment")
+        mus[n] = mu
+
+    v_prev, v = b, amap(b)
+    record(0, float(b @ v_prev))
+    record(1, float(b @ v))
+    for j in range(2, k + 1):
+        v, v_prev = 2.0 * amap(v) - v_prev, v
+        record(j, float(b @ v))
+        if 2 * j - 1 > k:
+            record(2 * j - 1, 2.0 * float(v @ v_prev) - mus[1])
+        if k < 2 * j < n_coeffs:
+            record(2 * j, 2.0 * float(v @ v) - mus[0])
+    return mus
+
+
 def kpm_density(
     A: LinearOperator,
     k: int,
     interval=None,
     damping: str | None = "jackson",
-    coeff_method: str = "recurrence",
+    coeff_method: str = "lanczos_qf",
     m: int = 1,
     sampler: ProbeSampler | None = None,
 ) -> DensityApprox:
@@ -319,26 +353,35 @@ def kpm_density(
 
     The reference density is the arcsine (Chebyshev-T) weight mapped to
     the interval; coefficients 0..2k-1 against its orthonormal polynomial
-    basis are quadratic forms b^T q_n(A~) b averaged over probes, computed
-    either by the explicit Chebyshev vector recurrence or from a k-step
-    Lanczos quadrature (exact for these degrees, and forward-stable even
-    without reorthogonalization).  The recurrence forms v_n = T_n(A~) b
-    for n <= k only and takes mu_n = b^T v_n there; above k it uses the
-    product identities T_{2j} = 2 T_j^2 - T_0 and
-    T_{2j+1} = 2 T_{j+1} T_j - T_1, so mu_{2j} = 2 v_j^T v_j - mu_0 and
-    mu_{2j+1} = 2 v_{j+1}^T v_j - mu_1 (Weisse, Wellein, Alvermann &
-    Fehske 2006, "The kernel polynomial method", Sec. II.C).  One
-    min(2k, d)-step Lanczos run on probe 0 sets the interval from the
-    extremes of its Ritz values, and the quadrature path reuses its first
-    k steps.  Operator applications, at most: min(2k, d) + m k for the
-    recurrence, min(2k, d) + (m - 1) k for ``"lanczos_qf"``.  A given
-    ``interval`` still costs those min(2k, d) matvecs, only to check that
-    it encloses the Ritz values; an empty one is rejected before any.  A
-    NaN or Inf moment, direct or doubled, raises
-    :class:`NonFiniteOperator`.  Probes run concurrently on large operators
-    (see the module docstring), with the same result; with ``interval``
-    given the enclosure check runs alongside them, and its
-    :class:`SpectrumOutsideInterval` still precedes any probe's error.
+    basis are quadratic forms b^T q_n(A~) b averaged over probes.  One
+    min(2k, d)-step Lanczos run on probe 0 (the Ritz run) sets the
+    interval from the extremes of its Ritz values, or checks that a given
+    ``interval`` encloses them; an empty ``interval`` is rejected before
+    any operator call.
+
+    The default ``coeff_method="lanczos_qf"`` reads each probe's moments
+    off its k-point Lanczos quadrature, which is exact for these degrees
+    and forward-stable even without reorthogonalization.  All probes are
+    one probe map: item 0 is probe 0's Ritz run, whose first k steps give
+    its quadrature, and items 1..m-1 run k steps each; the moments are
+    formed once the interval is known.  Operator applications:
+    min(2k, d) + (m - 1) k when k <= d.
+
+    ``coeff_method="recurrence"`` runs the explicit Chebyshev vector
+    recurrence instead: it forms v_n = T_n(A~) b for n <= k only and takes
+    mu_n = b^T v_n there; above k it uses the product identities
+    T_{2j} = 2 T_j^2 - T_0 and T_{2j+1} = 2 T_{j+1} T_j - T_1, so
+    mu_{2j} = 2 v_j^T v_j - mu_0 and mu_{2j+1} = 2 v_{j+1}^T v_j - mu_1
+    (Weisse, Wellein, Alvermann & Fehske 2006, "The kernel polynomial
+    method", Sec. II.C).  Operator applications: min(2k, d) + m k.  With
+    ``interval=None`` its probes start after the Ritz run; with
+    ``interval`` given the Ritz run is item 0 of the probe map.  A NaN or
+    Inf moment, direct or doubled, raises :class:`NonFiniteOperator`.
+
+    Each probe vector is drawn once.  Probes run concurrently on large
+    operators (see the module docstring), with the same result; the Ritz
+    run's errors, :class:`SpectrumOutsideInterval` among them, precede
+    any other probe's.
     """
     _check_probes(m)
     if sampler is None:
@@ -352,64 +395,41 @@ def kpm_density(
         raise ValueError("interval must have positive length")
     n_coeffs = 2 * k
 
-    def ritz_run():
+    def ritz_run(b):
         """Probe 0's min(2k, d)-step run and the interval it sets or checks."""
-        ritz = _Recurrence(A, sampler.probe(0, A.dim), min(2 * k, A.dim)).run()
+        ritz = _Recurrence(A, b, min(2 * k, A.dim)).run()
         return ritz, _enclosing_interval(ritz.T, interval)
 
-    def probe_moments(i, ritz=None):
-        """Probe i's Chebyshev moments mu_0..mu_{2k-1} on [a, b_right]."""
-        b = sampler.probe(i, A.dim)
-        if coeff_method == "lanczos_qf":
-            # Probe 0's first k steps are the Ritz run's first k steps.
-            reuse = i == 0 and ritz is not None and k <= ritz.k
-            rec = ritz if reuse else _Recurrence(A, b, k).run()
+    if coeff_method == "lanczos_qf":
+
+        def quadrature(i):
+            """Probe i's k-point quadrature, and for i = 0 the interval."""
+            b = sampler.probe(i, A.dim)
+            rec, enclosing = ritz_run(b) if i == 0 else (None, None)
+            if rec is None or k > rec.k:  # else the Ritz run holds probe 0's k steps
+                rec = _Recurrence(A, b, k).run()
             T = rec.T.principal(min(k, rec.T.size))
-            quad = gauss_quadrature(T, rec.b_norm**2)
-            return modified_moments(quad, n_coeffs, "T", (a, b_right))
+            return gauss_quadrature(T, rec.b_norm**2), enclosing
 
-        # v_{n+1} = 2 A~ v_n - v_{n-1} on the mapped operator, to v_k: k
-        # products.  mu_n = b . v_n up to n = k; above k the doubling
-        # identities give mu_{2j} = 2 v_j . v_j - mu_0 and
-        # mu_{2j-1} = 2 v_j . v_{j-1} - mu_1, as soon as v_j exists.
-        def amap(v):
-            return (2.0 * A.apply(v) - (a + b_right) * v) / span
-
-        mus = np.empty(n_coeffs)
-
-        def record(n, mu):
-            if not math.isfinite(mu):
-                raise NonFiniteOperator("non-finite KPM moment")
-            mus[n] = mu
-
-        v_prev, v = b, amap(b)
-        record(0, float(b @ v_prev))
-        record(1, float(b @ v))
-        for j in range(2, k + 1):
-            v, v_prev = 2.0 * amap(v) - v_prev, v
-            record(j, float(b @ v))
-            if 2 * j - 1 > k:
-                record(2 * j - 1, 2.0 * float(v @ v_prev) - mus[1])
-            if k < 2 * j < n_coeffs:
-                record(2 * j, 2.0 * float(v @ v) - mus[0])
-        return mus
-
-    if interval is None:  # the moments need the interval the Ritz run sets
-        ritz, (a, b_right) = ritz_run()
-        span = b_right - a
-        per_probe = _map_probes(lambda i: probe_moments(i, ritz), m, A.dim)
+        quads = _map_probes(quadrature, m, A.dim)
+        a, b_right = quads[0][1]
+        per_probe = [modified_moments(q, n_coeffs, "T", (a, b_right)) for q, _ in quads]
     else:
-        # The enclosure check is item 0 of the probe map: it overlaps the
-        # probes, and its SpectrumOutsideInterval precedes their errors.
-        a, b_right = float(interval[0]), float(interval[1])
-        span = b_right - a
-        if coeff_method == "lanczos_qf":  # probe 0 reuses the Ritz run
-            per_probe = _map_probes(
-                lambda i: probe_moments(i, ritz_run()[0] if i == 0 else None), m, A.dim
-            )
+        b0 = sampler.probe(0, A.dim)  # read by the Ritz run and probe 0's moments
+
+        def probe_moments(i):
+            b = b0 if i == 0 else sampler.probe(i, A.dim)
+            return _chebyshev_moments(A, b, k, (a, b_right))
+
+        if interval is None:  # the moments need the interval the Ritz run sets
+            _, (a, b_right) = ritz_run(b0)
+            per_probe = _map_probes(probe_moments, m, A.dim)
         else:
+            # The enclosure check is item 0 of the probe map: it overlaps the
+            # probes, and its SpectrumOutsideInterval precedes their errors.
+            a, b_right = float(interval[0]), float(interval[1])
             per_probe = _map_probes(
-                lambda j: probe_moments(j - 1) if j else ritz_run(), m + 1, A.dim
+                lambda j: probe_moments(j - 1) if j else ritz_run(b0), m + 1, A.dim
             )[1:]
     moments = np.zeros(n_coeffs)
     for mu in per_probe:  # in probe order, as the bits require

@@ -295,6 +295,15 @@ class TestExperiments:
         f2 = next(out2.iterdir())
         assert f1.read_bytes() == f2.read_bytes()
 
+    @pytest.mark.parametrize("field", ["k", "m"])
+    def test_k_and_m_below_one_rejected(self, field):
+        from krylov.experiments import ExperimentConfig
+
+        for value in (0, -3):
+            cfg = ExperimentConfig(experiment="kpm-density", **{field: value})
+            with pytest.raises(InvalidSpec, match=f"{field} must be at least 1"):
+                run_experiment(cfg)
+
     def test_csv_format(self, tmp_path):
         from krylov.experiments import ExperimentConfig
 
@@ -359,6 +368,27 @@ class TestCliCommands:
         p = tmp_path / "exp.ini"
         p.write_text("[experiment]\nname = not-an-experiment\n")
         assert main(["run", str(p)]) == 2
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ("[experiment]\nname = cg-bounds\nk = abc\n", [], "k must be an integer"),
+            ("name = cg-bounds\n", [], "no section headers"),
+            ("[experiment]\nname = cg-bounds\n", ["--k", "0"], "k must be at least 1"),
+            ("[experiment]\nname = slq-wasserstein\n", ["--m", "0"], "m must be at least 1"),
+        ],
+        ids=["k-not-an-integer", "no-section-header", "k-zero", "m-zero"],
+    )
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, text, flags, message):
+        # No traceback, and k or m of 0 never falls back to the default.
+        p = tmp_path / "exp.ini"
+        p.write_text(text)
+        assert main(["run", str(p), "--out-dir", str(tmp_path), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert list(tmp_path.iterdir()) == [p]
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -4,17 +4,20 @@ multi-shift histories that stop early as bit-identical prefixes,
 orthonormality of the reorthogonalized basis, the polynomial exactness of
 Lanczos-FA and Gauss quadrature, stochastic estimates that do not
 depend on probe scheduling, the tridiagonal eigensolver against scipy's,
-multi-degree SLQ densities against one-degree calls, and the doubled KPM
-moments against the plain Chebyshev recurrence."""
+multi-degree SLQ densities against one-degree calls, the doubled KPM
+moments against the plain Chebyshev recurrence, the default (Lanczos
+quadrature) KPM coefficients against the recurrence's, and the default
+KPM path's peak memory against k."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 pytest.importorskip("hypothesis")
-from hypothesis import given  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from krylov.core import (  # noqa: E402
@@ -352,10 +355,87 @@ def test_kpm_doubled_moments_match_the_plain_recurrence(vals, seed, k, m, pads):
     A = LinearOperator.diagonal(vals)
     interval = (min(vals) - pads[0], max(vals) + pads[1])
     sampler = ProbeSampler(seed=seed)
-    got = kpm_density(A, k, interval, damping=None, m=m, sampler=sampler).coefficients
+    got = kpm_density(
+        A, k, interval, damping=None, coeff_method="recurrence", m=m, sampler=sampler
+    ).coefficients
     want = plain_kpm_coefficients(A, k, interval, m, sampler)
     assert got[: k + 1].tobytes() == want[: k + 1].tobytes()
     assert np.abs(got[k + 1 :] - want[k + 1 :]).max(initial=0.0) <= 1e-12 * want[0]
+
+
+kpm_pads = st.tuples(st.floats(1e-3, 5.0), st.floats(1e-3, 5.0))
+# Sizes drawn evenly up to 40, so that k <= d as often as k > d.
+sized_spectra = st.integers(2, 40).flatmap(
+    lambda n: st.lists(st.floats(-10.0, 10.0, allow_subnormal=False), min_size=n, max_size=n)
+)
+
+
+@given(
+    vals=sized_spectra,
+    seed=start_seeds,
+    k=st.integers(1, 40),
+    m=st.sampled_from([1, 2, 3]),
+    pads=st.one_of(st.none(), kpm_pads),
+)
+def test_kpm_default_matches_the_recurrence(vals, seed, k, m, pads):
+    # The default reads the moments off Lanczos quadratures; they are the
+    # recurrence's moments within rounding of mu_0, with an automatic
+    # interval (pads None) or a given one.  Below 1e-150 the squares in the
+    # Ritz run underflow and the automatic interval can miss the spectrum,
+    # on either path alike; those spectra get a given interval only.
+    assume(pads is not None or all(v == 0.0 or abs(v) >= 1e-150 for v in vals))
+    A = LinearOperator.diagonal(vals)
+    interval = None if pads is None else (min(vals) - pads[0], max(vals) + pads[1])
+    sampler = ProbeSampler(seed=seed)
+
+    def outcome(**method):
+        try:
+            return kpm_density(A, k, interval, damping=None, m=m, sampler=sampler, **method)
+        except ValueError as e:  # an automatic interval that rounds to one point
+            return str(e)
+
+    got, want = outcome(), outcome(coeff_method="recurrence")
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert got.interval == want.interval
+    # Worst of about 4500 draws: 3.3e-11 with k <= d; 1.6e-10 with k > d,
+    # where the Lanczos run goes on past an invariant subspace on rounding.
+    rtol = 1e-10 if k <= len(vals) else 1e-9
+    assert np.abs(got.coefficients - want.coefficients).max() <= rtol * abs(
+        want.coefficients[0]
+    )
+
+
+# Each example makes up to 480 operator calls at d = 2e4 under tracemalloc.
+@settings(max_examples=10)
+@given(
+    seed=start_seeds,
+    m=st.sampled_from([1, 2]),
+    given_interval=st.booleans(),
+    distribution=st.sampled_from(["unit_sphere", "rademacher"]),
+)
+def test_kpm_default_peak_does_not_grow_with_k(
+    probe_pool, seed, m, given_interval, distribution
+):
+    # Each probe keeps the current Lanczos vectors and its tridiagonal, and
+    # the quadrature's k x k eigenvectors stay below one d-vector at k = 160:
+    # eight times the steps may not cost one more d-vector.  Serial, so the
+    # peak does not depend on how the probes overlap.
+    d = 20_000
+    A = LinearOperator.diagonal(np.linspace(1.0, 10.0, d))
+    interval = (0.5, 10.5) if given_interval else None
+    sampler = ProbeSampler(distribution, seed)
+    peaks = []
+    with probe_pool(1):
+        for k in (20, 160):
+            tracemalloc.start()
+            try:
+                kpm_density(A, k, interval, m=m, sampler=sampler)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 8 * d
 
 
 def assert_densities_match_one_degree_calls(A, ks, m, sampler):

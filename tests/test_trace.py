@@ -3,6 +3,7 @@ import multiprocessing
 import sys
 import threading
 import tracemalloc
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -27,14 +28,28 @@ from krylov.trace import (
 
 
 def counting(A):
-    """A wrapper of ``A`` and a one-element list counting its applications."""
+    """A wrapper of ``A`` and a one-element list counting its applications
+    (from any number of probe threads)."""
     calls = [0]
+    lock = threading.Lock()
 
     def matvec(v):
-        calls[0] += 1
+        with lock:
+            calls[0] += 1
         return A.apply(v)
 
     return LinearOperator(A.dim, matvec), calls
+
+
+@dataclass(frozen=True)
+class CountingSampler(ProbeSampler):
+    """A :class:`ProbeSampler` that records the index of every draw."""
+
+    draws: list = field(default_factory=list, compare=False)
+
+    def probe(self, index, d):
+        self.draws.append(index)
+        return super().probe(index, d)
 
 
 class TestRejectedBeforeAnyMatvec:
@@ -96,7 +111,9 @@ class TestNonFiniteOperator:
             return np.full(D.dim, value) if calls[0] >= first_bad else D.apply(v)
 
         with pytest.raises(NonFiniteOperator, match="moment"):
-            kpm_density(LinearOperator(D.dim, matvec), 4, interval=(0.0, 3.0))
+            kpm_density(
+                LinearOperator(D.dim, matvec), 4, interval=(0.0, 3.0), coeff_method="recurrence"
+            )
         assert calls[0] == first_bad
 
 
@@ -372,6 +389,31 @@ class TestKpmDensity:
             kpm_density(op, 30, interval, m=m, coeff_method="recurrence")
             assert calls[0] == want
 
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("interval", [None, (-1.1, 1.1)])
+    def test_default_is_lanczos_qf(self, interval, m):
+        # min(2k, d) for probe 0's Ritz run, whose first k steps give its
+        # quadrature, then k per further probe; the bytes of an explicit
+        # coeff_method="lanczos_qf" call.
+        D = LinearOperator.diagonal(np.linspace(-1.0, 1.0, 400))
+        op, calls = counting(D)
+        s = ProbeSampler(seed=17)
+        got = kpm_density(op, 30, interval, m=m, sampler=s)
+        assert calls[0] == 60 + (m - 1) * 30
+        want = kpm_density(D, 30, interval, coeff_method="lanczos_qf", m=m, sampler=s)
+        assert got.interval == want.interval
+        assert got.coefficients.tobytes() == want.coefficients.tobytes()
+
+    @pytest.mark.parametrize("coeff_method", ["recurrence", "lanczos_qf"])
+    @pytest.mark.parametrize("interval", [None, (-1.1, 1.1)])
+    def test_each_probe_is_drawn_once(self, coeff_method, interval):
+        # The Ritz run and probe 0's moments share one draw of probe 0.
+        for m in (1, 4):
+            s = CountingSampler(seed=18)
+            kpm_density(arcsine_operator(60), 6, interval, coeff_method=coeff_method,
+                        m=m, sampler=s)
+            assert sorted(s.draws) == list(range(m))
+
     def test_recurrence_peak_does_not_grow_with_k(self):
         # The Ritz run keeps its tridiagonal and takes only its extreme
         # eigenvalues; the moments keep a few d-vectors.  Eight times the
@@ -382,7 +424,7 @@ class TestKpmDensity:
         for k in (20, 160):
             tracemalloc.start()
             try:
-                kpm_density(A, k)
+                kpm_density(A, k, coeff_method="recurrence")
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
