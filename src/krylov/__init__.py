@@ -3,7 +3,7 @@
 Submodules:
 
 - :mod:`krylov.core`: small tridiagonal kernels and the operator contract
-- :mod:`krylov.lanczos`: Arnoldi, Lanczos, block Lanczos basis builders
+- :mod:`krylov.lanczos`: Lanczos and block Lanczos basis builders
 - :mod:`krylov.orthopoly`: Chebyshev/orthogonal-polynomial layer
 - :mod:`krylov.solvers`: CG, MINRES, multi-shift, preconditioning, bounds
 - :mod:`krylov.matfunc`: f(A)b and b^T f(A) b approximations
@@ -22,11 +22,9 @@ from .core import (
     tridiag_solve,
 )
 from .lanczos import (
-    ArnoldiDecomposition,
     BlockKrylovDecomposition,
     KrylovDecomposition,
     ReorthMode,
-    arnoldi,
     block_lanczos,
     krylov_grade,
     lanczos,

@@ -1,4 +1,4 @@
-"""Orthonormal Krylov basis builders: Arnoldi, Lanczos with selectable
+"""Orthonormal Krylov basis builders: Lanczos with selectable
 reorthogonalization, and block Lanczos with deflation.
 
 Builders are single-threaded; the returned decompositions are immutable
@@ -21,16 +21,17 @@ __all__ = [
     "ReorthMode",
     "Termination",
     "KrylovDecomposition",
-    "ArnoldiDecomposition",
     "BlockKrylovDecomposition",
-    "arnoldi",
     "lanczos",
     "block_lanczos",
     "krylov_grade",
 ]
 
-DEFAULT_BREAKDOWN_TOL = 1e-12
-DEFAULT_DEFLATION_TOL = 1e-10
+# Relative to the running coefficient scale: a Lanczos beta at most
+# BREAKDOWN_RTOL of it is a breakdown, a block QR pivot at most
+# DEFLATION_RTOL of it (or of the block's first pivot) deflates its column.
+BREAKDOWN_RTOL = 1e-12
+DEFLATION_RTOL = 1e-10
 
 # The test of Daniel, Gragg, Kaufman & Stewart (1976), with the constant of
 # ARPACK's dsaitr: a classical Gram-Schmidt pass that keeps at least this
@@ -73,22 +74,6 @@ class KrylovDecomposition:
     @property
     def k(self) -> int:
         return self.T.size
-
-
-@dataclass(frozen=True)
-class ArnoldiDecomposition:
-    """An Arnoldi decomposition A Q = Q H + h q_next e_last^T."""
-
-    basis: np.ndarray
-    H: np.ndarray
-    trailing_h: float
-    next_vector: np.ndarray | None
-    b_norm: float
-    termination: Termination
-
-    @property
-    def k(self) -> int:
-        return self.H.shape[0]
 
 
 @dataclass(frozen=True)
@@ -200,7 +185,7 @@ class _Recurrence:
     (reorthogonalized when ``mode`` is FULL, which also hands back
     ``||z||^2``) and ``beta = ||z||``, raises
     :class:`NonFiniteOperator` when either is NaN or Inf, and reports
-    breakdown when ``beta`` drops below ``breakdown_tol`` times the
+    breakdown when ``beta`` is at most ``BREAKDOWN_RTOL`` times the
     running coefficient scale; :meth:`advance` moves to
     ``q = z / beta``.  Storage: nothing beyond the current pair, the full
     basis (``store_basis``, implied by FULL), or ``(q_prev, q)``
@@ -215,7 +200,6 @@ class _Recurrence:
         mode: ReorthMode = ReorthMode.NONE,
         store_basis: bool = False,
         checkpoint_stride: int | None = None,
-        breakdown_tol: float = DEFAULT_BREAKDOWN_TOL,
     ):
         b = np.asarray(b, dtype=float)
         self.b_norm = float(np.linalg.norm(b))
@@ -224,7 +208,6 @@ class _Recurrence:
         if k < 1:
             raise ValueError("k must be at least 1")
         self.A, self.k = A, k
-        self.breakdown_tol = breakdown_tol
         self.q = b / self.b_norm
         self.q_prev = None
         self.beta_prev = 0.0
@@ -271,7 +254,7 @@ class _Recurrence:
             raise NonFiniteOperator(f"non-finite Lanczos coefficient at step {self.n}")
         self.alphas.append(alpha)
         self.scale = max(self.scale, abs(alpha))
-        if self.beta <= self.breakdown_tol * self.scale:
+        if self.beta <= BREAKDOWN_RTOL * self.scale:
             return True
         self.scale = max(self.scale, self.beta)
         return False
@@ -325,7 +308,6 @@ def lanczos(
     b: np.ndarray,
     k: int,
     mode: ReorthMode = ReorthMode.FULL,
-    breakdown_tol: float = DEFAULT_BREAKDOWN_TOL,
 ) -> KrylovDecomposition:
     """Run k steps of the Lanczos three-term recurrence.
 
@@ -337,15 +319,13 @@ def lanczos(
     With ``mode=ReorthMode.NONE`` the plain recurrence runs and the
     resulting T is the finite-precision one -- no orthogonality guarantee.
 
-    Terminates early when the new off-diagonal drops below
-    ``breakdown_tol`` times the running coefficient scale, and raises
+    Terminates early when the new off-diagonal is at most
+    ``BREAKDOWN_RTOL`` times the running coefficient scale, and raises
     :class:`NonFiniteOperator` on a NaN or Inf coefficient.  ``basis`` is
     a view, one column per step, of the row-major store the recurrence
     filled.
     """
-    rec = _Recurrence(
-        A, b, k, mode=mode, store_basis=True, breakdown_tol=breakdown_tol
-    )
+    rec = _Recurrence(A, b, k, mode=mode, store_basis=True)
     rec.run()
     return KrylovDecomposition(
         basis=rec.basis.rows.T,
@@ -357,78 +337,19 @@ def lanczos(
     )
 
 
-def arnoldi(
-    A: LinearOperator,
-    b: np.ndarray,
-    k: int,
-    breakdown_tol: float = DEFAULT_BREAKDOWN_TOL,
-) -> ArnoldiDecomposition:
-    """Run k steps of Arnoldi with one classical Gram-Schmidt pass.
-
-    This single-pass variant is faithful to the textbook algorithm and is
-    not numerically hardened; it exists mainly to demonstrate that a
-    symmetric operator forces an (almost) tridiagonal H.
-    """
-    b = np.asarray(b, dtype=float)
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        raise ZeroStartVector("starting vector has zero norm")
-    if not 1 <= k <= A.dim:
-        raise ValueError("need 1 <= k <= dim")
-
-    q = b / b_norm
-    basis = _Basis(A.dim, k)
-    basis.append(q)
-    H = np.zeros((k, k))
-    trailing_h = 0.0
-    next_vector = None
-    termination = Termination("completed", k)
-    scale = 0.0
-
-    for n in range(k):
-        y = A.apply(q)
-        h = basis.rows @ y
-        y = y - basis.rows.T @ h
-        H[: n + 1, n] = h
-        scale = max(scale, float(np.abs(h).max()) if h.size else 0.0)
-        hn = float(np.linalg.norm(y))
-        if hn <= breakdown_tol * scale:
-            trailing_h = hn
-            termination = Termination("breakdown", n + 1)
-            H = H[: n + 1, : n + 1]
-            break
-        scale = max(scale, hn)
-        if n == k - 1:
-            trailing_h = hn
-            next_vector = y / hn
-            break
-        H[n + 1, n] = hn
-        q = y / hn
-        basis.append(q)
-
-    return ArnoldiDecomposition(
-        basis=basis.rows.T,
-        H=H,
-        trailing_h=trailing_h,
-        next_vector=next_vector,
-        b_norm=b_norm,
-        termination=termination,
-    )
-
-
-def _qr_deflate(Z: np.ndarray, deflation_tol: float, scale: float):
+def _qr_deflate(Z: np.ndarray, scale: float):
     """Orthonormalize the columns of Z with one column-pivoted QR,
     ``Z P = Q R``, dropping numerically dependent columns.
 
     The rank is the number of diagonal entries of R above
-    ``deflation_tol * max(|R_00|, scale)``, where ``scale`` is the
+    ``DEFLATION_RTOL * max(|R_00|, scale)``, where ``scale`` is the
     caller's running coefficient scale (0 judges Z against itself).
     Returns ``(Q, C, rank)``: Q keeps ``rank`` columns, signed so that
     ``diag(R) >= 0``, and ``C = Q^T Z = R P^T`` is the coupling block.
     """
     Q, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
     r = np.diag(R)
-    rank = int(np.count_nonzero(np.abs(r) > deflation_tol * max(abs(r[0]), scale)))
+    rank = int(np.count_nonzero(np.abs(r) > DEFLATION_RTOL * max(abs(r[0]), scale)))
     signs = np.where(r[:rank] < 0, -1.0, 1.0)
     C = np.empty((rank, Z.shape[1]))
     C[:, piv] = signs[:, None] * R[:rank]
@@ -440,12 +361,11 @@ def block_lanczos(
     B: np.ndarray,
     k: int,
     mode: ReorthMode = ReorthMode.FULL,
-    deflation_tol: float = DEFAULT_DEFLATION_TOL,
 ) -> BlockKrylovDecomposition:
     """Run k block Lanczos steps with rank-revealing QR deflation.
 
     Each block is factored once by :func:`_qr_deflate`.  A column is
-    deflated when its pivot falls below ``deflation_tol`` times the
+    deflated when its pivot is at most ``DEFLATION_RTOL`` times the
     running coefficient scale (the largest entry of the A_n and B_n
     blocks so far, as in :func:`lanczos`); the start block is judged
     against its own largest column.  A step of rank 0 is a breakdown;
@@ -457,10 +377,8 @@ def block_lanczos(
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[1] < 1:
         raise ValueError("B must be a d x m matrix with m >= 1")
-    if deflation_tol <= 0:
-        raise ValueError("deflation_tol must be positive")
 
-    Qn, R0, rank = _qr_deflate(B, deflation_tol, 0.0)
+    Qn, R0, rank = _qr_deflate(B, 0.0)
     if rank == 0:
         raise ZeroStartBlock("starting block has numerical rank zero")
 
@@ -487,7 +405,7 @@ def block_lanczos(
         scale = max(scale, float(np.abs(An).max()))
         if n == k - 1:
             break
-        Qnext, Bn, rank = _qr_deflate(Z, deflation_tol, scale)
+        Qnext, Bn, rank = _qr_deflate(Z, scale)
         block_offdiag.append(Bn)
         if rank == 0:
             termination = Termination("breakdown", n + 1)
@@ -507,11 +425,13 @@ def block_lanczos(
     )
 
 
-def krylov_grade(
-    A: LinearOperator, b: np.ndarray, tol: float = DEFAULT_BREAKDOWN_TOL
-) -> int:
+def krylov_grade(A: LinearOperator, b: np.ndarray) -> int:
     """Numerical grade of b: the step at which fully reorthogonalized
-    Lanczos breaks down, i.e. the number of support points of the spectral
-    measure of (A, b)."""
-    dec = lanczos(A, b, k=A.dim, mode=ReorthMode.FULL, breakdown_tol=tol)
-    return dec.T.size
+    Lanczos breaks down (d if it does not).  In exact arithmetic that is
+    the number of support points of the spectral measure of (A, b).  In
+    floating point it can be more: a genuinely small ``beta`` amplifies
+    rounding noise past the ``BREAKDOWN_RTOL`` test and the run goes on.
+    On 400 diagonal cases (1-39 distinct eigenvalues, multiplicities 1-3,
+    Gaussian ``b``) it was the number of distinct eigenvalues in only
+    114, often close to twice it."""
+    return lanczos(A, b, k=A.dim, mode=ReorthMode.FULL).T.size

@@ -212,14 +212,11 @@ def modified_moments(
     interval=(-1.0, 1.0),
 ) -> np.ndarray:
     """Modified moments m_j = sum_i w_i q_j(x_i) for j < count, with q_j
-    the Chebyshev polynomials mapped to the interval (or raw monomials for
-    testing)."""
+    the Chebyshev polynomials of kind ``"T"`` or ``"U"`` mapped to the
+    interval."""
     if count < 1:
         raise ValueError("count must be positive")
-    if kind == "monomial":
-        rows = (measure.nodes**j for j in range(count))
-    else:
-        rows = _cheb_rows(kind, count, _to_unit(measure.nodes, interval))
+    rows = _cheb_rows(kind, count, _to_unit(measure.nodes, interval))
     return np.asarray([float(np.sum(measure.weights * q)) for q in rows])
 
 

@@ -226,11 +226,12 @@ class DensityApprox:
             out = out - c[n] * math.sqrt(2.0) * np.sin(n * theta) / (n * np.pi)
         return out
 
-    def integrate(self, g, n_quad: int | None = None) -> float:
+    def integrate(self, g) -> float:
         """Integral of a scalar function against the approximation.
 
-        The KPM form uses a midpoint rule in the Chebyshev angle, which
-        is exact when g is a polynomial of sufficiently low degree.
+        The KPM form uses a ``4 n + 64``-point midpoint rule in the
+        Chebyshev angle for ``n`` coefficients, which is exact when g is a
+        polynomial of sufficiently low degree.
         Raises :class:`FunctionDomainError` if ``g`` is NaN/Inf at a node.
         """
         if self.form == "quadrature":
@@ -238,13 +239,12 @@ class DensityApprox:
             return float(np.sum(self.measure.weights * vals))
         a, b = self.interval
         c = self.coefficients
-        if n_quad is None:
-            n_quad = 4 * c.size + 64
-        theta = (np.arange(n_quad) + 0.5) * np.pi / n_quad
+        points = 4 * c.size + 64
+        theta = (np.arange(points) + 0.5) * np.pi / points
         xt = np.cos(theta)
         x = 0.5 * (b - a) * xt + 0.5 * (a + b)
         gv = _finite_values(g, x, FunctionDomainError)
-        return float(np.sum(gv * _cheb_series(c, xt, math.sqrt(2.0))) / n_quad)
+        return float(np.sum(gv * _cheb_series(c, xt, math.sqrt(2.0))) / points)
 
     def density(self, x) -> np.ndarray:
         """Pointwise density (KPM form only)."""
@@ -359,13 +359,20 @@ def kpm_density(
     ``interval`` encloses them; an empty ``interval`` is rejected before
     any operator call.
 
+    The automatic interval, the Ritz hull widened by 5% each side, is an
+    unchecked heuristic and can miss the spectrum: (-0.604, 0.634) for k=1
+    on ``diagonal(linspace(-1, 1, 400))``, and one Ritz value +- 5e-302 on
+    spectra below about 1e-150, where the Ritz run underflows and breaks
+    down at step 1.  Only a given ``interval`` is checked.
+
     The default ``coeff_method="lanczos_qf"`` reads each probe's moments
     off its k-point Lanczos quadrature, which is exact for these degrees
     and forward-stable even without reorthogonalization.  All probes are
-    one probe map: item 0 is probe 0's Ritz run, whose first k steps give
-    its quadrature, and items 1..m-1 run k steps each; the moments are
-    formed once the interval is known.  Operator applications:
-    min(2k, d) + (m - 1) k when k <= d.
+    one probe map: item 0 is one max(k, min(2k, d))-step run of probe 0,
+    whose first min(2k, d) steps are the Ritz run and whose first k steps
+    give its quadrature, and items 1..m-1 run k steps each; the moments
+    are formed once the interval is known.  Operator applications:
+    max(k, min(2k, d)) + (m - 1) k.
 
     ``coeff_method="recurrence"`` runs the explicit Chebyshev vector
     recurrence instead: it forms v_n = T_n(A~) b for n <= k only and takes
@@ -394,20 +401,25 @@ def kpm_density(
     if interval is not None and not float(interval[1]) > float(interval[0]):
         raise ValueError("interval must have positive length")
     n_coeffs = 2 * k
+    ritz_steps = min(n_coeffs, A.dim)
 
-    def ritz_run(b):
-        """Probe 0's min(2k, d)-step run and the interval it sets or checks."""
-        ritz = _Recurrence(A, b, min(2 * k, A.dim)).run()
-        return ritz, _enclosing_interval(ritz.T, interval)
+    def ritz_run(b, steps=ritz_steps):
+        """A ``steps``-step run from probe 0, and the interval that its first
+        min(2k, d) steps (the Ritz run) set or check."""
+        rec = _Recurrence(A, b, steps).run()
+        T = rec.T
+        return rec, _enclosing_interval(T.principal(min(ritz_steps, T.size)), interval)
 
     if coeff_method == "lanczos_qf":
 
         def quadrature(i):
-            """Probe i's k-point quadrature, and for i = 0 the interval."""
+            """Probe i's k-point quadrature, and for i = 0 the interval: one
+            run of probe 0 holds both its Ritz run and its first k steps."""
             b = sampler.probe(i, A.dim)
-            rec, enclosing = ritz_run(b) if i == 0 else (None, None)
-            if rec is None or k > rec.k:  # else the Ritz run holds probe 0's k steps
-                rec = _Recurrence(A, b, k).run()
+            if i:
+                rec, enclosing = _Recurrence(A, b, k).run(), None
+            else:
+                rec, enclosing = ritz_run(b, max(k, ritz_steps))
             T = rec.T.principal(min(k, rec.T.size))
             return gauss_quadrature(T, rec.b_norm**2), enclosing
 

@@ -9,12 +9,12 @@ from krylov.lanczos import (
     ReorthMode,
     Termination,
     _Basis,
-    arnoldi,
     block_lanczos,
     krylov_grade,
     lanczos,
 )
 from krylov.orthopoly import DiscreteMeasure, stieltjes
+from krylov.solvers import block_cg
 
 
 def random_symmetric(rng, d):
@@ -213,43 +213,6 @@ class TestReorthogonalize:
         assert products[0] == 2 * 40
 
 
-class TestArnoldi:
-    def test_identity_terminates(self):
-        A = LinearOperator.diagonal(np.ones(4))
-        dec = arnoldi(A, np.ones(4), 3)
-        assert dec.H.shape == (1, 1)
-        assert dec.H[0, 0] == pytest.approx(1.0)
-        assert dec.termination.is_breakdown
-
-    def test_matches_lanczos_on_symmetric(self):
-        A = LinearOperator.diagonal([1.0, 2.0])
-        b = np.ones(2) / np.sqrt(2)
-        arn = arnoldi(A, b, 2)
-        lan = lanczos(A, b, 2)
-        T = lan.T.to_dense()
-        assert np.abs(arn.H - T).max() <= 1e-12
-
-    def test_symmetric_forces_tridiagonal(self):
-        rng = np.random.default_rng(5)
-        d, k = 30, 12
-        M = random_symmetric(rng, d)
-        dec = arnoldi(LinearOperator.from_matrix(M), rng.standard_normal(d), k)
-        for i in range(k):
-            for j in range(i + 2, k):
-                assert abs(dec.H[i, j]) <= 1e-10
-
-    def test_invariants(self):
-        rng = np.random.default_rng(6)
-        d, k = 30, 10
-        M = random_symmetric(rng, d)
-        dec = arnoldi(LinearOperator.from_matrix(M), rng.standard_normal(d), k)
-        Q = dec.basis
-        assert np.abs(Q.T @ Q - np.eye(k)).max() <= 1e-10
-        R = M @ Q - Q @ dec.H
-        R[:, -1] -= dec.trailing_h * dec.next_vector
-        assert np.abs(R).max() <= 1e-10 * np.linalg.norm(M, 2)
-
-
 class TestBlockLanczos:
     def test_nan_operator_raises(self, nan_after):
         A = nan_after(LinearOperator.diagonal(np.linspace(1.0, 2.0, 10)), 4)
@@ -345,6 +308,32 @@ class TestBlockLanczos:
         dec = block_lanczos(A, B, 5)
         assert dec.termination == Termination("completed", 5)
         assert calls[0] == len(dec.block_diag) == 5
+
+    def test_none_mode_matches_full_for_a_few_steps(self):
+        # Over a few steps the plain block recurrence has not yet lost
+        # orthogonality: its A_n blocks are FULL's to rounding.
+        rng = np.random.default_rng(15)
+        d, m, k = 60, 3, 4
+        M = random_symmetric(rng, d)
+        A = LinearOperator.from_matrix(M)
+        B = rng.standard_normal((d, m))
+        full = block_lanczos(A, B, k, mode=ReorthMode.FULL)
+        none = block_lanczos(A, B, k, mode=ReorthMode.NONE)
+        assert none.block_widths == full.block_widths == [m] * k
+        for An, Af in zip(none.block_diag, full.block_diag, strict=True):
+            assert np.abs(An - Af).max() <= 1e-12 * np.linalg.norm(M, 2)
+
+    def test_none_mode_never_reorthogonalizes(self, monkeypatch):
+        def forbidden(self, z):
+            raise AssertionError("NONE mode reorthogonalized")
+
+        monkeypatch.setattr(_Basis, "reorthogonalize", forbidden)
+        rng = np.random.default_rng(16)
+        A = LinearOperator.from_matrix(random_symmetric(rng, 30))
+        B = rng.standard_normal((30, 3))
+        dec = block_lanczos(A, B, 5, mode=ReorthMode.NONE)
+        assert dec.termination == Termination("completed", 5)
+        assert len(block_cg(A, B, 5, mode=ReorthMode.NONE).iterates) == 5
 
     def test_full_rank_with_probability_one(self):
         # Gaussian start block on a spectrum with eigenvalue multiplicity

@@ -404,6 +404,16 @@ class TestKpmDensity:
         assert got.interval == want.interval
         assert got.coefficients.tobytes() == want.coefficients.tobytes()
 
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize("interval", [None, (-1.1, 1.1)])
+    def test_probe_0_runs_once_when_k_exceeds_d(self, interval, m):
+        # One max(k, min(2k, d))-step run of probe 0 holds both its Ritz
+        # run and its k-step quadrature; then k per further probe.
+        d, k = 40, 50
+        op, calls = counting(LinearOperator.diagonal(np.linspace(-1.0, 1.0, d)))
+        kpm_density(op, k, interval, m=m, sampler=ProbeSampler(seed=19))
+        assert calls[0] == max(k, min(2 * k, d)) + (m - 1) * k
+
     @pytest.mark.parametrize("coeff_method", ["recurrence", "lanczos_qf"])
     @pytest.mark.parametrize("interval", [None, (-1.1, 1.1)])
     def test_each_probe_is_drawn_once(self, coeff_method, interval):
