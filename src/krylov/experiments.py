@@ -24,17 +24,21 @@ from .matrices import (
     ClusterPerturbed,
     ExplicitEigenvalues,
     GradedSpectrum,
+    _dense_eigh,
+    _from_eigenbasis,
     _optimal_ksm,
+    _to_eigenbasis,
     generate_operator,
 )
 from .orthopoly import (
     DiscreteMeasure,
     gauss_quadrature,
+    jackson_damping,
     modified_moments,
     wasserstein,
 )
 from .solvers import cg, chebyshev_bound, minres
-from .trace import ProbeSampler, _slq_densities, kpm_density
+from .trace import DensityApprox, ProbeSampler, _slq_densities, kpm_density
 
 __all__ = [
     "ExperimentConfig",
@@ -92,6 +96,22 @@ class ExperimentReport:
         return all(a.passed for a in self.assertions)
 
 
+def _exact_spectrum(spec):
+    """``(A, vals, vecs)``: the operator a spec describes and its exact
+    eigenpairs, from which every reference of an experiment is computed.
+
+    A generated spec carries them (``vecs`` is ``None`` for a diagonal
+    operator), so no reference needs the dense operator or a dimension
+    cap.  A Matrix Market file does not: its eigenpairs are ``eigh`` of
+    the dense operator, d operator calls, and a dimension above
+    ``DENSE_ORACLE_LIMIT`` raises :class:`DimensionTooLarge`."""
+    gen = generate_operator(spec)
+    if gen.eigenvalues is not None:
+        return gen.operator, gen.eigenvalues, gen.eigenvectors
+    _, vals, vecs = _dense_eigh(gen.operator)
+    return gen.operator, vals, vecs
+
+
 def _start_vector(d: int) -> np.ndarray:
     """Deterministic all-ones unit start vector (every eigenvector
     component weighted equally on a plain diagonal operator)."""
@@ -132,9 +152,8 @@ def _fp_lanczos(cfg: ExperimentConfig) -> ExperimentReport:
     the plain Lanczos recurrence on a graded spectrum."""
     spec = cfg.matrix or GradedSpectrum(d=64, lam_min=1e-3, lam_max=1.0, rho=0.8)
     k = cfg.k or 40
-    gen = generate_operator(spec)
-    A = gen.operator
-    lam_max = float(gen.eigenvalues.max()) if gen.eigenvalues is not None else None
+    A, vals, _ = _exact_spectrum(spec)
+    lam_max = float(vals.max())
     b = _start_vector(A.dim)
 
     plain = lanczos(A, b, k, mode=ReorthMode.NONE)
@@ -217,8 +236,7 @@ def _moment_stability(cfg: ExperimentConfig) -> ExperimentReport:
     precision even though the matrices themselves diverge."""
     spec = cfg.matrix or GradedSpectrum(d=64, lam_min=1e-3, lam_max=1.0, rho=0.8)
     k = cfg.k or 40
-    gen = generate_operator(spec)
-    A, vals = gen.operator, gen.eigenvalues
+    A, vals, _ = _exact_spectrum(spec)
     scale = float(np.abs(vals).max())
     if abs(scale - 1.0) > 1e-12:
         raise InvalidSpec("moment-stability expects a spectrum scaled to norm 1")
@@ -255,17 +273,16 @@ def _cg_bounds(cfg: ExperimentConfig) -> ExperimentReport:
     and the exponential estimate (which can be very pessimistic)."""
     spec = cfg.matrix or GradedSpectrum(d=100, lam_min=1.0, lam_max=1e4, rho=0.9)
     k = cfg.k or 40
-    gen = generate_operator(spec)
-    A, vals = gen.operator, gen.eigenvalues
+    A, vals, vecs = _exact_spectrum(spec)
     b = _start_vector(A.dim)
     lam_min, lam_max = float(vals.min()), float(vals.max())
 
     hist = cg(A, b, k, mode=ReorthMode.FULL, tol=0.0)
-    dense = A.to_dense()
-    x_star = np.linalg.solve(dense, b)
+    x_star = _from_eigenbasis(vecs, _to_eigenbasis(vecs, b) / vals)
 
     def a_norm(v):
-        return float(np.sqrt(max(v @ (dense @ v), 0.0)))
+        c = _to_eigenbasis(vecs, v)
+        return float(np.sqrt(max(c @ (vals * c), 0.0)))
 
     e0 = a_norm(x_star)
     rows = []
@@ -365,12 +382,11 @@ def _fa_optimality(cfg: ExperimentConfig) -> ExperimentReport:
     baseline within a small factor."""
     spec = cfg.matrix or GradedSpectrum(d=100, lam_min=1e-2, lam_max=1.0, rho=0.9)
     k = cfg.k or 40
-    gen = generate_operator(spec)
-    A, vals = gen.operator, gen.eigenvalues
+    A, vals, vecs = _exact_spectrum(spec)
     b = _start_vector(A.dim)
     f = np.sqrt
 
-    target, opt = _optimal_ksm(A, b, f, k)
+    target, opt = _optimal_ksm(A.apply, vals, vecs, b, f, k)
 
     dec = lanczos(A, b, k, mode=ReorthMode.FULL)
     rows = []
@@ -397,14 +413,11 @@ def _fa_formulas(cfg: ExperimentConfig) -> ExperimentReport:
     reorthogonalization; the tempting Q f(T) Q^T b variant stalls."""
     spec = cfg.matrix or GradedSpectrum(d=64, lam_min=1e-3, lam_max=1.0, rho=0.8)
     k = cfg.k or 60
-    gen = generate_operator(spec)
-    A, vals = gen.operator, gen.eigenvalues
+    A, vals, vecs = _exact_spectrum(spec)
     b = _start_vector(A.dim)
     f = lambda x: np.exp(-x)
 
-    dense = A.to_dense()
-    w, V = np.linalg.eigh(dense)
-    target = V @ (np.exp(-w) * (V.T @ b))
+    target = _from_eigenbasis(vecs, np.exp(-vals) * _to_eigenbasis(vecs, b))
     tnorm = float(np.linalg.norm(target))
 
     dec = lanczos(A, b, k, mode=ReorthMode.NONE)
@@ -440,8 +453,7 @@ def _slq_wasserstein(cfg: ExperimentConfig) -> ExperimentReport:
     estimate roughly halves when the quadrature degree doubles."""
     spec = cfg.matrix or ExplicitEigenvalues(tuple(_semicircle_spectrum(500)))
     m = cfg.m or 8
-    gen = generate_operator(spec)
-    A, vals = gen.operator, gen.eigenvalues
+    A, vals, _ = _exact_spectrum(spec)
     phi = DiscreteMeasure(vals, np.full(vals.size, 1.0 / vals.size))
     sampler = ProbeSampler(seed=cfg.seed)
 
@@ -474,20 +486,23 @@ def _kpm_density(cfg: ExperimentConfig) -> ExperimentReport:
         tuple(np.cos((np.arange(1, 201) - 0.5) * np.pi / 200))
     )
     k = cfg.k or 10
-    gen = generate_operator(spec)
-    A, vals = gen.operator, gen.eigenvalues
+    A, vals, vecs = _exact_spectrum(spec)
     sampler = ProbeSampler(seed=cfg.seed)
     b = sampler.probe(0, A.dim)
     interval = (float(vals.min()) - 0.1, float(vals.max()) + 0.1)
 
-    # Exact single-probe spectral measure (diagonal operator: weights b_i^2).
-    psi = DiscreteMeasure(vals, b**2)
+    # Exact single-probe spectral measure: weights are the squared
+    # eigenbasis coordinates of the probe.
+    psi = DiscreteMeasure(vals, _to_eigenbasis(vecs, b) ** 2)
 
     plain = kpm_density(
         A, k, interval=interval, damping=None, coeff_method="recurrence", m=1, sampler=sampler
     )
-    damped = kpm_density(
-        A, k, interval=interval, damping="jackson", coeff_method="recurrence", m=1, sampler=sampler
+    # What damping="jackson" computes from the same moments.
+    damped = DensityApprox(
+        form="kpm",
+        interval=plain.interval,
+        coefficients=plain.coefficients * jackson_damping(k).rho,
     )
     via_lanczos = kpm_density(
         A, k, interval=interval, damping=None, coeff_method="lanczos_qf", m=1, sampler=sampler

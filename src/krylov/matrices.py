@@ -1,6 +1,6 @@
 """Test-matrix generation and ingestion: synthetic spectra (optionally
-hidden behind a random orthogonal similarity), Matrix Market loading, and
-the dense best-approximation oracle."""
+hidden behind a random orthogonal similarity) with their exact
+eigenpairs, Matrix Market loading, and the best-approximation oracle."""
 
 from __future__ import annotations
 
@@ -111,10 +111,17 @@ class MatrixMarketFile:
 
 @dataclass(frozen=True)
 class GeneratedOperator:
-    """A generated operator with its exact spectrum when known."""
+    """A generated operator with its exact eigenpairs when known.
+
+    ``eigenvalues`` are sorted ascending; both fields are ``None`` for a
+    Matrix Market file.  ``eigenvectors`` is ``None`` for a diagonal
+    operator, whose eigenvectors are the unit vectors, and the orthogonal
+    rotation ``Q`` of a rotated spec, with A = Q diag(eigenvalues) Q^T.
+    """
 
     operator: LinearOperator
     eigenvalues: np.ndarray | None
+    eigenvectors: np.ndarray | None = None
 
 
 def _spec_eigenvalues(spec) -> np.ndarray:
@@ -142,20 +149,43 @@ def generate_operator(spec) -> GeneratedOperator:
     """Build the operator a spec describes.
 
     Synthetic kinds produce a diagonal operator, conjugated by a seeded
-    random orthogonal matrix when ``rotation_seed`` is set; the exact
-    eigenvalue list is reported for oracles.
+    random orthogonal matrix ``Q`` when ``rotation_seed`` is set.  They
+    carry their exact eigenvalues and eigenvectors (``None`` when
+    diagonal, else ``Q``), so references built from them need no dense
+    operator and no dimension cap.  A Matrix Market file carries neither.
     """
     if isinstance(spec, MatrixMarketFile):
         return GeneratedOperator(load_matrix_market(spec.path), None)
     vals = np.sort(_spec_eigenvalues(spec))
     seed = getattr(spec, "rotation_seed", None)
     if seed is None:
-        op = LinearOperator.diagonal(vals)
-    else:
-        rng = np.random.default_rng(seed)
-        Q, _ = np.linalg.qr(rng.standard_normal((vals.size, vals.size)))
-        op = LinearOperator(vals.size, lambda v: Q @ (vals * (Q.T @ v)))
-    return GeneratedOperator(op, vals)
+        return GeneratedOperator(LinearOperator.diagonal(vals), vals)
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((vals.size, vals.size)))
+    op = LinearOperator(vals.size, lambda v: Q @ (vals * (Q.T @ v)))
+    return GeneratedOperator(op, vals, Q)
+
+
+def _to_eigenbasis(vecs: np.ndarray | None, v: np.ndarray) -> np.ndarray:
+    """Coordinates of ``v`` in the eigenbasis ``vecs`` (``None``: the unit
+    vectors, as for a diagonal operator)."""
+    return v if vecs is None else vecs.T @ v
+
+
+def _from_eigenbasis(vecs: np.ndarray | None, c: np.ndarray) -> np.ndarray:
+    """The vector with coordinates ``c`` in the eigenbasis ``vecs``."""
+    return c if vecs is None else vecs @ c
+
+
+def _dense_eigh(A: LinearOperator):
+    """``(dense, vals, vecs)``: the materialized operator (d operator
+    calls) and its ``eigh``.  Raises :class:`DimensionTooLarge` above
+    ``DENSE_ORACLE_LIMIT``."""
+    if A.dim > DENSE_ORACLE_LIMIT:
+        raise DimensionTooLarge(f"dim {A.dim} exceeds {DENSE_ORACLE_LIMIT}")
+    dense = A.to_dense()
+    vals, vecs = np.linalg.eigh(dense)
+    return dense, vals, vecs
 
 
 def load_matrix_market(path: str) -> LinearOperator:
@@ -186,26 +216,28 @@ def load_matrix_market(path: str) -> LinearOperator:
 
 def optimal_ksm_error(A: LinearOperator, b: np.ndarray, f, k: int) -> np.ndarray:
     """Per-step 2-norm distance of f(A) b from the Krylov subspaces:
-    the unbeatable baseline for any Krylov method.  Dense work, so the
-    dimension is capped.  Raises :class:`FunctionDomainError` if ``f``
-    is NaN/Inf at an eigenvalue."""
-    return _optimal_ksm(A, b, f, k)[1]
+    the unbeatable baseline for any Krylov method.
+
+    An arbitrary operator has no known eigenpairs, so this materializes it
+    (d operator calls) and takes its ``eigh``; the dimension is capped at
+    ``DENSE_ORACLE_LIMIT`` (:class:`DimensionTooLarge`).  Raises
+    :class:`FunctionDomainError` if ``f`` is NaN/Inf at an eigenvalue."""
+    dense, vals, vecs = _dense_eigh(A)
+    return _optimal_ksm(lambda u: dense @ u, vals, vecs, b, f, k)[1]
 
 
-def _optimal_ksm(A: LinearOperator, b: np.ndarray, f, k: int):
-    """``(f(A) b, optimal_ksm_error(A, b, f, k))`` from one dense operator
-    and one ``eigh``.
+def _optimal_ksm(apply, vals, vecs, b: np.ndarray, f, k: int):
+    """``(f(A) b, optimal_ksm_error(A, b, f, k))`` for the operator with
+    eigenpairs ``(vals, vecs)`` (``vecs`` as for :func:`_to_eigenbasis`),
+    applied by ``apply``: one call per Krylov basis vector, at most k, and
+    no dense operator.
 
     The residual of ``f(A) b`` against the Krylov basis is kept as it
     grows: each new basis vector's projection is subtracted once, in the
     order a full recomputation at every step would subtract it."""
-    if A.dim > DENSE_ORACLE_LIMIT:
-        raise DimensionTooLarge(f"dim {A.dim} exceeds {DENSE_ORACLE_LIMIT}")
     b = np.asarray(b, dtype=float)
-    dense = A.to_dense()
-    vals, vecs = np.linalg.eigh(dense)
     fvals = _finite_values(f, vals, FunctionDomainError)
-    target = vecs @ (fvals * (vecs.T @ b))
+    target = _from_eigenbasis(vecs, fvals * _to_eigenbasis(vecs, b))
 
     errors = np.empty(k)
     basis: list[np.ndarray] = []
@@ -224,7 +256,7 @@ def _optimal_ksm(A: LinearOperator, b: np.ndarray, f, k: int):
             else:
                 u = w / nw
                 basis.append(u)
-                v = dense @ u
+                v = apply(u)
                 resid = resid - (u @ target) * u
         errors[j] = np.linalg.norm(resid)
     return target, errors

@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
 
+from krylov import experiments
 from krylov.core import LinearOperator
-from krylov.errors import KrylovError
+from krylov.errors import DimensionTooLarge, KrylovError
 from krylov.experiments import (
     ExperimentConfig,
     list_experiments,
     run_experiment,
+)
+from krylov.matrices import (
+    DENSE_ORACLE_LIMIT,
+    ExplicitEigenvalues,
+    GeneratedOperator,
+    GradedSpectrum,
+    MatrixMarketFile,
+    generate_operator,
 )
 
 
@@ -21,25 +30,28 @@ def test_experiment_passes_with_defaults(name, tmp_path):
     assert report.csv_path is not None
 
 
-# Operator applications per default run: every Lanczos prefix and dense
-# oracle is formed once.  slq-wasserstein reads its degrees 8 and 16 off
-# each probe's 32-step run (8 x 32), and fa-optimality forms the dense
-# operator once for both its target and the optimal baseline (100 + 40).
-# 1190 in all.
+# Operator applications per default run: every Lanczos prefix is formed
+# once, and no reference materializes the operator, because each is
+# computed from the exact eigenpairs the generated spec carries.
+# slq-wasserstein reads its degrees 8 and 16 off each probe's 32-step run
+# (8 x 32), fa-optimality builds the optimal baseline's Krylov basis with
+# one call per vector (40 + 40), and kpm-density damps the undamped
+# recurrence's coefficients instead of recomputing its moments (30 + 20).
+# 936 in all.
 OPERATOR_CALLS = {
-    "cg-bounds": 180,
-    "fa-formulas": 124,
-    "fa-optimality": 140,
+    "cg-bounds": 80,
+    "fa-formulas": 60,
+    "fa-optimality": 80,
     "fp-lanczos": 80,
     "indefinite": 160,
-    "kpm-density": 80,
+    "kpm-density": 50,
     "moment-stability": 80,
     "nearby-problem": 90,
     "slq-wasserstein": 256,
 }
 
 
-def test_default_operator_call_budget(monkeypatch):
+def _count_operator_calls(monkeypatch):
     apply = LinearOperator.apply
     calls = [0]
 
@@ -48,6 +60,11 @@ def test_default_operator_call_budget(monkeypatch):
         return apply(self, v)
 
     monkeypatch.setattr(LinearOperator, "apply", counted)
+    return calls
+
+
+def test_default_operator_call_budget(monkeypatch):
+    calls = _count_operator_calls(monkeypatch)
     got = {}
     for name in list_experiments():
         calls[0] = 0
@@ -86,3 +103,105 @@ def test_csv_values_fixed_precision(tmp_path):
         assert len(parts) == 5
         float(parts[4])  # value column parses
         int(parts[3])  # step column parses
+
+
+def _write_diagonal_mtx(path, vals):
+    lines = [
+        "%%MatrixMarket matrix coordinate real symmetric",
+        f"{vals.size} {vals.size} {vals.size}",
+    ]
+    lines += [f"{i} {i} {v:.17g}" for i, v in enumerate(vals, start=1)]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name", list_experiments())
+def test_matrix_market_config_reports_or_raises_krylov_error(name, tmp_path):
+    # A Matrix Market file carries no eigenpairs; experiments take them from
+    # the dense operator, and any failure is a library error, not a crash.
+    vals = np.linspace(0.1, 1.0, 50)
+    path = tmp_path / "diag50.mtx"
+    _write_diagonal_mtx(path, vals)
+    cfg = ExperimentConfig(experiment=name, matrix=MatrixMarketFile(str(path)))
+    try:
+        report = run_experiment(cfg)
+    except KrylovError:
+        return
+    assert report.rows
+    # On a diagonal file the references are those of the same explicit spectrum.
+    ref = run_experiment(
+        ExperimentConfig(experiment=name, matrix=ExplicitEigenvalues(tuple(vals)))
+    )
+    got = np.array([v for _, _, v in report.rows])
+    want = np.array([v for _, _, v in ref.rows])
+    assert [r[:2] for r in report.rows] == [r[:2] for r in ref.rows]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_matrix_market_above_dense_limit_raises(tmp_path):
+    path = tmp_path / "big.mtx"
+    _write_diagonal_mtx(path, np.linspace(1.0, 2.0, DENSE_ORACLE_LIMIT + 1))
+    with pytest.raises(DimensionTooLarge):
+        run_experiment(
+            ExperimentConfig(experiment="cg-bounds", matrix=MatrixMarketFile(str(path)), k=2)
+        )
+
+
+def test_rotated_spec_carries_its_eigenvectors():
+    gen = generate_operator(
+        GradedSpectrum(d=40, lam_min=1e-2, lam_max=1.0, rho=0.9, rotation_seed=5)
+    )
+    Q, vals = gen.eigenvectors, gen.eigenvalues
+    assert np.abs(Q.T @ Q - np.eye(40)).max() <= 1e-13
+    dense = gen.operator.to_dense()
+    assert np.abs(Q @ (vals[:, None] * Q.T) - dense).max() <= 1e-13
+    assert generate_operator(ExplicitEigenvalues((1.0, 2.0))).eigenvectors is None
+
+
+ROTATED_SPECS = {
+    "cg-bounds": GradedSpectrum(d=100, lam_min=1.0, lam_max=1e4, rho=0.9, rotation_seed=3),
+    "fa-optimality": GradedSpectrum(d=100, lam_min=1e-2, lam_max=1.0, rho=0.9, rotation_seed=3),
+    "fa-formulas": GradedSpectrum(d=64, lam_min=1e-3, lam_max=1.0, rho=0.8, rotation_seed=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROTATED_SPECS))
+def test_rotated_references_match_dense_path(name, monkeypatch):
+    # References from the spec's own (vals, Q) against those from eigh of
+    # the materialized operator, the path a Matrix Market file takes.
+    cfg = ExperimentConfig(experiment=name, matrix=ROTATED_SPECS[name])
+    exact = run_experiment(cfg)
+    monkeypatch.setattr(
+        experiments,
+        "generate_operator",
+        lambda spec: GeneratedOperator(generate_operator(spec).operator, None),
+    )
+    dense = run_experiment(cfg)
+    assert exact.passed and dense.passed
+    assert [r[:2] for r in exact.rows] == [r[:2] for r in dense.rows]
+    got = np.array([v for _, _, v in exact.rows])
+    want = np.array([v for _, _, v in dense.rows])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_kpm_density_exact_measure_on_rotated_spec():
+    # The probe's exact spectral measure weighs each eigenvalue by the
+    # probe's squared eigenbasis coordinate, not by its squared entry.
+    spec = ExplicitEigenvalues(
+        tuple(np.cos((np.arange(1, 201) - 0.5) * np.pi / 200)), rotation_seed=3
+    )
+    report = run_experiment(ExperimentConfig(experiment="kpm-density", matrix=spec))
+    assert report.passed, [a for a in report.assertions if not a.passed]
+
+
+def test_large_generated_spec_needs_no_dense_oracle(monkeypatch):
+    # d = 3000 is above DENSE_ORACLE_LIMIT; only the Krylov methods and the
+    # optimal baseline's basis apply the operator.
+    spec = GradedSpectrum(d=3000, lam_min=1e-2, lam_max=1.0, rho=0.9)
+    calls = _count_operator_calls(monkeypatch)
+    got = {}
+    for name in ("cg-bounds", "fa-formulas", "fa-optimality"):
+        calls[0] = 0
+        report = run_experiment(ExperimentConfig(experiment=name, matrix=spec, k=20))
+        assert report.rows
+        got[name] = calls[0]
+    assert got == {"cg-bounds": 40, "fa-formulas": 20, "fa-optimality": 40}
