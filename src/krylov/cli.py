@@ -5,7 +5,8 @@ Subcommands:
 - ``krylov run <config-file>``: run a named experiment from a config file
   (INI-style sections mirroring :class:`ExperimentConfig`), writing CSV.
 - ``krylov list-experiments``: print available experiment names.
-- ``krylov matrix-info <spec>``: summarize a matrix spec string or file.
+- ``krylov matrix-info <spec>``: summarize a matrix spec string or file
+  (a Matrix Market file of at most ``DENSE_ORACLE_LIMIT`` rows).
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ import argparse
 import configparser
 import sys
 
-import numpy as np
-
 from .errors import InvalidSpec, KrylovError
-from .experiments import ExperimentConfig, list_experiments, run_experiment
-from .matrices import generate_operator, parse_matrix_spec
+from .experiments import (
+    ExperimentConfig,
+    _exact_spectrum,
+    list_experiments,
+    run_experiment,
+)
+from .matrices import parse_matrix_spec
 
 _EXPERIMENT_KEYS = {"name", "k", "m", "seed"}
 _MATRIX_KEYS = {
@@ -120,15 +124,9 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_matrix_info(args) -> int:
-    spec = parse_matrix_spec(args.spec)
-    gen = generate_operator(spec)
-    d = gen.operator.dim
-    print(f"dim: {d}")
-    if gen.eigenvalues is not None:
-        vals = gen.eigenvalues
-    else:
-        dense = gen.operator.to_dense()
-        vals = np.linalg.eigvalsh(dense)
+    # A Matrix Market file above DENSE_ORACLE_LIMIT raises DimensionTooLarge.
+    A, vals, _ = _exact_spectrum(parse_matrix_spec(args.spec))
+    print(f"dim: {A.dim}")
     lam_min, lam_max = float(vals.min()), float(vals.max())
     print(f"lam_min: {lam_min:.17g}")
     print(f"lam_max: {lam_max:.17g}")

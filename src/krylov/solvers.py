@@ -1,7 +1,8 @@
 """Linear-system solvers on top of the Lanczos recurrence: CG (tridiagonal
 and low-memory backends), MINRES and multi-shift solves, all read off one
 lockstep loop of per-shift Givens QR updates in which each shift stops at
-its own first explicit residual at most ``tol * ||b||``; preconditioned
+its own first explicit residual at most ``tol * ||b||`` (and, with
+``tol=None``, runs to step k without computing any residual); preconditioned
 wrapping, a priori Chebyshev bounds, a posteriori error estimates, and
 block CG.
 """
@@ -40,7 +41,9 @@ class IterateHistory:
     ``iterates[j]`` is the iterate after j+1 steps (``None`` at a gap, a
     CG step whose shifted tridiagonal ``T_{j+1} - z I`` is numerically
     singular, or when retention is off).  Residual norms are explicitly
-    recomputed as ``||b - A x||`` (NaN at gaps).
+    recomputed as ``||b - A x||`` (NaN at gaps).  A solve called with
+    ``tol=None`` has no stopping test and computes no residual: every
+    entry of ``residual_norms`` is NaN.
     """
 
     iterates: list
@@ -99,16 +102,23 @@ def _residual_norm(A: LinearOperator, b: np.ndarray, x: np.ndarray, shift=0.0):
     return float(np.linalg.norm(r))
 
 
-def _columns(dec):
-    """A stored decomposition's steps, as :meth:`_Recurrence.steps` yields them."""
-    betas = dec.T.betas.tolist() + [dec.trailing_beta]
-    return zip(dec.basis.T, dec.T.alphas.tolist(), betas)
-
-
 def _explicit_residual(A, b):
     """The ``residual`` of :func:`_shifted_histories` for ``(A - z I) x = b``
     itself: the iterate as it is, and ``||b - (A - z I) x||``."""
     return lambda x, z: (x, _residual_norm(A, b, x, shift=z))
+
+
+def _stored_history(A, b, dec, k, method, tol, keep_iterates=True):
+    """The ``method`` ("cg" or "minres") history of ``A x = b`` read off
+    ``dec = lanczos(A, b, k)``, whose columns are the steps
+    :meth:`_Recurrence.steps` yields, so the history is bit-identical to
+    the streamed solver's and one stored run serves both methods."""
+    betas = dec.T.betas.tolist() + [dec.trailing_beta]
+    steps = zip(dec.basis.T, dec.T.alphas.tolist(), betas)
+    return _shifted_histories(
+        steps, dec.b_norm, A.dim, k, [0.0], method, tol, keep_iterates,
+        _explicit_residual(A, b), dec.b_norm,
+    )[0]
 
 
 def _shifted_histories(
@@ -131,9 +141,11 @@ def _shifted_histories(
     Every other step's point x goes to the caller's ``residual(x, z)``,
     which returns the iterate to report and its explicitly recomputed
     residual norm; a shift stops once that norm is at most
-    ``tol * b_norm`` (never when ``tol`` is None), and no step is pulled
-    once every shift has stopped.  A history that runs out of steps before
-    ``k`` records a breakdown.
+    ``tol * b_norm``, and no step is pulled once every shift has stopped.
+    ``tol=None`` is no stopping test: ``residual`` is never called, the
+    point itself is reported with a NaN norm, and every shift runs until
+    the steps end.  A history that runs out of steps before ``k`` records
+    a breakdown.
     """
     want_cg = method == "cg"
     states = []  # per shift: x^M, w_{n-1}, w_{n-2}, rotations, phibar, scale
@@ -170,11 +182,14 @@ def _shifted_histories(
                 iterates[i].append(None)
                 res[i].append(np.nan)
                 continue
-            x, rnorm = residual(x, z)
+            if tol is None:  # no stopping test, so no residual to pay for
+                rnorm = np.nan
+            else:
+                x, rnorm = residual(x, z)
+                if rnorm <= tol * b_norm:
+                    termination[i] = "converged"
             iterates[i].append(x if keep_iterates else None)
             res[i].append(rnorm)
-            if tol is not None and rnorm <= tol * b_norm:
-                termination[i] = "converged"
         beta_prev = beta
         live = [i for i in live if termination[i] is None]
         if not live:
@@ -207,7 +222,12 @@ def cg(
     indefinite problems still produce a full trace.  ``termination`` is
     ``"converged"`` at the first residual at most ``tol * ||b||``,
     ``"breakdown"`` when the recurrence breaks down before step k, and
-    ``"max_iter"`` otherwise.
+    ``"max_iter"`` otherwise.  Each reported step costs one explicit
+    residual matvec on top of the recurrence's one per step.
+    ``tol=None`` is no stopping test: no residual is computed
+    (``residual_norms`` is all NaN), each iterate is the ``tol=0.0``
+    call's bit for bit, and the call applies ``A`` exactly k times (fewer
+    only at a breakdown).
 
     Both backends return bit-identical histories.
     ``backend="tridiagonal"`` runs all k steps of one stored Lanczos
@@ -219,15 +239,13 @@ def cg(
     """
     if backend == "tridiagonal":
         dec = lanczos(A, b, k, mode=mode)
-        steps, b_norm = _columns(dec), dec.b_norm
-    elif backend == "low_memory":
-        rec = _Recurrence(A, b, k, mode=mode)
-        steps, b_norm = rec.steps(), rec.b_norm
-    else:
+        return _stored_history(A, b, dec, k, "cg", tol, keep_iterates)
+    if backend != "low_memory":
         raise ValueError(f"unknown backend {backend!r}")
+    rec = _Recurrence(A, b, k, mode=mode)
     return _shifted_histories(
-        steps, b_norm, A.dim, k, [0.0], "cg", tol, keep_iterates,
-        _explicit_residual(A, b), b_norm,
+        rec.steps(), rec.b_norm, A.dim, k, [0.0], "cg", tol, keep_iterates,
+        _explicit_residual(A, b), rec.b_norm,
     )[0]
 
 
@@ -243,8 +261,11 @@ def minres(
     space, i.e. the least-squares solution of the extended tridiagonal
     system of one Lanczos run, updated incrementally by Givens rotations
     (Paige & Saunders 1975) at O(d) cost per step.  Each step's residual
-    is recomputed explicitly.  The recurrence runs step by step and stops
-    applying ``A`` at convergence."""
+    is recomputed explicitly, one matvec.  The recurrence runs step by
+    step and stops applying ``A`` at convergence.  ``tol=None`` is no
+    stopping test: no residual is computed (``residual_norms`` is all
+    NaN), each iterate is the ``tol=0.0`` call's bit for bit, and the call
+    applies ``A`` exactly k times (fewer only at a breakdown)."""
     rec = _Recurrence(A, b, k, mode=mode)
     return _shifted_histories(
         rec.steps(), rec.b_norm, A.dim, k, [0.0], "minres", tol, keep_iterates,
@@ -278,9 +299,12 @@ def multi_shift_solve(
     update or residual matvec.  The recurrence stops applying ``A`` once
     every shift has stopped.  A shift still running when the recurrence
     breaks down before step k records ``"breakdown"``, one that reaches
-    step k ``"max_iter"``.  ``tol=None`` runs every shift to step k;
-    ``tol=0.0`` does too, except that an exactly zero residual counts as
-    converged.  Returns one :class:`IterateHistory` per shift.
+    step k ``"max_iter"``.  ``tol=0.0`` runs every shift to step k unless
+    its residual is exactly zero.  ``tol=None`` is no stopping test: every
+    shift runs to step k with no residual computed (``residual_norms`` is
+    all NaN) and the ``tol=0.0`` call's iterates bit for bit, so the call
+    applies ``A`` exactly k times for any number of shifts (fewer only at
+    a breakdown).  Returns one :class:`IterateHistory` per shift.
     """
     if method not in ("cg", "minres"):
         raise ValueError(f"unknown method {method!r}")
@@ -371,7 +395,10 @@ def error_estimate_delay(
 ) -> np.ndarray:
     """A posteriori CG error estimate by lookahead: estimate[j] =
     ||x_{j+d} - x_j||_A, a guaranteed lower bound on the A-norm error at
-    step j in exact arithmetic."""
+    step j in exact arithmetic.  Raises ``ValueError`` for a lookahead
+    ``d`` below one."""
+    if d < 1:
+        raise ValueError(f"lookahead d must be at least 1, got {d}")
     xs = history.iterates
     if any(x is None for x in xs):
         raise InsufficientIterates("history does not retain all iterates")

@@ -15,6 +15,7 @@ from krylov.errors import (
 )
 from krylov.experiments import list_experiments, run_experiment
 from krylov.matrices import (
+    DENSE_ORACLE_LIMIT,
     ClusterPerturbed,
     ExplicitEigenvalues,
     GradedSpectrum,
@@ -335,6 +336,38 @@ class TestCliCommands:
         assert main(["matrix-info", "explicit:-1,2"]) == 0
         out = capsys.readouterr().out
         assert "undefined" in out
+
+    def test_matrix_info_matrix_market(self, tmp_path, capsys):
+        p = tmp_path / "diag.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n"
+            "1 1 0.5\n2 2 2\n3 3 4\n"
+        )
+        assert main(["matrix-info", f"mm:{p}"]) == 0
+        out = capsys.readouterr().out
+        assert "dim: 3" in out and "lam_min: 0.5" in out and "lam_max: 4" in out
+
+    def test_matrix_info_refuses_a_file_above_the_dense_limit(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # One error line and exit 2, before the operator is applied at all.
+        n = DENSE_ORACLE_LIMIT + 1
+        p = tmp_path / "big.mtx"
+        lines = ["%%MatrixMarket matrix coordinate real symmetric", f"{n} {n} {n}"]
+        lines += [f"{i} {i} {i}" for i in range(1, n + 1)]
+        p.write_text("\n".join(lines) + "\n")
+        apply, calls = LinearOperator.apply, [0]
+
+        def counted(self, v):
+            calls[0] += 1
+            return apply(self, v)
+
+        monkeypatch.setattr(LinearOperator, "apply", counted)
+        assert main(["matrix-info", f"mm:{p}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert calls[0] == 0
 
     def test_run_config(self, tmp_path, capsys):
         p = tmp_path / "exp.ini"

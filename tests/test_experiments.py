@@ -33,17 +33,19 @@ def test_experiment_passes_with_defaults(name, tmp_path):
 # Operator applications per default run: every Lanczos prefix is formed
 # once, and no reference materializes the operator, because each is
 # computed from the exact eigenpairs the generated spec carries.
-# slq-wasserstein reads its degrees 8 and 16 off each probe's 32-step run
-# (8 x 32), fa-optimality builds the optimal baseline's Krylov basis with
-# one call per vector (40 + 40), and kpm-density damps the undamped
-# recurrence's coefficients instead of recomputing its moments (30 + 20).
-# 936 in all.
+# cg-bounds reads CG iterates only and computes no residual (40),
+# indefinite reads CG and MINRES off one stored run and pays each its
+# residuals (40 + 2 x 40), slq-wasserstein reads its degrees 8 and 16 off
+# each probe's 32-step run (8 x 32), fa-optimality builds the optimal
+# baseline's Krylov basis with one call per vector (40 + 40), and
+# kpm-density damps the undamped recurrence's coefficients instead of
+# recomputing its moments (30 + 20).  856 in all.
 OPERATOR_CALLS = {
-    "cg-bounds": 80,
+    "cg-bounds": 40,
     "fa-formulas": 60,
     "fa-optimality": 80,
     "fp-lanczos": 80,
-    "indefinite": 160,
+    "indefinite": 120,
     "kpm-density": 50,
     "moment-stability": 80,
     "nearby-problem": 90,
@@ -204,4 +206,4 @@ def test_large_generated_spec_needs_no_dense_oracle(monkeypatch):
         report = run_experiment(ExperimentConfig(experiment=name, matrix=spec, k=20))
         assert report.rows
         got[name] = calls[0]
-    assert got == {"cg-bounds": 40, "fa-formulas": 20, "fa-optimality": 40}
+    assert got == {"cg-bounds": 20, "fa-formulas": 20, "fa-optimality": 40}

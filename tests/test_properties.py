@@ -31,6 +31,7 @@ from krylov.matfunc import lanczos_fa, lanczos_qf, two_pass_lanczos_fa  # noqa: 
 from krylov.solvers import (  # noqa: E402
     DEFAULT_TOL,
     IterateHistory,
+    _stored_history,
     cg,
     minres,
     multi_shift_solve,
@@ -156,12 +157,19 @@ def test_multi_shift_at_zero_is_the_single_solver(vals, seed, k, method, mode, t
     modes,
 )
 def test_cg_backends_are_bit_identical(vals, seed, k, tol, mode):
+    # A stored decomposition's columns are the streamed recurrence's steps:
+    # cg's two backends agree, and MINRES read off the stored columns is
+    # streamed minres, so one lanczos() run serves both methods.
     A = LinearOperator.diagonal(vals)
     b = start_vector(seed, len(vals))
     kw = dict(mode=mode, tol=tol)
     assert_same_history(
         cg(A, b, k, backend="tridiagonal", **kw),
         cg(A, b, k, backend="low_memory", **kw),
+    )
+    dec = lanczos(A, b, k, mode=mode)
+    assert_same_history(
+        _stored_history(A, b, dec, k, "minres", tol), minres(A, b, k, **kw)
     )
 
 

@@ -365,6 +365,35 @@ class TestOperatorCalls:
             assert hist.termination == "converged" and hist.k < self.K
             assert calls[0] == 2 * hist.k
 
+    SOLVES = {
+        "cg": lambda op, b, k, **kw: [cg(op, b, k, **kw)],
+        "cg-low-memory": lambda op, b, k, **kw: [cg(op, b, k, backend="low_memory", **kw)],
+        "minres": lambda op, b, k, **kw: [minres(op, b, k, **kw)],
+        "multi-shift-cg": lambda op, b, k, **kw: multi_shift_solve(
+            op, b, [-0.5, -2.0, -8.0], k, method="cg", **kw
+        ),
+        "multi-shift-minres": lambda op, b, k, **kw: multi_shift_solve(
+            op, b, [-0.5, -2.0, -8.0], k, method="minres", **kw
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
+    @pytest.mark.parametrize("name", list(SOLVES))
+    def test_tol_none_computes_no_residual(self, name, mode):
+        # No stopping test: k calls for any number of shifts, NaN residual
+        # norms, and the tol=0.0 call's iterates bit for bit.
+        A, b = self._problem()
+        op, calls = counting(A)
+        hists = self.SOLVES[name](op, b, self.K, mode=mode, tol=None)
+        assert calls[0] == self.K
+        refs = self.SOLVES[name](op, b, self.K, mode=mode, tol=0.0)
+        assert len(hists) == len(refs)
+        for hist, ref in zip(hists, refs):
+            assert hist.termination == "max_iter" and hist.k == ref.k == self.K
+            assert np.isnan(hist.residual_norms).all()
+            for x, y in zip(hist.iterates, ref.iterates):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+
 
 class TestNonFiniteOperator:
     # Raised, not reported as "max_iter" with all-NaN residuals.
@@ -591,6 +620,15 @@ class TestErrorEstimateDelay:
         hist = cg(A, np.ones(2), 2, tol=0.0)
         with pytest.raises(InsufficientIterates):
             error_estimate_delay(hist, A, 5)
+
+    @pytest.mark.parametrize("delay", [0, -1])
+    def test_lookahead_below_one_rejected(self, delay):
+        A = LinearOperator.diagonal([1.0, 2.0, 3.0])
+        hist = cg(A, np.ones(3), 3, tol=0.0)
+        op, calls = counting(A)
+        with pytest.raises(ValueError, match="at least 1"):
+            error_estimate_delay(hist, op, delay)
+        assert calls[0] == 0
 
 
 class TestBlockCG:
