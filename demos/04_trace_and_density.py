@@ -65,9 +65,10 @@ for k in (8, 16, 32):
 # KPM gives a smooth density.  Jackson damping trades a little blurring
 # for guaranteed nonnegativity.  Each probe's Chebyshev moments up to
 # degree 2k-1 come from its k-step Lanczos quadrature (exact for these
-# degrees); probe 0's 2k-step run also checks that the interval encloses
-# its Ritz values.  coeff_method="recurrence" computes the same moments
-# with the Chebyshev vector recurrence, at k more matvecs.
+# degrees), and each probe checks that the interval encloses its
+# quadrature nodes: k matvecs per probe.  coeff_method="recurrence"
+# computes the same moments with the Chebyshev vector recurrence, also at
+# k matvecs per probe.
 # ----------------------------------------------------------------------
 kpm = kpm_density(A, k=16, interval=(-1.02, 1.02), m=8, sampler=ProbeSampler(seed=0))
 xs = np.linspace(-0.95, 0.95, 7)

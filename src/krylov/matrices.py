@@ -229,8 +229,8 @@ def optimal_ksm_error(A: LinearOperator, b: np.ndarray, f, k: int) -> np.ndarray
 def _optimal_ksm(apply, vals, vecs, b: np.ndarray, f, k: int):
     """``(f(A) b, optimal_ksm_error(A, b, f, k))`` for the operator with
     eigenpairs ``(vals, vecs)`` (``vecs`` as for :func:`_to_eigenbasis`),
-    applied by ``apply``: one call per Krylov basis vector, at most k, and
-    no dense operator.
+    applied by ``apply``: one call per Krylov basis vector after the
+    first, at most k - 1, and no dense operator.
 
     The residual of ``f(A) b`` against the Krylov basis is kept as it
     grows: each new basis vector's projection is subtracted once, in the
@@ -256,7 +256,8 @@ def _optimal_ksm(apply, vals, vecs, b: np.ndarray, f, k: int):
             else:
                 u = w / nw
                 basis.append(u)
-                v = apply(u)
+                if j + 1 < k:  # the last basis vector needs no successor
+                    v = apply(u)
                 resid = resid - (u @ target) * u
         errors[j] = np.linalg.norm(resid)
     return target, errors

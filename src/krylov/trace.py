@@ -138,9 +138,11 @@ def _map_probes(fn, m: int, d: int) -> list:
             pool.shutdown(cancel_futures=True)
 
 
-def _check_probes(m: int) -> None:
+def _check_probes(m: int, k: int = 1) -> None:
     if m < 1:
         raise ValueError("need at least one probe")
+    if k < 1:
+        raise ValueError("k must be at least 1")
 
 
 def _mean_stderr(samples) -> tuple:
@@ -173,7 +175,7 @@ def slq_trace(
     never counted as a dropped probe.  Probes run concurrently on large
     operators (see the module docstring), with the same result.
     """
-    _check_probes(m)
+    _check_probes(m, k)
 
     def sample(i):  # None for a dropped probe
         try:
@@ -269,18 +271,11 @@ def slq_density(
 
 def _slq_densities(A: LinearOperator, ks, m: int, sampler: ProbeSampler) -> list:
     """``[slq_density(A, k, m, sampler) for k in ks]``, bit for bit, from
-    one ``max(ks)``-step run per probe: a k-step run is the first k steps
-    of a longer one from the same start vector, so degree k reads its
-    quadrature off the leading ``min(k, steps run)`` block of T."""
-    _check_probes(m)
-
-    def quadratures(i):
-        rec = _Recurrence(A, sampler.probe(i, A.dim), max(ks)).run()
-        T, mass = rec.T, rec.b_norm**2
-        return [gauss_quadrature(T.principal(min(k, T.size)), mass) for k in ks]
-
+    one ``max(ks)``-step run per probe."""
+    _check_probes(m, min(ks))
+    per_probe = _map_probes(lambda i: _quadratures(A, sampler, i, max(ks), ks)[1], m, A.dim)
     out = []
-    for quads in zip(*_map_probes(quadratures, m, A.dim)):  # one degree at a time
+    for quads in zip(*per_probe):  # one degree at a time
         measure = DiscreteMeasure(
             np.concatenate([q.nodes for q in quads]),
             np.concatenate([q.weights / m for q in quads]),
@@ -289,20 +284,24 @@ def _slq_densities(A: LinearOperator, ks, m: int, sampler: ProbeSampler) -> list
     return out
 
 
-def _enclosing_interval(T, interval) -> tuple:
-    """The KPM interval: ``interval`` checked to enclose the Ritz values of
-    ``T``, or, when None, their hull widened by 5% of its length each side."""
+def _quadratures(A: LinearOperator, sampler: ProbeSampler, i: int, steps: int, ks) -> tuple:
+    """One ``steps``-step Lanczos run from probe i: its tridiagonal T, and
+    for each k in ``ks`` the Gauss quadrature of the leading ``min(k, steps
+    run)`` block of T.  A k-step run is the first k steps of a longer one
+    from the same start vector, so each is the k-step run's, bit for bit."""
+    rec = _Recurrence(A, sampler.probe(i, A.dim), steps).run()
+    T, mass = rec.T, rec.b_norm**2
+    return T, [gauss_quadrature(T.principal(min(k, T.size)), mass) for k in ks]
+
+
+def _automatic_interval(T) -> tuple:
+    """The hull of the Ritz values of ``T`` widened by 5% each side."""
     vals = _tridiag_eigenvalues(T)
     lo, hi = float(vals[0]), float(vals[-1])
-    if interval is None:
-        span = max(hi - lo, 1e-300)
-        interval = (lo - 0.05 * span, hi + 0.05 * span)
-    a, b = float(interval[0]), float(interval[1])
-    span = b - a
-    if span <= 0:  # an automatic interval around one Ritz value
+    span = max(hi - lo, 1e-300)
+    a, b = lo - 0.05 * span, hi + 0.05 * span
+    if b - a <= 0:  # around one Ritz value, the widening can round away
         raise ValueError("interval must have positive length")
-    if lo < a - 1e-8 * span or hi > b + 1e-8 * span:
-        raise SpectrumOutsideInterval(f"Ritz values [{lo}, {hi}] exit interval [{a}, {b}]")
     return a, b
 
 
@@ -353,26 +352,25 @@ def kpm_density(
 
     The reference density is the arcsine (Chebyshev-T) weight mapped to
     the interval; coefficients 0..2k-1 against its orthonormal polynomial
-    basis are quadratic forms b^T q_n(A~) b averaged over probes.  One
-    min(2k, d)-step Lanczos run on probe 0 (the Ritz run) sets the
-    interval from the extremes of its Ritz values, or checks that a given
-    ``interval`` encloses them; an empty ``interval`` is rejected before
-    any operator call.
-
-    The automatic interval, the Ritz hull widened by 5% each side, is an
-    unchecked heuristic and can miss the spectrum: (-0.604, 0.634) for k=1
-    on ``diagonal(linspace(-1, 1, 400))``, and one Ritz value +- 5e-302 on
-    spectra below about 1e-150, where the Ritz run underflows and breaks
-    down at step 1.  Only a given ``interval`` is checked.
+    basis are quadratic forms b^T q_n(A~) b averaged over probes.  With
+    ``interval=None``, a min(2k, d)-step Lanczos run of probe 0 (the Ritz
+    run) sets the interval: its Ritz hull widened by 5% each side, an
+    unchecked heuristic that can miss the spectrum ((-0.604, 0.634) for
+    k=1 on ``diagonal(linspace(-1, 1, 400))``; one Ritz value +- 5e-302
+    below about 1e-150, where the Ritz run underflows).  An empty
+    ``interval`` is rejected before any operator call; each probe checks
+    any other given one on the data its moments come from, at no extra
+    call.  The checks are one-sided: :class:`SpectrumOutsideInterval`
+    shows that the spectrum exits the interval, and a pass shows nothing.
 
     The default ``coeff_method="lanczos_qf"`` reads each probe's moments
     off its k-point Lanczos quadrature, which is exact for these degrees
-    and forward-stable even without reorthogonalization.  All probes are
-    one probe map: item 0 is one max(k, min(2k, d))-step run of probe 0,
-    whose first min(2k, d) steps are the Ritz run and whose first k steps
-    give its quadrature, and items 1..m-1 run k steps each; the moments
-    are formed once the interval is known.  Operator applications:
-    max(k, min(2k, d)) + (m - 1) k.
+    and forward-stable even without reorthogonalization.  Operator
+    applications: m k with a given interval; max(k, min(2k, d)) + (m-1) k
+    without, as probe 0's one run is also the Ritz run.  Check: each
+    probe's nodes (Ritz values, so inside the spectral hull) lie in the
+    interval to within 1e-8 of its length.  It catches an end of the
+    spectrum that some probe's k-step run reaches.
 
     ``coeff_method="recurrence"`` runs the explicit Chebyshev vector
     recurrence instead: it forms v_n = T_n(A~) b for n <= k only and takes
@@ -380,17 +378,21 @@ def kpm_density(
     T_{2j} = 2 T_j^2 - T_0 and T_{2j+1} = 2 T_{j+1} T_j - T_1, so
     mu_{2j} = 2 v_j^T v_j - mu_0 and mu_{2j+1} = 2 v_{j+1}^T v_j - mu_1
     (Weisse, Wellein, Alvermann & Fehske 2006, "The kernel polynomial
-    method", Sec. II.C).  Operator applications: min(2k, d) + m k.  With
-    ``interval=None`` its probes start after the Ritz run; with
-    ``interval`` given the Ritz run is item 0 of the probe map.  A NaN or
-    Inf moment, direct or doubled, raises :class:`NonFiniteOperator`.
+    method", Sec. II.C).  Operator applications: m k with a given
+    interval; min(2k, d) + m k without, the probes starting after the
+    Ritz run.  A NaN or Inf moment, direct or doubled, raises
+    :class:`NonFiniteOperator` at its step.  Check, on each probe's
+    complete moments: |mu_n| <= mu_0 T_n(1 + 2e-8), as for any measure on
+    the interval widened by 1e-8 of its length each side.  It catches
+    spectrum outside that holds enough of the probe's weight for some
+    T_n, n < 2k, to outgrow the rest; an interval far off the spectrum
+    can overflow a moment first (:class:`NonFiniteOperator`).
 
     Each probe vector is drawn once.  Probes run concurrently on large
-    operators (see the module docstring), with the same result; the Ritz
-    run's errors, :class:`SpectrumOutsideInterval` among them, precede
-    any other probe's.
+    operators (see the module docstring), with the same result: the first
+    failing probe in index order raises.
     """
-    _check_probes(m)
+    _check_probes(m, k)
     if sampler is None:
         sampler = ProbeSampler()
     if coeff_method not in ("recurrence", "lanczos_qf"):
@@ -398,51 +400,48 @@ def kpm_density(
     if damping not in (None, "none", "jackson"):
         raise ValueError("damping must be None or 'jackson'")
 
-    if interval is not None and not float(interval[1]) > float(interval[0]):
-        raise ValueError("interval must have positive length")
+    if interval is not None:
+        a, b_right = float(interval[0]), float(interval[1])
+        if not b_right > a:
+            raise ValueError("interval must have positive length")
     n_coeffs = 2 * k
     ritz_steps = min(n_coeffs, A.dim)
 
-    def ritz_run(b, steps=ritz_steps):
-        """A ``steps``-step run from probe 0, and the interval that its first
-        min(2k, d) steps (the Ritz run) set or check."""
-        rec = _Recurrence(A, b, steps).run()
-        T = rec.T
-        return rec, _enclosing_interval(T.principal(min(ritz_steps, T.size)), interval)
-
     if coeff_method == "lanczos_qf":
 
-        def quadrature(i):
-            """Probe i's k-point quadrature, and for i = 0 the interval: one
-            run of probe 0 holds both its Ritz run and its first k steps."""
-            b = sampler.probe(i, A.dim)
-            if i:
-                rec, enclosing = _Recurrence(A, b, k).run(), None
-            else:
-                rec, enclosing = ritz_run(b, max(k, ritz_steps))
-            T = rec.T.principal(min(k, rec.T.size))
-            return gauss_quadrature(T, rec.b_norm**2), enclosing
+        def quadrature(i):  # with interval=None, item 0 also returns the interval
+            ritz = interval is None and i == 0  # probe 0's run is then the Ritz run too
+            T, (q,) = _quadratures(A, sampler, i, max(k, ritz_steps) if ritz else k, (k,))
+            if ritz:
+                return q, _automatic_interval(T.principal(min(ritz_steps, T.size)))
+            if interval is not None:
+                lo, hi, pad = float(q.nodes.min()), float(q.nodes.max()), 1e-8 * (b_right - a)
+                if lo < a - pad or hi > b_right + pad:
+                    raise SpectrumOutsideInterval(
+                        f"probe {i}'s quadrature nodes [{lo}, {hi}] exit interval [{a}, {b_right}]"
+                    )
+            return q, None
 
         quads = _map_probes(quadrature, m, A.dim)
-        a, b_right = quads[0][1]
+        if interval is None:
+            a, b_right = quads[0][1]
         per_probe = [modified_moments(q, n_coeffs, "T", (a, b_right)) for q, _ in quads]
     else:
-        b0 = sampler.probe(0, A.dim)  # read by the Ritz run and probe 0's moments
+        b0 = sampler.probe(0, A.dim) if interval is None else None  # the Ritz run's and probe 0's
+        if interval is None:  # the moments need the interval the Ritz run sets
+            a, b_right = _automatic_interval(_Recurrence(A, b0, ritz_steps).run().T)
+        growth = np.cosh(np.arange(n_coeffs) * math.acosh(1.0 + 2e-8))  # T_n(1 + 2e-8)
 
         def probe_moments(i):
-            b = b0 if i == 0 else sampler.probe(i, A.dim)
-            return _chebyshev_moments(A, b, k, (a, b_right))
+            b = sampler.probe(i, A.dim) if i or b0 is None else b0
+            mus = _chebyshev_moments(A, b, k, (a, b_right))
+            if interval is not None and (np.abs(mus) > mus[0] * growth).any():
+                raise SpectrumOutsideInterval(
+                    f"probe {i}'s moments exceed mu_0 = {mus[0]}: spectrum exits [{a}, {b_right}]"
+                )
+            return mus
 
-        if interval is None:  # the moments need the interval the Ritz run sets
-            _, (a, b_right) = ritz_run(b0)
-            per_probe = _map_probes(probe_moments, m, A.dim)
-        else:
-            # The enclosure check is item 0 of the probe map: it overlaps the
-            # probes, and its SpectrumOutsideInterval precedes their errors.
-            a, b_right = float(interval[0]), float(interval[1])
-            per_probe = _map_probes(
-                lambda j: probe_moments(j - 1) if j else ritz_run(b0), m + 1, A.dim
-            )[1:]
+        per_probe = _map_probes(probe_moments, m, A.dim)
     moments = np.zeros(n_coeffs)
     for mu in per_probe:  # in probe order, as the bits require
         moments += mu

@@ -37,16 +37,17 @@ def test_experiment_passes_with_defaults(name, tmp_path):
 # indefinite reads CG and MINRES off one stored run and pays each its
 # residuals (40 + 2 x 40), slq-wasserstein reads its degrees 8 and 16 off
 # each probe's 32-step run (8 x 32), fa-optimality builds the optimal
-# baseline's Krylov basis with one call per vector (40 + 40), and
-# kpm-density damps the undamped recurrence's coefficients instead of
-# recomputing its moments (30 + 20).  856 in all.
+# baseline's Krylov basis with one call per vector after the first
+# (40 + 39), and kpm-density damps the undamped recurrence's coefficients
+# instead of recomputing its moments and checks its given interval on the
+# probe's own run, on both coefficient paths (10 + 10).  825 in all.
 OPERATOR_CALLS = {
     "cg-bounds": 40,
     "fa-formulas": 60,
-    "fa-optimality": 80,
+    "fa-optimality": 79,
     "fp-lanczos": 80,
     "indefinite": 120,
-    "kpm-density": 50,
+    "kpm-density": 20,
     "moment-stability": 80,
     "nearby-problem": 90,
     "slq-wasserstein": 256,
@@ -206,4 +207,4 @@ def test_large_generated_spec_needs_no_dense_oracle(monkeypatch):
         report = run_experiment(ExperimentConfig(experiment=name, matrix=spec, k=20))
         assert report.rows
         got[name] = calls[0]
-    assert got == {"cg-bounds": 20, "fa-formulas": 20, "fa-optimality": 40}
+    assert got == {"cg-bounds": 20, "fa-formulas": 20, "fa-optimality": 39}

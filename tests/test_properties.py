@@ -6,8 +6,9 @@ Lanczos-FA and Gauss quadrature, stochastic estimates that do not
 depend on probe scheduling, the tridiagonal eigensolver against scipy's,
 multi-degree SLQ densities against one-degree calls, the doubled KPM
 moments against the plain Chebyshev recurrence, the default (Lanczos
-quadrature) KPM coefficients against the recurrence's, and the default
-KPM path's peak memory against k."""
+quadrature) KPM coefficients against the recurrence's and against each
+probe's own quadrature, the operator calls of KPM with a given interval,
+and the default KPM path's peak memory against k."""
 
 import math
 import tracemalloc
@@ -28,6 +29,7 @@ from krylov.core import (  # noqa: E402
 )
 from krylov.lanczos import ReorthMode, lanczos  # noqa: E402
 from krylov.matfunc import lanczos_fa, lanczos_qf, two_pass_lanczos_fa  # noqa: E402
+from krylov.orthopoly import gauss_quadrature, modified_moments  # noqa: E402
 from krylov.solvers import (  # noqa: E402
     DEFAULT_TOL,
     IterateHistory,
@@ -413,6 +415,60 @@ def test_kpm_default_matches_the_recurrence(vals, seed, k, m, pads):
     assert np.abs(got.coefficients - want.coefficients).max() <= rtol * abs(
         want.coefficients[0]
     )
+
+
+def quadrature_kpm_coefficients(A, k, interval, m, sampler):
+    """Undamped KPM coefficients from each probe's k-step Lanczos
+    quadrature, summed in probe order."""
+    moments = np.zeros(2 * k)
+    for i in range(m):
+        dec = lanczos(A, sampler.probe(i, A.dim), k, ReorthMode.NONE)
+        quadrature = gauss_quadrature(dec.T, dec.b_norm**2)
+        moments += modified_moments(quadrature, 2 * k, "T", interval)
+    moments /= m
+    moments[1:] *= math.sqrt(2.0)
+    return moments
+
+
+# Distinct eigenvalues at least 0.01 apart, and k <= d: no probe's run
+# breaks down before step k.
+spread_spectra_and_k = (
+    st.lists(st.integers(-1000, 1000), min_size=2, max_size=40, unique=True)
+    .map(lambda xs: [x / 100 for x in xs])
+    .flatmap(lambda vals: st.tuples(st.just(vals), st.integers(1, len(vals))))
+)
+
+
+@given(
+    vals_k=spread_spectra_and_k,
+    seed=start_seeds,
+    m=st.sampled_from([1, 2, 3]),
+    pads=kpm_pads,
+    distribution=st.sampled_from(["unit_sphere", "rademacher"]),
+)
+def test_kpm_given_interval_checks_on_the_probes_own_runs(vals_k, seed, m, pads, distribution):
+    # An interval around the spectrum passes every probe's check, which
+    # costs no operator call beyond the probes' k each; the default
+    # path's coefficients are each probe's own quadrature's, bit for bit.
+    vals, k = vals_k
+    D = LinearOperator.diagonal(vals)
+    calls = [0]
+
+    def matvec(v):
+        calls[0] += 1
+        return D.apply(v)
+
+    A = LinearOperator(D.dim, matvec)
+    interval = (min(vals) - pads[0], max(vals) + pads[1])
+    sampler = ProbeSampler(distribution, seed)
+    for method in ("lanczos_qf", "recurrence"):
+        calls[0] = 0
+        got = kpm_density(A, k, interval, damping=None, coeff_method=method, m=m, sampler=sampler)
+        assert calls[0] == m * k
+        assert got.interval == interval
+    want = quadrature_kpm_coefficients(D, k, interval, m, sampler)
+    got = kpm_density(D, k, interval, damping=None, m=m, sampler=sampler)
+    assert got.coefficients.tobytes() == want.tobytes()
 
 
 # Each example makes up to 480 operator calls at d = 2e4 under tracemalloc.

@@ -66,9 +66,28 @@ class TestRejectedBeforeAnyMatvec:
                 estimate()
         assert calls[0] == 0
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_fewer_than_one_step(self, k):
+        op, calls = counting(LinearOperator.diagonal(np.linspace(1.0, 2.0, 10)))
+        s = ProbeSampler(seed=1)
+        estimates = [
+            lambda: slq_trace(op, np.log, k, 2, s),
+            lambda: slq_density(op, k, 2, s),
+        ] + [
+            lambda method=method, interval=interval: kpm_density(
+                op, k, interval, coeff_method=method, m=2, sampler=s
+            )
+            for method in ("recurrence", "lanczos_qf")
+            for interval in (None, (0.0, 3.0))
+        ]
+        for estimate in estimates:
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                estimate()
+        assert calls[0] == 0
+
     @pytest.mark.parametrize("interval", [(5.0, 1.0), (1.0, 1.0), (0.0, np.nan)])
     def test_empty_kpm_interval(self, interval):
-        # Rejected before the 20-step Ritz run, not after it.
+        # Rejected before any operator call, not after probe 0's run.
         op, calls = counting(LinearOperator.diagonal(np.linspace(1.0, 2.0, 40)))
         with pytest.raises(ValueError, match="positive length"):
             kpm_density(op, 10, interval=interval)
@@ -94,15 +113,16 @@ class TestNonFiniteOperator:
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize(
         "first_bad, value",
-        [(9, np.nan), (12, np.nan), (11, 1e200)],
+        [(1, np.nan), (4, np.nan), (3, 1e200)],
         ids=["direct-step-1", "direct-step-4", "doubled-step-3"],
     )
     def test_kpm_moment(self, first_bad, value):
-        # The 8-step Ritz run is finite; from call `first_bad` on, the
-        # operator returns `value` everywhere, and the Chebyshev recurrence
-        # (k = 4 products, calls 9-12) raises at that step.  NaN makes the
-        # direct mu_j = b . v_j NaN; 1e200 at step 3 keeps mu_3 and mu_5
-        # finite and overflows the doubled mu_6 = 2 v_3 . v_3 - mu_0.
+        # With a given interval no Ritz run precedes the probe: from call
+        # `first_bad` on, the operator returns `value` everywhere, and the
+        # Chebyshev recurrence (k = 4 products, calls 1-4) raises at that
+        # step, before the interval check of its complete moments.  NaN
+        # makes the direct mu_j = b . v_j NaN; 1e200 at step 3 keeps mu_3
+        # and mu_5 finite and overflows the doubled mu_6 = 2 v_3 . v_3 - mu_0.
         D = LinearOperator.diagonal(np.linspace(1.0, 2.0, 10))
         calls = [0]
 
@@ -381,10 +401,11 @@ class TestKpmDensity:
         assert np.abs(got.coefficients - want.coefficients).max() <= 1e-8
 
     def test_recurrence_operator_calls(self):
-        # min(2k, d) for probe 0's Ritz run, then k per probe: the doubling
-        # identities give degrees k+1..2k-1 from v_0..v_k.
+        # k per probe, as the doubling identities give degrees k+1..2k-1
+        # from v_0..v_k, after probe 0's min(2k, d)-step Ritz run when no
+        # interval is given.
         D = LinearOperator.diagonal(np.linspace(-1.0, 1.0, 400))
-        for interval, m, want in ((None, 1, 90), ((-1.1, 1.1), 3, 150)):
+        for interval, m, want in ((None, 1, 90), ((-1.1, 1.1), 3, 90)):
             op, calls = counting(D)
             kpm_density(op, 30, interval, m=m, coeff_method="recurrence")
             assert calls[0] == want
@@ -392,14 +413,14 @@ class TestKpmDensity:
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("interval", [None, (-1.1, 1.1)])
     def test_default_is_lanczos_qf(self, interval, m):
-        # min(2k, d) for probe 0's Ritz run, whose first k steps give its
-        # quadrature, then k per further probe; the bytes of an explicit
+        # k per probe, and min(2k, d) for probe 0 when its run is also the
+        # Ritz run that sets the interval; the bytes of an explicit
         # coeff_method="lanczos_qf" call.
         D = LinearOperator.diagonal(np.linspace(-1.0, 1.0, 400))
         op, calls = counting(D)
         s = ProbeSampler(seed=17)
         got = kpm_density(op, 30, interval, m=m, sampler=s)
-        assert calls[0] == 60 + (m - 1) * 30
+        assert calls[0] == (60 if interval is None else 30) + (m - 1) * 30
         want = kpm_density(D, 30, interval, coeff_method="lanczos_qf", m=m, sampler=s)
         assert got.interval == want.interval
         assert got.coefficients.tobytes() == want.coefficients.tobytes()
@@ -407,17 +428,20 @@ class TestKpmDensity:
     @pytest.mark.parametrize("m", [1, 3])
     @pytest.mark.parametrize("interval", [None, (-1.1, 1.1)])
     def test_probe_0_runs_once_when_k_exceeds_d(self, interval, m):
-        # One max(k, min(2k, d))-step run of probe 0 holds both its Ritz
-        # run and its k-step quadrature; then k per further probe.
+        # Without an interval, one max(k, min(2k, d))-step run of probe 0
+        # holds both its Ritz run and its k-step quadrature; with one, probe
+        # 0 runs k steps like every other probe.
         d, k = 40, 50
         op, calls = counting(LinearOperator.diagonal(np.linspace(-1.0, 1.0, d)))
         kpm_density(op, k, interval, m=m, sampler=ProbeSampler(seed=19))
-        assert calls[0] == max(k, min(2 * k, d)) + (m - 1) * k
+        first = max(k, min(2 * k, d)) if interval is None else k
+        assert calls[0] == first + (m - 1) * k
 
     @pytest.mark.parametrize("coeff_method", ["recurrence", "lanczos_qf"])
     @pytest.mark.parametrize("interval", [None, (-1.1, 1.1)])
     def test_each_probe_is_drawn_once(self, coeff_method, interval):
-        # The Ritz run and probe 0's moments share one draw of probe 0.
+        # Without an interval, the Ritz run and probe 0's moments share one
+        # draw of probe 0.
         for m in (1, 4):
             s = CountingSampler(seed=18)
             kpm_density(arcsine_operator(60), 6, interval, coeff_method=coeff_method,
