@@ -190,6 +190,9 @@ class _Recurrence:
     ``q = z / beta``.  Storage: nothing beyond the current pair, the full
     basis (``store_basis``, implied by FULL), or ``(q_prev, q)``
     checkpoints every ``checkpoint_stride`` steps for :meth:`replay`.
+    :meth:`combine` forms ``b_norm * Q c`` from the stored basis, or from
+    :meth:`replay` when the run kept checkpoints: the storage is chosen
+    once, at construction.
     """
 
     def __init__(
@@ -301,6 +304,17 @@ class _Recurrence:
                 if n + 1 < stop:
                     z = self._y() - self.alphas[n] * self.q
                     self._shift(z / self.betas[n], self.betas[n])
+
+    def combine(self, coeffs) -> np.ndarray:
+        """``b_norm * sum_n coeffs[n] q_n``, one term per step, summed left
+        to right over the stored basis or, without one, over
+        :meth:`replay`: one loop for the one-pass and the two-pass result,
+        so the two are bit-identical."""
+        res = None
+        for n, q in enumerate(self.replay() if self.basis is None else self.basis.rows):
+            term = (self.b_norm * coeffs[n]) * q
+            res = term if res is None else res + term
+        return res
 
 
 def lanczos(

@@ -1,6 +1,12 @@
 """Matrix functions times vectors and quadratic forms: Lanczos-FA (with
 the correct and the pitfall formula), two-pass Lanczos-FA, Lanczos-QF,
 rational-approximation application, block FA/QF, and an a priori bound.
+
+Every vector entry point is one ``_Recurrence`` run, one small kernel on
+its ``T`` (``f(T) e1`` from the eigendecomposition, or
+``sum_i w_i (T - z_i I)^{-1} e1`` from shifted tridiagonal solves) and one
+accumulation ``||b|| Q c`` by the run's ``combine``, over the stored basis
+or a replay of the checkpointed one.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from .core import (
     tridiag_solve,
 )
 from .errors import FunctionDomainError, NonFiniteSample, SingularSystem
-from .lanczos import ReorthMode, _Recurrence, block_lanczos, lanczos
+from .lanczos import ReorthMode, _Recurrence, block_lanczos
 from .orthopoly import cheb_approximant
 
 __all__ = [
@@ -41,32 +47,11 @@ class MatFuncResult:
     diagnostics: dict
 
 
-def _ordered_accumulate(columns, coeffs, b_norm):
-    """res = sum_n (b_norm * coeffs[n]) * q_n, fixed left-to-right order.
-
-    Shared by the in-memory and two-pass paths so their results are
-    bit-identical under deterministic arithmetic.
-    """
-    res = None
-    for n, q in enumerate(columns):
-        term = (b_norm * coeffs[n]) * q
-        res = term if res is None else res + term
-    return res
-
-
 def _eig_pitfall(Q: np.ndarray, eig, fvals: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Q f(T) Q^T b from the eigendecomposition of T and f at its
     eigenvalues."""
     w = eig.eigenvectors.T @ (Q.T @ np.asarray(b, dtype=float))
     return Q @ (eig.eigenvectors @ (fvals * w))
-
-
-def _pitfall_apply(Q: np.ndarray, T, b: np.ndarray, f) -> np.ndarray:
-    """Q f(T) Q^T b: equal to the correct ||b|| Q f(T) e1 only while Q
-    stays orthonormal."""
-    eig = sym_tridiag_eig(T)
-    fvals = _finite_values(f, eig.eigenvalues, FunctionDomainError)
-    return _eig_pitfall(Q, eig, fvals, b)
 
 
 def lanczos_fa(
@@ -85,15 +70,15 @@ def lanczos_fa(
     """
     if formula not in ("correct", "pitfall"):
         raise ValueError(f"unknown formula {formula!r}")
-    dec = lanczos(A, b, k, mode=mode)
-    Q, T, b_norm = dec.basis, dec.T, dec.b_norm
+    rec = _Recurrence(A, b, k, mode=mode, store_basis=True).run()
     if formula == "correct":
-        coeffs = tridiag_apply_function(T, f)
-        value = _ordered_accumulate(Q.T, coeffs, b_norm)
+        value = rec.combine(tridiag_apply_function(rec.T, f))
     else:
-        value = _pitfall_apply(Q, T, b, f)
+        eig = sym_tridiag_eig(rec.T)
+        fvals = _finite_values(f, eig.eigenvalues, FunctionDomainError)
+        value = _eig_pitfall(rec.basis.rows.T, eig, fvals, b)
     return MatFuncResult(
-        value=value, k_used=T.size, diagnostics={"trailing_beta": dec.trailing_beta}
+        value=value, k_used=len(rec.alphas), diagnostics={"trailing_beta": rec.beta}
     )
 
 
@@ -115,12 +100,9 @@ def two_pass_lanczos_fa(
     if checkpoint_stride < 1:
         raise ValueError("checkpoint_stride must be at least 1")
     rec = _Recurrence(A, b, k, checkpoint_stride=checkpoint_stride).run()
-    coeffs = tridiag_apply_function(rec.T, f)
-    value = _ordered_accumulate(rec.replay(), coeffs, rec.b_norm)
+    value = rec.combine(tridiag_apply_function(rec.T, f))
     return MatFuncResult(
-        value=value,
-        k_used=len(rec.alphas),
-        diagnostics={"trailing_beta": rec.beta},
+        value=value, k_used=len(rec.alphas), diagnostics={"trailing_beta": rec.beta}
     )
 
 
@@ -151,12 +133,15 @@ def rational_apply(
     (T - z_i I)^{-1} e1 come from one shifted small tridiagonal solve per
     shift, and ||b|| Q c is accumulated once.  When shifts come in
     conjugate pairs with conjugate weights the imaginary part of c (checked
-    to be negligible) is discarded and the result is real.
+    to be negligible) is discarded and the result is real.  The k-vector
+    basis is stored in both modes: replaying it from checkpoints gives the
+    same bits in less memory, but its second pass of k products with A
+    measured slower (see the README's low-memory paths).
     """
     shifts = np.asarray(family.shifts, dtype=complex)
     weights = np.asarray(family.weights, dtype=complex)
-    dec = lanczos(A, b, k, mode=mode)
-    T = dec.T
+    rec = _Recurrence(A, b, k, mode=mode, store_basis=True).run()
+    T = rec.T
     e1 = np.zeros(T.size)
     e1[0] = 1.0
     coeffs = np.zeros(T.size, dtype=complex)
@@ -172,7 +157,7 @@ def rational_apply(
     scale = float(np.abs(coeffs).max()) or 1.0
     if float(np.abs(coeffs.imag).max()) <= 1e-10 * scale:
         coeffs = coeffs.real
-    return _ordered_accumulate(dec.basis.T, coeffs, dec.b_norm)
+    return rec.combine(coeffs)
 
 
 def block_lanczos_fa(A: LinearOperator, B: np.ndarray, f, k: int) -> np.ndarray:

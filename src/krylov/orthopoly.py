@@ -87,9 +87,6 @@ class DiscreteMeasure:
         """Raw moment: sum of weight * node**degree."""
         return float(np.sum(self.weights * self.nodes**degree))
 
-    def normalized(self) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.nodes, self.weights / self.total_mass)
-
 
 def _cheb_rows(kind: str, n: int, x):
     """Yield the Chebyshev polynomials P_0(x), ..., P_{n-1}(x) of kind

@@ -397,7 +397,7 @@ def kpm_density(
         sampler = ProbeSampler()
     if coeff_method not in ("recurrence", "lanczos_qf"):
         raise ValueError("coeff_method must be 'recurrence' or 'lanczos_qf'")
-    if damping not in (None, "none", "jackson"):
+    if damping not in (None, "jackson"):
         raise ValueError("damping must be None or 'jackson'")
 
     if interval is not None:

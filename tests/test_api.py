@@ -29,7 +29,6 @@ SURFACE = {
     "DiscreteMeasure.cdf": ("x",),
     "DiscreteMeasure.moment": ("degree",),
     "DiscreteMeasure.n_nodes": None,
-    "DiscreteMeasure.normalized": (),
     "DiscreteMeasure.total_mass": None,
     "ExtendedTridiagonal": ("base", "trailing"),
     "ExtendedTridiagonal.to_dense": (),

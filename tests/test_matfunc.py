@@ -1,9 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
-from krylov.core import LinearOperator
+from krylov.core import (
+    LinearOperator,
+    sym_tridiag_eig,
+    tridiag_apply_function,
+    tridiag_solve,
+)
 from krylov.errors import FunctionDomainError
-from krylov.lanczos import ReorthMode
+from krylov.lanczos import ReorthMode, lanczos
 from krylov.matfunc import (
     block_lanczos_fa,
     block_lanczos_qf,
@@ -331,6 +338,109 @@ def test_rational_apply_holds_one_real_basis():
         tracemalloc.stop()
     assert np.isrealobj(got)
     assert peak < 2 * k * d * 8
+
+
+class TestPinnedBitsAndCalls:
+    """Each vector entry point returns, bit for bit, ||b|| sum_n c_n q_n
+    summed left to right over the basis of ``lanczos(A, b, k, mode)``,
+    with c from the small kernel on its T.  A one-pass call makes one
+    operator call per step; a two-pass call adds a second pass that
+    skips the product at each checkpoint."""
+
+    def problem(self, d=60):
+        rng = np.random.default_rng(23)
+        M, _ = spd_matrix(rng, d, 1.0, 100.0)
+        return LinearOperator.from_matrix(M), rng.standard_normal(d)
+
+    @staticmethod
+    def counting(A):
+        calls = [0]
+
+        def matvec(v):
+            calls[0] += 1
+            return A.apply(v)
+
+        return LinearOperator(A.dim, matvec), calls
+
+    @staticmethod
+    def left_to_right(dec, c):
+        res = None
+        for n, q in enumerate(dec.basis.T):
+            term = (dec.b_norm * c[n]) * q
+            res = term if res is None else res + term
+        return res
+
+    @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
+    def test_lanczos_fa_correct(self, mode):
+        A, b = self.problem()
+        counted, calls = self.counting(A)
+        got = lanczos_fa(counted, b, np.exp, 30, mode=mode)
+        dec = lanczos(A, b, 30, mode=mode)
+        ref = self.left_to_right(dec, tridiag_apply_function(dec.T, np.exp))
+        assert np.array_equal(got.value, ref)
+        assert got.k_used == dec.T.size == 30
+        assert got.diagnostics["trailing_beta"] == dec.trailing_beta
+        assert calls[0] == 30
+
+    @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
+    def test_lanczos_fa_pitfall(self, mode):
+        A, b = self.problem()
+        counted, calls = self.counting(A)
+        got = lanczos_fa(counted, b, np.exp, 30, mode=mode, formula="pitfall")
+        dec = lanczos(A, b, 30, mode=mode)
+        Q, eig = dec.basis, sym_tridiag_eig(dec.T)
+        fvals = np.array([np.exp(t) for t in eig.eigenvalues])
+        ref = Q @ (eig.eigenvectors @ (fvals * (eig.eigenvectors.T @ (Q.T @ b))))
+        assert np.array_equal(got.value, ref)
+        assert got.k_used == 30
+        assert calls[0] == 30
+
+    @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
+    def test_rational_apply(self, mode):
+        A, b = self.problem()
+        counted, calls = self.counting(A)
+        z, w = -1.0 + 2.0j, 0.5 - 0.25j
+        fam = ShiftFamily([-0.5, z, np.conj(z), -3.0], [1.0, w, np.conj(w), 2.0])
+        got = rational_apply(counted, b, fam, 30, mode=mode)
+        dec = lanczos(A, b, 30, mode=mode)
+        e1 = np.zeros(dec.T.size)
+        e1[0] = 1.0
+        c = np.zeros(dec.T.size, dtype=complex)
+        for wi, zi in zip(fam.weights, fam.shifts):
+            zi = complex(zi)
+            c = c + complex(wi) * tridiag_solve(dec.T, e1, shift=zi if zi.imag else zi.real)
+        assert np.abs(c.imag).max() <= 1e-10 * np.abs(c).max()
+        ref = self.left_to_right(dec, c.real)
+        assert np.isrealobj(got)
+        assert np.array_equal(got, ref)
+        assert calls[0] == 30
+
+    @pytest.mark.parametrize("stride, expected", [(1, 30), (7, 55), (30, 59), (100, 59)])
+    def test_two_pass(self, stride, expected):
+        A, b = self.problem()
+        counted, calls = self.counting(A)
+        got = two_pass_lanczos_fa(counted, b, np.exp, 30, checkpoint_stride=stride)
+        dec = lanczos(A, b, 30, mode=ReorthMode.NONE)
+        ref = self.left_to_right(dec, tridiag_apply_function(dec.T, np.exp))
+        assert np.array_equal(got.value, ref)
+        assert got.k_used == 30
+        assert calls[0] == expected == 2 * 30 - math.ceil(30 / stride)
+
+    @pytest.mark.parametrize("stride, expected", [(1, 2), (2, 3)])
+    def test_breakdown(self, stride, expected):
+        # b has weight on two eigenvalues only: the run breaks down at step 2.
+        A = LinearOperator.diagonal([2.0, 3.0, 5.0])
+        b = np.array([1.0, 1.0, 0.0])
+        dec = lanczos(A, b, 5, mode=ReorthMode.NONE)
+        ref = self.left_to_right(dec, tridiag_apply_function(dec.T, np.exp))
+        counted, calls = self.counting(A)
+        one = lanczos_fa(counted, b, np.exp, 5, mode=ReorthMode.NONE)
+        assert np.array_equal(one.value, ref)
+        assert one.k_used == 2 and calls[0] == 2
+        counted, calls = self.counting(A)
+        two = two_pass_lanczos_fa(counted, b, np.exp, 5, checkpoint_stride=stride)
+        assert np.array_equal(two.value, ref)
+        assert two.k_used == 2 and calls[0] == expected
 
 
 class TestBlockMatFunc:

@@ -85,6 +85,21 @@ class TestRejectedBeforeAnyMatvec:
                 estimate()
         assert calls[0] == 0
 
+    @pytest.mark.parametrize(
+        "option, match",
+        [
+            ({"damping": "none"}, "damping must be None or 'jackson'"),
+            ({"damping": "Jackson"}, "damping must be None or 'jackson'"),
+            ({"coeff_method": "exact"}, "coeff_method must be"),
+        ],
+    )
+    def test_unknown_kpm_option(self, option, match):
+        # "none" is not a second spelling of damping=None.
+        op, calls = counting(LinearOperator.diagonal(np.linspace(1.0, 2.0, 10)))
+        with pytest.raises(ValueError, match=match):
+            kpm_density(op, 4, interval=(0.0, 3.0), sampler=ProbeSampler(seed=1), **option)
+        assert calls[0] == 0
+
     @pytest.mark.parametrize("interval", [(5.0, 1.0), (1.0, 1.0), (0.0, np.nan)])
     def test_empty_kpm_interval(self, interval):
         # Rejected before any operator call, not after probe 0's run.
