@@ -64,6 +64,6 @@ e1 = np.zeros(A.dim)
 e1[0] = 1.0
 small = lanczos(LinearOperator.diagonal(true_eigs), e1, 10)
 print(
-    f"\nstart vector = eigenvector: stopped at step {small.termination.step}, "
-    f"kind = {small.termination.kind!r}"
+    f"\nstart vector = eigenvector: stopped at step {small.T.size}, "
+    f"kind = {small.termination!r}"
 )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import os
 import sys
 
 from .errors import InvalidSpec, KrylovError
@@ -164,7 +165,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # stdout closed early, as by ``| head -1``
+        # what is still buffered would raise again at exit: drop it quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (KrylovError, configparser.Error) as exc:
         # configparser's messages span lines; the report is one line
         print("error: " + " ".join(str(exc).split()), file=sys.stderr)

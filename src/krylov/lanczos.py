@@ -19,7 +19,6 @@ from .errors import NonFiniteOperator, ZeroStartBlock, ZeroStartVector
 
 __all__ = [
     "ReorthMode",
-    "Termination",
     "KrylovDecomposition",
     "BlockKrylovDecomposition",
     "lanczos",
@@ -49,27 +48,16 @@ class ReorthMode(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Termination:
-    """How a basis builder stopped: all requested steps, or early breakdown."""
-
-    kind: str  # "completed" or "breakdown"
-    step: int
-
-    @property
-    def is_breakdown(self) -> bool:
-        return self.kind == "breakdown"
-
-
-@dataclass(frozen=True)
 class KrylovDecomposition:
-    """A Lanczos decomposition A Q = Q T + beta_last q_next e_last^T."""
+    """A Lanczos decomposition A Q = Q T + beta_last q_next e_last^T, ended
+    at step ``T.size`` by ``termination``: "max_iter" or "breakdown"."""
 
     basis: np.ndarray  # d x k
     T: SymTridiagonal
     trailing_beta: float
     next_vector: np.ndarray | None  # None after breakdown
     b_norm: float
-    termination: Termination
+    termination: str
 
     @property
     def k(self) -> int:
@@ -84,7 +72,8 @@ class BlockKrylovDecomposition:
     (columns in pivot order), so ``B = Q_0 initial_R`` and the step-n
     residual block is ``Z_n = Q_{n+1} B_n``; neither ``initial_R`` nor
     ``B_n`` is triangular in general.  A block step that deflates drops
-    columns; one of rank 0 ends the run as a breakdown.
+    columns; one of rank 0 ends the run at step ``len(block_diag)`` with
+    ``termination`` "breakdown", as the step cap does with "max_iter".
     """
 
     basis: np.ndarray  # d x (sum of block widths)
@@ -92,7 +81,7 @@ class BlockKrylovDecomposition:
     block_offdiag: list  # blocks B_n = Q_{n+1}^T Z_n coupling step n to n+1
     initial_R: np.ndarray  # Q_0^T B, (width of Q_0) x m
     block_widths: list  # width per block step (never grows)
-    termination: Termination
+    termination: str
 
     @property
     def total_width(self) -> int:
@@ -220,6 +209,7 @@ class _Recurrence:
         self.scale = 0.0
         self.z = None
         self.beta = 0.0
+        self.termination: str | None = None
         self._reorth = mode is ReorthMode.FULL
         self.basis = _Basis(A.dim, k) if store_basis or self._reorth else None
         if self.basis is not None:
@@ -271,16 +261,15 @@ class _Recurrence:
 
     def steps(self):
         """Yield ``(q_n, alpha_n, beta_n)`` for n = 0, 1, ... until
-        breakdown or until k coefficients alpha are known; records how it
-        stopped in ``termination``.  Step n+1 (its product with ``A``)
-        runs only when the caller asks for it."""
-        self.termination = Termination("completed", self.k)
+        breakdown or until k coefficients alpha are known; the last step
+        sets ``termination`` to "breakdown" or "max_iter".  Step n+1 (its
+        product with ``A``) runs only when the caller asks for it."""
         for n in range(self.k):
             if n:
                 self.advance()
             broke = self.step()
-            if broke:
-                self.termination = Termination("breakdown", n + 1)
+            if broke or n == self.k - 1:
+                self.termination = "breakdown" if broke else "max_iter"
             yield self.q, self.alphas[-1], self.beta
             if broke:
                 return
@@ -345,7 +334,7 @@ def lanczos(
         basis=rec.basis.rows.T,
         T=rec.T,
         trailing_beta=rec.beta,
-        next_vector=None if rec.termination.is_breakdown else rec.z / rec.beta,
+        next_vector=None if rec.termination == "breakdown" else rec.z / rec.beta,
         b_norm=rec.b_norm,
         termination=rec.termination,
     )
@@ -388,6 +377,8 @@ def block_lanczos(
     Gram-Schmidt pass against the stored basis before it is factored, and
     a second when any column cancelled as in :func:`lanczos`.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     B = np.asarray(B, dtype=float)
     if B.ndim != 2 or B.shape[1] < 1:
         raise ValueError("B must be a d x m matrix with m >= 1")
@@ -401,7 +392,7 @@ def block_lanczos(
     widths = [rank]
     block_diag: list[np.ndarray] = []
     block_offdiag: list[np.ndarray] = []
-    termination = Termination("completed", k)
+    termination = "max_iter"
     scale = 0.0
 
     for n in range(k):
@@ -422,7 +413,7 @@ def block_lanczos(
         Qnext, Bn, rank = _qr_deflate(Z, scale)
         block_offdiag.append(Bn)
         if rank == 0:
-            termination = Termination("breakdown", n + 1)
+            termination = "breakdown"
             break
         scale = max(scale, float(np.abs(Bn).max()))
         basis.append(Qnext.T)

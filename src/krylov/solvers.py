@@ -417,7 +417,8 @@ def block_cg(
     k: int,
     mode: ReorthMode = ReorthMode.FULL,
 ) -> BlockIterateHistory:
-    """Block CG: X_j = Q_j T_j^{-1} E_1 R_0 from block Lanczos."""
+    """Block CG: X_j = Q_j T_j^{-1} E_1 R_0 from block Lanczos, whose
+    ``termination`` ("max_iter" or "breakdown") the history keeps."""
     B = np.asarray(B, dtype=float)
     dec = block_lanczos(A, B, k, mode=mode)
     T = dec.to_banded_dense()
@@ -428,7 +429,6 @@ def block_cg(
     m0 = widths[0]
 
     iterates, res = [], []
-    termination = "breakdown" if dec.termination.is_breakdown else "max_iter"
     for j in range(1, len(dec.block_diag) + 1):
         nj = int(offs[j])
         Tj = T[:nj, :nj]
@@ -447,6 +447,6 @@ def block_cg(
     return BlockIterateHistory(
         iterates=iterates,
         residual_norms=np.asarray(res),
-        termination=termination,
+        termination=dec.termination,
         deflation_widths=list(widths),
     )

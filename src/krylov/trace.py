@@ -357,10 +357,10 @@ def kpm_density(
     run) sets the interval: its Ritz hull widened by 5% each side, an
     unchecked heuristic that can miss the spectrum ((-0.604, 0.634) for
     k=1 on ``diagonal(linspace(-1, 1, 400))``; one Ritz value +- 5e-302
-    below about 1e-150, where the Ritz run underflows).  An empty
-    ``interval`` is rejected before any operator call; each probe checks
-    any other given one on the data its moments come from, at no extra
-    call.  The checks are one-sided: :class:`SpectrumOutsideInterval`
+    below about 1e-150, where the Ritz run underflows).  An empty or
+    infinite ``interval`` is rejected before any operator call; each probe
+    checks any other given one on the data its moments come from, at no
+    extra call.  The checks are one-sided: :class:`SpectrumOutsideInterval`
     shows that the spectrum exits the interval, and a pass shows nothing.
 
     The default ``coeff_method="lanczos_qf"`` reads each probe's moments
@@ -402,8 +402,8 @@ def kpm_density(
 
     if interval is not None:
         a, b_right = float(interval[0]), float(interval[1])
-        if not b_right > a:
-            raise ValueError("interval must have positive length")
+        if not (b_right > a and math.isfinite(a) and math.isfinite(b_right)):
+            raise ValueError("interval must be finite and have positive length")
     n_coeffs = 2 * k
     ritz_steps = min(n_coeffs, A.dim)
 

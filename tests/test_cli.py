@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -431,3 +432,20 @@ class TestCliCommands:
         )
         assert proc.returncode == 0
         assert "slq-wasserstein" in proc.stdout
+
+    def test_closed_stdout_exits_quietly(self):
+        # The read end is closed before the child starts, so its first
+        # write to stdout fails: no race with a reader such as ``head``.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "krylov.cli", "list-experiments"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode != 0
+        assert "Traceback" not in proc.stderr

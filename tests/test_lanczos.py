@@ -7,12 +7,12 @@ from krylov.core import LinearOperator
 from krylov.errors import NonFiniteOperator, ZeroStartBlock, ZeroStartVector
 from krylov.lanczos import (
     ReorthMode,
-    Termination,
     _Basis,
     block_lanczos,
     krylov_grade,
     lanczos,
 )
+from krylov.matfunc import block_lanczos_fa, block_lanczos_qf
 from krylov.orthopoly import DiscreteMeasure, stieltjes
 from krylov.solvers import block_cg
 
@@ -26,7 +26,7 @@ class TestLanczos:
     @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
     @pytest.mark.parametrize("after", [0, 3])
     def test_nan_operator_raises(self, nan_after, mode, after):
-        # Raised, not reported as "completed" with a NaN basis.
+        # Raised, not reported as "max_iter" with a NaN basis.
         A = nan_after(LinearOperator.diagonal(np.linspace(1.0, 2.0, 10)), after)
         with pytest.raises(NonFiniteOperator):
             lanczos(A, np.ones(10), 6, mode=mode)
@@ -40,9 +40,8 @@ class TestLanczos:
         A = LinearOperator.diagonal([4.0, 2.0, 1.0])
         e1 = np.array([1.0, 0.0, 0.0])
         dec = lanczos(A, e1, 3)
-        assert dec.T.size == 1
         assert dec.T.alphas[0] == pytest.approx(4.0)
-        assert dec.termination.is_breakdown
+        assert dec.termination == "breakdown" and dec.T.size == 1
         assert dec.next_vector is None
 
     def test_alpha0_is_rayleigh_quotient(self):
@@ -209,7 +208,7 @@ class TestReorthogonalize:
         A = LinearOperator.diagonal(np.geomspace(1.0, 1e4, 2000))
         b = np.random.default_rng(32).standard_normal(2000)
         dec = lanczos(A, b, 40, mode=ReorthMode.FULL)
-        assert dec.termination == Termination("completed", 40)
+        assert dec.termination == "max_iter" and dec.T.size == 40
         assert products[0] == 2 * 40
 
 
@@ -224,6 +223,32 @@ class TestBlockLanczos:
         A = LinearOperator.diagonal([1.0, 2.0, 3.0])
         with pytest.raises(ZeroStartBlock):
             block_lanczos(A, np.zeros((3, 2)), 2)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda A, B, k: block_lanczos(A, B, k),
+            lambda A, B, k: block_lanczos_fa(A, B, np.exp, k),
+            lambda A, B, k: block_lanczos_qf(A, B, np.exp, k),
+            lambda A, B, k: block_cg(A, B, k),
+        ],
+        ids=["block_lanczos", "block_lanczos_fa", "block_lanczos_qf", "block_cg"],
+    )
+    def test_fewer_than_one_step(self, call, k):
+        # Not exp(0) B, B^T B or an empty history: rejected before any
+        # operator call.
+        calls = [0]
+        D = LinearOperator.diagonal(np.linspace(1.0, 2.0, 6))
+
+        def matvec(v):
+            calls[0] += 1
+            return D.apply(v)
+
+        B = np.random.default_rng(17).standard_normal((6, 2))
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            call(LinearOperator(6, matvec), B, k)
+        assert calls[0] == 0
 
     def test_width_one_reduces_to_lanczos(self):
         rng = np.random.default_rng(7)
@@ -245,7 +270,7 @@ class TestBlockLanczos:
         B[1, 1] = 1.0  # spans an invariant 2-dim eigenspace
         dec = block_lanczos(A, B, 3)
         assert dec.total_width == 2
-        assert dec.termination.is_breakdown
+        assert dec.termination == "breakdown" and len(dec.block_diag) == 1
 
     def test_rotated_invariant_subspace_is_a_breakdown(self):
         # A start block spanning two eigenvectors of a rotated operator:
@@ -258,9 +283,10 @@ class TestBlockLanczos:
         A = LinearOperator.from_matrix(0.5 * (M + M.T))
         B = U[:, :2] @ rng.standard_normal((2, 2))
         dec = block_lanczos(A, B, 3)
-        assert dec.termination == Termination("breakdown", 1)
+        assert dec.termination == "breakdown" and len(dec.block_diag) == 1
         assert dec.total_width == 2
-        assert lanczos(A, B[:, 0], 3).termination.is_breakdown
+        single = lanczos(A, B[:, 0], 3)
+        assert single.termination == "breakdown" and single.T.size == 2
 
     def test_blocks_reconstruct_their_inputs(self):
         # B = Q_0 R_0 and Z_n = A Q_n - Q_n A_n - Q_{n-1} B_{n-1}^T =
@@ -306,7 +332,7 @@ class TestBlockLanczos:
         for name in ("norm", "svd", "qr"):
             monkeypatch.setattr(np.linalg, name, forbidden)
         dec = block_lanczos(A, B, 5)
-        assert dec.termination == Termination("completed", 5)
+        assert dec.termination == "max_iter" and len(dec.block_diag) == 5
         assert calls[0] == len(dec.block_diag) == 5
 
     def test_none_mode_matches_full_for_a_few_steps(self):
@@ -332,7 +358,7 @@ class TestBlockLanczos:
         A = LinearOperator.from_matrix(random_symmetric(rng, 30))
         B = rng.standard_normal((30, 3))
         dec = block_lanczos(A, B, 5, mode=ReorthMode.NONE)
-        assert dec.termination == Termination("completed", 5)
+        assert dec.termination == "max_iter" and len(dec.block_diag) == 5
         assert len(block_cg(A, B, 5, mode=ReorthMode.NONE).iterates) == 5
 
     def test_full_rank_with_probability_one(self):

@@ -1,6 +1,7 @@
 """Properties of the shared Lanczos recurrence on random spectra drawn by
 hypothesis (profile in ``conftest.py``): bit identities between callers,
-multi-shift histories that stop early as bit-identical prefixes,
+multi-shift histories that stop early as bit-identical prefixes, one
+termination vocabulary for decompositions and solver histories,
 orthonormality of the reorthogonalized basis, the polynomial exactness of
 Lanczos-FA and Gauss quadrature, stochastic estimates that do not
 depend on probe scheduling, the tridiagonal eigensolver against scipy's,
@@ -27,13 +28,14 @@ from krylov.core import (  # noqa: E402
     _tridiag_eigenvalues,
     sym_tridiag_eig,
 )
-from krylov.lanczos import ReorthMode, lanczos  # noqa: E402
+from krylov.lanczos import ReorthMode, block_lanczos, lanczos  # noqa: E402
 from krylov.matfunc import lanczos_fa, lanczos_qf, two_pass_lanczos_fa  # noqa: E402
 from krylov.orthopoly import gauss_quadrature, modified_moments  # noqa: E402
 from krylov.solvers import (  # noqa: E402
     DEFAULT_TOL,
     IterateHistory,
     _stored_history,
+    block_cg,
     cg,
     minres,
     multi_shift_solve,
@@ -173,6 +175,39 @@ def test_cg_backends_are_bit_identical(vals, seed, k, tol, mode):
     assert_same_history(
         _stored_history(A, b, dec, k, "minres", tol), minres(A, b, k, **kw)
     )
+
+
+# Up to 10 eigenvalues, each repeated 1-3 times, so runs break down early.
+repeated_spectra = st.lists(
+    st.tuples(st.floats(-10.0, 10.0, allow_subnormal=False), st.integers(1, 3)),
+    min_size=1,
+    max_size=10,
+).map(lambda pairs: [x for x, times in pairs for _ in range(times)])
+
+
+def assert_termination(kind, steps, k):
+    """``"max_iter"`` only at the step cap; any other end is a breakdown."""
+    assert steps == k if kind == "max_iter" else kind == "breakdown" and 1 <= steps <= k
+
+
+@given(repeated_spectra, start_seeds, st.integers(1, 35), st.integers(1, 3), modes, shift_lists)
+def test_every_run_reports_one_termination_vocabulary(vals, seed, k, m, mode, shifts):
+    # Decompositions and histories share the kinds "converged", "max_iter"
+    # and "breakdown", and the step a decomposition stopped at is its length.
+    A = LinearOperator.diagonal(vals)
+    rng = np.random.default_rng(seed)
+    b, B = rng.standard_normal(len(vals)), rng.standard_normal((len(vals), m))
+    dec = lanczos(A, b, k, mode=mode)
+    assert_termination(dec.termination, dec.T.size, k)
+    if dec.termination == "breakdown":  # detected at the cap, it stays one
+        capped = lanczos(A, b, dec.T.size, mode=mode)
+        assert capped.termination == "breakdown" and capped.T.size == dec.T.size
+    blk = block_lanczos(A, B, k, mode=mode)
+    assert_termination(blk.termination, len(blk.block_diag), k)
+    assert block_cg(A, B, k, mode=mode).termination == blk.termination
+    hists = [cg(A, b, k, mode=mode), minres(A, b, k, mode=mode)]
+    hists += multi_shift_solve(A, b, shifts, k, mode=mode)
+    assert {h.termination for h in hists} <= {"converged", "max_iter", "breakdown"}
 
 
 @given(

@@ -100,12 +100,16 @@ class TestRejectedBeforeAnyMatvec:
             kpm_density(op, 4, interval=(0.0, 3.0), sampler=ProbeSampler(seed=1), **option)
         assert calls[0] == 0
 
-    @pytest.mark.parametrize("interval", [(5.0, 1.0), (1.0, 1.0), (0.0, np.nan)])
+    @pytest.mark.parametrize(
+        "interval", [(5.0, 1.0), (1.0, 1.0), (0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0)]
+    )
     def test_empty_kpm_interval(self, interval):
-        # Rejected before any operator call, not after probe 0's run.
+        # Rejected before any operator call, not after probe 0's run, and
+        # an infinite end not turned into NaN coefficients.
         op, calls = counting(LinearOperator.diagonal(np.linspace(1.0, 2.0, 40)))
-        with pytest.raises(ValueError, match="positive length"):
-            kpm_density(op, 10, interval=interval)
+        for method in ("recurrence", "lanczos_qf"):
+            with pytest.raises(ValueError, match="positive length"):
+                kpm_density(op, 10, interval=interval, coeff_method=method)
         assert calls[0] == 0
 
 
