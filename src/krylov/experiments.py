@@ -329,8 +329,8 @@ def _indefinite(cfg: ExperimentConfig) -> ExperimentReport:
     # solves of the same Givens QR of T (Paige & Saunders 1975), and each
     # is bit-identical to its streamed solver's.
     dec = lanczos(A, b, k, mode=ReorthMode.FULL)
-    hist_cg = _stored_history(A, b, dec, k, "cg", 0.0)
-    hist_m = _stored_history(A, b, dec, k, "minres", 0.0)
+    hist_cg = _stored_history(A, b, dec, "cg", 0.0)
+    hist_m = _stored_history(A, b, dec, "minres", 0.0)
     r_cg = hist_cg.residual_norms
     r_m = hist_m.residual_norms
     n = min(r_cg.size, r_m.size)

@@ -73,12 +73,15 @@ class BlockKrylovDecomposition:
     residual block is ``Z_n = Q_{n+1} B_n``; neither ``initial_R`` nor
     ``B_n`` is triangular in general.  A block step that deflates drops
     columns; one of rank 0 ends the run at step ``len(block_diag)`` with
-    ``termination`` "breakdown", as the step cap does with "max_iter".
+    ``termination`` "breakdown" (the last step too), as the step cap does
+    with "max_iter".  ``block_offdiag`` always ends with the last step's
+    trailing block, empty after a breakdown and with no Q in ``basis``,
+    the way ``trailing_beta`` is kept, so it is as long as ``block_diag``.
     """
 
     basis: np.ndarray  # d x (sum of block widths)
     block_diag: list  # square blocks A_n
-    block_offdiag: list  # blocks B_n = Q_{n+1}^T Z_n coupling step n to n+1
+    block_offdiag: list  # B_n = Q_{n+1}^T Z_n coupling step n to n+1, one per step
     initial_R: np.ndarray  # Q_0^T B, (width of Q_0) x m
     block_widths: list  # width per block step (never grows)
     termination: str
@@ -371,8 +374,9 @@ def block_lanczos(
     deflated when its pivot is at most ``DEFLATION_RTOL`` times the
     running coefficient scale (the largest entry of the A_n and B_n
     blocks so far, as in :func:`lanczos`); the start block is judged
-    against its own largest column.  A step of rank 0 is a breakdown;
-    a NaN or Inf in A_n raises :class:`NonFiniteOperator`.  With
+    against its own largest column.  A step of rank 0 is a breakdown,
+    the last one too, since its residual block is factored like every
+    other; a NaN or Inf in A_n raises :class:`NonFiniteOperator`.  With
     ``mode=ReorthMode.FULL`` each residual block gets one classical
     Gram-Schmidt pass against the stored basis before it is factored, and
     a second when any column cancelled as in :func:`lanczos`.
@@ -392,7 +396,6 @@ def block_lanczos(
     widths = [rank]
     block_diag: list[np.ndarray] = []
     block_offdiag: list[np.ndarray] = []
-    termination = "max_iter"
     scale = 0.0
 
     for n in range(k):
@@ -408,12 +411,10 @@ def block_lanczos(
             Z, _ = basis.reorthogonalize(Z)
         block_diag.append(An)
         scale = max(scale, float(np.abs(An).max()))
-        if n == k - 1:
-            break
         Qnext, Bn, rank = _qr_deflate(Z, scale)
         block_offdiag.append(Bn)
-        if rank == 0:
-            termination = "breakdown"
+        if rank == 0 or n == k - 1:
+            termination = "max_iter" if rank else "breakdown"
             break
         scale = max(scale, float(np.abs(Bn).max()))
         basis.append(Qnext.T)

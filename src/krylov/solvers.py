@@ -38,12 +38,15 @@ DEFAULT_TOL = 1e-10
 class IterateHistory:
     """Per-iteration solver output.
 
-    ``iterates[j]`` is the iterate after j+1 steps (``None`` at a gap, a
+    ``iterates[j]`` is the iterate after j+1 steps, ``None`` at a gap (a
     CG step whose shifted tridiagonal ``T_{j+1} - z I`` is numerically
-    singular, or when retention is off).  Residual norms are explicitly
-    recomputed as ``||b - A x||`` (NaN at gaps).  A solve called with
-    ``tol=None`` has no stopping test and computes no residual: every
-    entry of ``residual_norms`` is NaN.
+    singular) and, when retention is off (``keep_iterates=False``), at
+    every step but the last one reported, so :attr:`final` is the answer
+    either way.  Residual norms are explicitly recomputed as
+    ``||b - A x||`` (NaN at gaps).  A solve called with ``tol=None`` has no
+    stopping test and computes no residual: every entry of
+    ``residual_norms`` is NaN.  ``termination`` is "converged", or else
+    the kind the Lanczos run recorded at its last step.
     """
 
     iterates: list
@@ -102,32 +105,21 @@ def _residual_norm(A: LinearOperator, b: np.ndarray, x: np.ndarray, shift=0.0):
     return float(np.linalg.norm(r))
 
 
-def _explicit_residual(A, b):
-    """The ``residual`` of :func:`_shifted_histories` for ``(A - z I) x = b``
-    itself: the iterate as it is, and ``||b - (A - z I) x||``."""
-    return lambda x, z: (x, _residual_norm(A, b, x, shift=z))
-
-
-def _stored_history(A, b, dec, k, method, tol, keep_iterates=True):
+def _stored_history(A, b, dec, method, tol, keep_iterates=True):
     """The ``method`` ("cg" or "minres") history of ``A x = b`` read off
     ``dec = lanczos(A, b, k)``, whose columns are the steps
     :meth:`_Recurrence.steps` yields, so the history is bit-identical to
     the streamed solver's and one stored run serves both methods."""
-    betas = dec.T.betas.tolist() + [dec.trailing_beta]
-    steps = zip(dec.basis.T, dec.T.alphas.tolist(), betas)
-    return _shifted_histories(
-        steps, dec.b_norm, A.dim, k, [0.0], method, tol, keep_iterates,
-        _explicit_residual(A, b), dec.b_norm,
-    )[0]
+    return _shifted_histories(dec, [0.0], method, tol, keep_iterates, A, b)[0]
 
 
-def _shifted_histories(
-    steps, rhs_norm, d, k, shifts, method, tol, keep_iterates, residual, b_norm
-):
+def _shifted_histories(run, shifts, method, tol, keep_iterates, A, b, M=None):
     """The per-step ``method`` ("cg" or "minres") history of
-    ``(A - z I) x = r`` for each shift z, from one pass over the Lanczos
-    steps ``(q_n, alpha_n, beta_n)`` of ``(A, r)`` (at most ``k``;
-    ``rhs_norm = ||r||``, ``d`` the dimension), pulled one at a time.
+    ``(A - z I) x = b`` for each shift z, from one pass over the Lanczos
+    steps ``(q_n, alpha_n, beta_n)`` of ``run``: the :class:`_Recurrence`
+    of ``(A, b)`` (of ``(M A M, M b)`` given a preconditioner M), pulled
+    one step at a time, or the stored ``lanczos(A, b, k)``, read column by
+    column.
 
     Each shift keeps its own Givens QR of the extended shifted tridiagonal
     ``[T_n - z I; beta_n e_n^T]``, one column per step (Paige & Saunders
@@ -138,22 +130,28 @@ def _shifted_histories(
     diagonal of the triangular factor of ``T_n - z I``; it is a gap
     (``None``, NaN residual) when ``|gbar_n| < SINGULARITY_RTOL *
     max(|alpha_i|, beta_i, |z|)`` over every coefficient up to beta_n.
-    Every other step's point x goes to the caller's ``residual(x, z)``,
-    which returns the iterate to report and its explicitly recomputed
-    residual norm; a shift stops once that norm is at most
-    ``tol * b_norm``, and no step is pulled once every shift has stopped.
-    ``tol=None`` is no stopping test: ``residual`` is never called, the
-    point itself is reported with a NaN norm, and every shift runs until
-    the steps end.  A history that runs out of steps before ``k`` records
-    a breakdown.
+    Every other step's point y is reported as x = y (x = M y given M)
+    with its explicitly recomputed ``||b - (A - z I) x||``; a shift stops
+    once that is at most ``tol * ||b||``, and no step is pulled once every
+    shift has stopped.  ``tol=None`` is no stopping test: no residual is
+    computed (NaN norms) and every shift runs until the steps end.  A
+    shift still running then takes ``run.termination``, the kind the
+    recurrence recorded at its last step.  ``keep_iterates=False`` keeps
+    only each shift's last reported iterate.
     """
+    if isinstance(run, _Recurrence):
+        steps = run.steps()
+    else:  # a stored decomposition: its columns are the recurrence's steps
+        betas = run.T.betas.tolist() + [run.trailing_beta]
+        steps = zip(run.basis.T, run.T.alphas.tolist(), betas)
+    b_norm = run.b_norm if M is None else float(np.linalg.norm(b))
     want_cg = method == "cg"
     states = []  # per shift: x^M, w_{n-1}, w_{n-2}, rotations, phibar, scale
     for z in shifts:
-        zero = np.zeros(d, complex if isinstance(z, complex) else float)
-        states.append((zero, zero, zero, ((1.0, 0.0), (1.0, 0.0)), rhs_norm, abs(z)))
+        zero = np.zeros(A.dim, complex if isinstance(z, complex) else float)
+        states.append((zero, zero, zero, ((1.0, 0.0), (1.0, 0.0)), run.b_norm, abs(z)))
     iterates, res = [[] for _ in shifts], [[] for _ in shifts]
-    termination = [None] * len(shifts)
+    termination, kept = [None] * len(shifts), [None] * len(shifts)
     live, beta_prev = range(len(shifts)), 0.0
     for q, alpha, beta in steps:
         for i in live:
@@ -182,20 +180,25 @@ def _shifted_histories(
                 iterates[i].append(None)
                 res[i].append(np.nan)
                 continue
+            if M is not None:
+                x = M.apply(x)
             if tol is None:  # no stopping test, so no residual to pay for
                 rnorm = np.nan
             else:
-                x, rnorm = residual(x, z)
+                rnorm = _residual_norm(A, b, x, shift=z)
                 if rnorm <= tol * b_norm:
                     termination[i] = "converged"
-            iterates[i].append(x if keep_iterates else None)
+            if not keep_iterates and kept[i] is not None:
+                iterates[i][kept[i]] = None  # only the last one is kept
+            kept[i] = len(iterates[i])
+            iterates[i].append(x)
             res[i].append(rnorm)
         beta_prev = beta
         live = [i for i in live if termination[i] is None]
         if not live:
             break
     for i in live:  # the steps ran out
-        termination[i] = "breakdown" if len(res[i]) < k else "max_iter"
+        termination[i] = run.termination
     return [
         IterateHistory(xs, np.asarray(r), t, b_norm)
         for xs, r, t in zip(iterates, res, termination)
@@ -220,10 +223,11 @@ def cg(
     ``SINGULARITY_RTOL`` times the largest Lanczos coefficient so far) is
     recorded as a gap (NaN residual) and later steps are unaffected, so
     indefinite problems still produce a full trace.  ``termination`` is
-    ``"converged"`` at the first residual at most ``tol * ||b||``,
-    ``"breakdown"`` when the recurrence breaks down before step k, and
-    ``"max_iter"`` otherwise.  Each reported step costs one explicit
-    residual matvec on top of the recurrence's one per step.
+    ``"converged"`` at the first residual at most ``tol * ||b||``, and
+    otherwise the Lanczos run's own kind: ``"breakdown"`` when it breaks
+    down, at step k too, and ``"max_iter"`` when it runs to step k
+    without.  Each reported step costs one explicit residual matvec on
+    top of the recurrence's one per step.
     ``tol=None`` is no stopping test: no residual is computed
     (``residual_norms`` is all NaN), each iterate is the ``tol=0.0``
     call's bit for bit, and the call applies ``A`` exactly k times (fewer
@@ -234,19 +238,16 @@ def cg(
     decomposition first.  ``backend="low_memory"`` runs the recurrence
     step by step and stops applying ``A`` at convergence; it keeps a
     constant number of length-d vectors only with ``mode=ReorthMode.NONE``
-    and nothing kept per step (``keep_iterates=False``; the default
-    ``mode=ReorthMode.FULL`` stores the basis).
+    and ``keep_iterates=False``, which keeps the last reported iterate
+    alone (the default ``mode=ReorthMode.FULL`` stores the basis).
     """
     if backend == "tridiagonal":
         dec = lanczos(A, b, k, mode=mode)
-        return _stored_history(A, b, dec, k, "cg", tol, keep_iterates)
+        return _stored_history(A, b, dec, "cg", tol, keep_iterates)
     if backend != "low_memory":
         raise ValueError(f"unknown backend {backend!r}")
     rec = _Recurrence(A, b, k, mode=mode)
-    return _shifted_histories(
-        rec.steps(), rec.b_norm, A.dim, k, [0.0], "cg", tol, keep_iterates,
-        _explicit_residual(A, b), rec.b_norm,
-    )[0]
+    return _shifted_histories(rec, [0.0], "cg", tol, keep_iterates, A, b)[0]
 
 
 def minres(
@@ -262,15 +263,14 @@ def minres(
     system of one Lanczos run, updated incrementally by Givens rotations
     (Paige & Saunders 1975) at O(d) cost per step.  Each step's residual
     is recomputed explicitly, one matvec.  The recurrence runs step by
-    step and stops applying ``A`` at convergence.  ``tol=None`` is no
-    stopping test: no residual is computed (``residual_norms`` is all
+    step and stops applying ``A`` at convergence; ``termination`` is
+    otherwise the Lanczos run's kind, as in :func:`cg`, and
+    ``keep_iterates=False`` keeps only the last iterate.  ``tol=None`` is
+    no stopping test: no residual is computed (``residual_norms`` is all
     NaN), each iterate is the ``tol=0.0`` call's bit for bit, and the call
     applies ``A`` exactly k times (fewer only at a breakdown)."""
     rec = _Recurrence(A, b, k, mode=mode)
-    return _shifted_histories(
-        rec.steps(), rec.b_norm, A.dim, k, [0.0], "minres", tol, keep_iterates,
-        _explicit_residual(A, b), rec.b_norm,
-    )[0]
+    return _shifted_histories(rec, [0.0], "minres", tol, keep_iterates, A, b)[0]
 
 
 def multi_shift_solve(
@@ -297,9 +297,12 @@ def multi_shift_solve(
     history is ``"converged"`` at its first explicitly recomputed residual
     at most ``tol * ||b||``, and a stopped shift costs no further vector
     update or residual matvec.  The recurrence stops applying ``A`` once
-    every shift has stopped.  A shift still running when the recurrence
-    breaks down before step k records ``"breakdown"``, one that reaches
-    step k ``"max_iter"``.  ``tol=0.0`` runs every shift to step k unless
+    every shift has stopped.  A shift still running when the steps end
+    records the recurrence's kind: ``"breakdown"`` if it broke down, at
+    step k too, and ``"max_iter"`` otherwise.  With ``keep_iterates=False``
+    each shift keeps only its last reported iterate, so :attr:`final`
+    still works.  An empty ``shifts`` raises ``ValueError`` before any
+    operator call.  ``tol=0.0`` runs every shift to step k unless
     its residual is exactly zero.  ``tol=None`` is no stopping test: every
     shift runs to step k with no residual computed (``residual_norms`` is
     all NaN) and the ``tol=0.0`` call's iterates bit for bit, so the call
@@ -309,11 +312,10 @@ def multi_shift_solve(
     if method not in ("cg", "minres"):
         raise ValueError(f"unknown method {method!r}")
     shifts = [z if z.imag else z.real for z in map(complex, np.ravel(shifts))]
+    if not shifts:
+        raise ValueError("need at least one shift")
     rec = _Recurrence(A, b, k, mode=mode)
-    return _shifted_histories(
-        rec.steps(), rec.b_norm, A.dim, k, shifts, method, tol, keep_iterates,
-        _explicit_residual(A, b), rec.b_norm,
-    )
+    return _shifted_histories(rec, shifts, method, tol, keep_iterates, A, b)
 
 
 def preconditioned_solve(
@@ -340,15 +342,7 @@ def preconditioned_solve(
     b = np.asarray(b, dtype=float)
     wrapped = LinearOperator(A.dim, lambda v: M.apply(A.apply(M.apply(v))))
     rec = _Recurrence(wrapped, M.apply(b), k, mode=mode)
-
-    def residual(y, z):
-        x = M.apply(y)
-        return x, _residual_norm(A, b, x)
-
-    return _shifted_histories(
-        rec.steps(), rec.b_norm, A.dim, k, [0.0], method, DEFAULT_TOL, True,
-        residual, float(np.linalg.norm(b)),
-    )[0]
+    return _shifted_histories(rec, [0.0], method, DEFAULT_TOL, True, A, b, M)[0]
 
 
 def chebyshev_bound(kind: str, params: dict, k: int) -> float:

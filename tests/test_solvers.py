@@ -5,7 +5,7 @@ import pytest
 
 from krylov.core import LinearOperator
 from krylov.errors import InsufficientIterates, InvalidInterval, NonFiniteOperator
-from krylov.lanczos import ReorthMode, lanczos
+from krylov.lanczos import ReorthMode, block_lanczos, lanczos
 from krylov.solvers import (
     DEFAULT_TOL,
     ShiftFamily,
@@ -122,6 +122,24 @@ class TestCG:
         for hist in hists:
             assert hist.k == 2
             assert hist.termination == "breakdown"
+
+    @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
+    def test_breakdown_at_the_cap_is_one(self, mode):
+        # Three distinct eigenvalues and k = 3: the run breaks down at its
+        # last step, and every reader of it reports the kind it recorded.
+        A = LinearOperator.diagonal([1.0, 2.0, 3.0])
+        b = np.ones(3)
+        kw = dict(mode=mode, tol=None)
+        kinds = [
+            lanczos(A, b, 3, mode=mode).termination,
+            cg(A, b, 3, **kw).termination,
+            cg(A, b, 3, backend="low_memory", **kw).termination,
+            minres(A, b, 3, **kw).termination,
+            *(h.termination for h in multi_shift_solve(A, b, [0.5, 1j], 3, **kw)),
+            block_lanczos(A, b[:, None], 3, mode=mode).termination,
+            block_cg(A, b[:, None], 3, mode=mode).termination,
+        ]
+        assert kinds == ["breakdown"] * 8
 
     def test_residual_error_sandwich(self):
         # sqrt(1/lam_max) ||r|| <= ||x - x*||_A <= sqrt(1/lam_min) ||r||.
@@ -281,6 +299,12 @@ class TestMultiShift:
         assert np.isnan(hist.residual_norms[0])
         np.testing.assert_allclose(hist.iterates[1], [-1.0, 1.0], atol=1e-12)
 
+    def test_empty_shift_list_rejected(self):
+        op, calls = counting(LinearOperator.diagonal([1.0, 2.0]))
+        with pytest.raises(ValueError, match="at least one shift"):
+            multi_shift_solve(op, np.ones(2), [], 2)
+        assert calls[0] == 0
+
     def test_shift_family_rejects_duplicates(self):
         with pytest.raises(ValueError):
             ShiftFamily([1.0, 1.0], [0.5, 0.5])
@@ -438,6 +462,43 @@ class TestMultiShiftMemory:
                 tracemalloc.stop()
         # 60 more steps may not cost even two more length-d vectors.
         assert peaks[1] - peaks[0] < 2 * 8 * d
+
+
+class TestLowMemoryFinal:
+    # keep_iterates=False keeps each shift's last reported iterate only, so
+    # the O(1)-memory solve still returns its answer.
+    def _problem(self):
+        rng = np.random.default_rng(23)
+        vals = np.concatenate([np.linspace(-3.0, -0.5, 10), np.linspace(0.5, 4.0, 30)])
+        return LinearOperator.diagonal(vals), rng.standard_normal(40)
+
+    @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
+    @pytest.mark.parametrize("tol", [1e-8, 0.0, None])
+    def test_cg_final_is_the_stored_backends(self, mode, tol):
+        A, b = self._problem()
+        low = cg(A, b, 30, backend="low_memory", mode=mode, tol=tol, keep_iterates=False)
+        ref = cg(A, b, 30, mode=mode, tol=tol)
+        assert sum(x is not None for x in low.iterates) == 1
+        assert np.array_equal(low.final, ref.final)
+        np.testing.assert_array_equal(low.residual_norms, ref.residual_norms)
+
+    @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
+    @pytest.mark.parametrize("method", ["cg", "minres"])
+    def test_multi_shift_finals_are_the_kept_ones(self, mode, method):
+        A, b = self._problem()
+        shifts = [0.0, 0.25, -1.0 + 0.5j]
+        kw = dict(method=method, mode=mode, tol=1e-6)
+        low = multi_shift_solve(A, b, shifts, 30, keep_iterates=False, **kw)
+        ref = multi_shift_solve(A, b, shifts, 30, **kw)
+        for h, r in zip(low, ref):
+            assert h.termination == r.termination and h.k == r.k
+            assert np.array_equal(h.final, r.final)
+
+    def test_delay_estimate_still_needs_every_iterate(self):
+        A, b = self._problem()
+        hist = cg(A, b, 20, backend="low_memory", tol=0.0, keep_iterates=False)
+        with pytest.raises(InsufficientIterates):
+            error_estimate_delay(hist, A, 1)
 
 
 class TestPreconditioned:
