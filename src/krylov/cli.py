@@ -15,6 +15,7 @@ import argparse
 import configparser
 import os
 import sys
+from dataclasses import replace
 
 from .errors import InvalidSpec, KrylovError
 from .experiments import (
@@ -31,22 +32,27 @@ _MATRIX_KEYS = {
     "values", "path", "rotation_seed",
 }
 _OUTPUT_KEYS = {"out_dir"}
+# Kinds whose spec string takes one positional list; their keys are checked here.
+_POSITIONAL_KINDS = {"explicit": {"values", "rotation_seed"}, "mm": {"path"}}
 
 
 def _matrix_from_section(sec) -> object:
     kind = sec.get("kind")
     if kind is None:
         raise KrylovError("matrix section needs a 'kind' key")
-    parts = []
-    for key in sec:
-        if key == "kind":
-            continue
-        parts.append(f"{key}={sec[key]}")
-    if kind == "explicit":
-        return parse_matrix_spec(f"explicit:{sec.get('values', '')}")
+    keys = {key: sec[key] for key in sec if key != "kind"}
+    if kind not in _POSITIONAL_KINDS:
+        pairs = ",".join(f"{k}={v}" for k, v in keys.items())
+        return parse_matrix_spec(f"{kind}:{pairs}")
+    extra = keys.keys() - _POSITIONAL_KINDS[kind]
+    if extra:
+        raise InvalidSpec(f"unknown keys {sorted(extra)} for kind {kind!r}")
     if kind == "mm":
-        return parse_matrix_spec(f"mm:{sec.get('path', '')}")
-    return parse_matrix_spec(f"{kind}:{','.join(parts)}")
+        return parse_matrix_spec(f"mm:{keys.get('path', '')}")
+    spec = parse_matrix_spec(f"explicit:{keys.get('values', '')}")
+    if "rotation_seed" in keys:
+        spec = replace(spec, rotation_seed=_integer(sec, "rotation_seed"))
+    return spec
 
 
 def _integer(section, key: str) -> int:
@@ -94,8 +100,6 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    from dataclasses import replace
-
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)

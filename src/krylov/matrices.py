@@ -221,23 +221,17 @@ def optimal_ksm_error(A: LinearOperator, b: np.ndarray, f, k: int) -> np.ndarray
     An arbitrary operator has no known eigenpairs, so this materializes it
     (d operator calls) and takes its ``eigh``; the dimension is capped at
     ``DENSE_ORACLE_LIMIT`` (:class:`DimensionTooLarge`).  Raises
-    :class:`FunctionDomainError` if ``f`` is NaN/Inf at an eigenvalue."""
+    :class:`FunctionDomainError` if ``f`` is NaN/Inf at an eigenvalue.
+
+    The Krylov basis is built by Arnoldi with two modified Gram-Schmidt
+    passes and ends once a new vector's norm is at most 1e-12.  The
+    residual of ``f(A) b`` against the basis is kept as it grows: each new
+    basis vector's projection is subtracted once, in the order a full
+    recomputation at every step would subtract it."""
     dense, vals, vecs = _dense_eigh(A)
-    return _optimal_ksm(lambda u: dense @ u, vals, vecs, b, f, k)[1]
-
-
-def _optimal_ksm(apply, vals, vecs, b: np.ndarray, f, k: int):
-    """``(f(A) b, optimal_ksm_error(A, b, f, k))`` for the operator with
-    eigenpairs ``(vals, vecs)`` (``vecs`` as for :func:`_to_eigenbasis`),
-    applied by ``apply``: one call per Krylov basis vector after the
-    first, at most k - 1, and no dense operator.
-
-    The residual of ``f(A) b`` against the Krylov basis is kept as it
-    grows: each new basis vector's projection is subtracted once, in the
-    order a full recomputation at every step would subtract it."""
     b = np.asarray(b, dtype=float)
     fvals = _finite_values(f, vals, FunctionDomainError)
-    target = _from_eigenbasis(vecs, fvals * _to_eigenbasis(vecs, b))
+    target = vecs @ (fvals * (vecs.T @ b))
 
     errors = np.empty(k)
     basis: list[np.ndarray] = []
@@ -257,17 +251,18 @@ def _optimal_ksm(apply, vals, vecs, b: np.ndarray, f, k: int):
                 u = w / nw
                 basis.append(u)
                 if j + 1 < k:  # the last basis vector needs no successor
-                    v = apply(u)
+                    v = dense @ u
                 resid = resid - (u @ target) * u
         errors[j] = np.linalg.norm(resid)
-    return target, errors
+    return errors
 
 
 def parse_matrix_spec(text: str):
     """Parse a compact matrix spec string, e.g.
     ``graded:d=48,lam_min=0.001,lam_max=1000,rho=0.9``,
     ``explicit:1,2,3``, ``two_interval:d=40,a=-3,b=-1,c=1,d_right=3``,
-    or ``mm:path/to/file.mtx``."""
+    or ``mm:path/to/file.mtx``.  A key the kind does not take raises
+    :class:`InvalidSpec`, as a missing key or a bad number does."""
     kind, _, rest = text.partition(":")
     kind = kind.strip().lower()
     if kind == "mm":
@@ -284,19 +279,19 @@ def parse_matrix_spec(text: str):
             continue
         key, _, val = item.partition("=")
         kv[key.strip()] = val.strip()
-    rs = kv.pop("rotation_seed", None)
-    rotation_seed = int(rs) if rs is not None else None
     try:
+        rs = kv.pop("rotation_seed", None)
+        rotation_seed = int(rs) if rs is not None else None
         if kind == "graded":
-            return GradedSpectrum(
+            spec = GradedSpectrum(
                 d=int(kv.pop("d")),
                 lam_min=float(kv.pop("lam_min")),
                 lam_max=float(kv.pop("lam_max")),
                 rho=float(kv.pop("rho", "0.9")),
                 rotation_seed=rotation_seed,
             )
-        if kind == "two_interval":
-            return TwoIntervalSpectrum(
+        elif kind == "two_interval":
+            spec = TwoIntervalSpectrum(
                 d=int(kv.pop("d")),
                 a=float(kv.pop("a")),
                 b=float(kv.pop("b")),
@@ -304,6 +299,12 @@ def parse_matrix_spec(text: str):
                 d_right=float(kv.pop("d_right")),
                 rotation_seed=rotation_seed,
             )
+        else:
+            raise InvalidSpec(f"unknown matrix kind {kind!r}")
     except KeyError as exc:
         raise InvalidSpec(f"missing key {exc} for kind {kind!r}") from exc
-    raise InvalidSpec(f"unknown matrix kind {kind!r}")
+    except ValueError as exc:
+        raise InvalidSpec(f"bad value for kind {kind!r}: {exc}") from exc
+    if kv:
+        raise InvalidSpec(f"unknown keys {sorted(kv)} for kind {kind!r}")
+    return spec

@@ -228,6 +228,23 @@ class TestParseMatrixSpec:
         with pytest.raises(InvalidSpec):
             parse_matrix_spec("explicit:1,foo,3")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("graded:d=10,lam_min=1,lam_max=2,rh0=0.5", "rh0"),
+            ("two_interval:d=40,a=-3,b=-1,c=1,d_right=3,bogus=1", "bogus"),
+            ("graded:d=10,lam_min=1,lam_max=2,d_right=3", "d_right"),
+        ],
+    )
+    def test_key_of_another_kind_rejected(self, text, key):
+        # A misspelt key must not fall back to a default.
+        with pytest.raises(InvalidSpec, match=f"unknown keys \\['{key}'\\]"):
+            parse_matrix_spec(text)
+
+    def test_bad_number(self):
+        with pytest.raises(InvalidSpec):
+            parse_matrix_spec("graded:d=ten,lam_min=1,lam_max=2")
+
 
 class TestConfig:
     def _write(self, tmp_path, text):
@@ -273,6 +290,28 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(KrylovError):
             load_config("/nonexistent/exp.ini")
+
+    def test_explicit_rotation_seed(self, tmp_path):
+        text = (
+            "[experiment]\nname = fa-optimality\n"
+            "[matrix]\nkind = explicit\nvalues = 1,2,3\nrotation_seed = 7\n"
+        )
+        cfg = load_config(self._write(tmp_path, text))
+        assert cfg.matrix == ExplicitEigenvalues((1.0, 2.0, 3.0), rotation_seed=7)
+
+    @pytest.mark.parametrize(
+        "matrix, key",
+        [
+            ("kind = explicit\nvalues = 1,2,3\nd = 3\n", "d"),
+            ("kind = mm\npath = a.mtx\nrotation_seed = 1\n", "rotation_seed"),
+            ("kind = graded\nd = 10\nlam_min = 1\nlam_max = 2\nvalues = 1\n", "values"),
+        ],
+        ids=["explicit", "mm", "graded"],
+    )
+    def test_key_of_another_kind_exits_2(self, tmp_path, capsys, matrix, key):
+        path = self._write(tmp_path, f"[experiment]\nname = cg-bounds\n[matrix]\n{matrix}")
+        assert main(["run", path, "--out-dir", str(tmp_path)]) == 2
+        assert f"unknown keys ['{key}']" in capsys.readouterr().err
 
 
 class TestExperiments:

@@ -16,6 +16,7 @@ from krylov.matrices import (
     GradedSpectrum,
     MatrixMarketFile,
     generate_operator,
+    optimal_ksm_error,
 )
 
 
@@ -36,15 +37,15 @@ def test_experiment_passes_with_defaults(name, tmp_path):
 # cg-bounds reads CG iterates only and computes no residual (40),
 # indefinite reads CG and MINRES off one stored run and pays each its
 # residuals (40 + 2 x 40), slq-wasserstein reads its degrees 8 and 16 off
-# each probe's 32-step run (8 x 32), fa-optimality builds the optimal
-# baseline's Krylov basis with one call per vector after the first
-# (40 + 39), and kpm-density damps the undamped recurrence's coefficients
-# instead of recomputing its moments and checks its given interval on the
-# probe's own run, on both coefficient paths (10 + 10).  825 in all.
+# each probe's 32-step run (8 x 32), fa-optimality reads the optimal
+# baseline off the basis of its one FULL run (40), and kpm-density damps
+# the undamped recurrence's coefficients instead of recomputing its
+# moments and checks its given interval on the probe's own run, on both
+# coefficient paths (10 + 10).  786 in all.
 OPERATOR_CALLS = {
     "cg-bounds": 40,
     "fa-formulas": 60,
-    "fa-optimality": 79,
+    "fa-optimality": 40,
     "fp-lanczos": 80,
     "indefinite": 120,
     "kpm-density": 20,
@@ -186,6 +187,32 @@ def test_rotated_references_match_dense_path(name, monkeypatch):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GradedSpectrum(d=100, lam_min=1e-2, lam_max=1.0, rho=0.9),  # the default
+        ROTATED_SPECS["fa-optimality"],
+    ],
+    ids=["default", "rotated"],
+)
+def test_fa_optimality_baseline_matches_oracle(spec):
+    # The baseline read off the FULL run's basis against the oracle's own
+    # Arnoldi basis of the dense operator, and never above the FA error.
+    report = run_experiment(ExperimentConfig(experiment="fa-optimality", matrix=spec))
+    series = {}
+    for name, _, value in report.rows:
+        series.setdefault(name, []).append(value)
+    opt, fa = np.array(series["optimal_error"]), np.array(series["fa_error"])
+    gen = generate_operator(spec)
+    b = np.ones(gen.operator.dim) / np.sqrt(gen.operator.dim)
+    oracle = optimal_ksm_error(gen.operator, b, np.sqrt, opt.size)
+    w, V = np.linalg.eigh(gen.operator.to_dense())
+    target_norm = np.linalg.norm(V @ (np.sqrt(w) * (V.T @ b)))
+    assert opt.size == 40
+    np.testing.assert_allclose(opt, oracle, rtol=0, atol=1e-13 * target_norm)
+    assert np.all(opt <= fa)
+
+
 def test_kpm_density_exact_measure_on_rotated_spec():
     # The probe's exact spectral measure weighs each eigenvalue by the
     # probe's squared eigenbasis coordinate, not by its squared entry.
@@ -197,8 +224,8 @@ def test_kpm_density_exact_measure_on_rotated_spec():
 
 
 def test_large_generated_spec_needs_no_dense_oracle(monkeypatch):
-    # d = 3000 is above DENSE_ORACLE_LIMIT; only the Krylov methods and the
-    # optimal baseline's basis apply the operator.
+    # d = 3000 is above DENSE_ORACLE_LIMIT; only the Krylov methods apply
+    # the operator.
     spec = GradedSpectrum(d=3000, lam_min=1e-2, lam_max=1.0, rho=0.9)
     calls = _count_operator_calls(monkeypatch)
     got = {}
@@ -207,4 +234,4 @@ def test_large_generated_spec_needs_no_dense_oracle(monkeypatch):
         report = run_experiment(ExperimentConfig(experiment=name, matrix=spec, k=20))
         assert report.rows
         got[name] = calls[0]
-    assert got == {"cg-bounds": 20, "fa-formulas": 20, "fa-optimality": 39}
+    assert got == {"cg-bounds": 20, "fa-formulas": 20, "fa-optimality": 20}
