@@ -196,13 +196,13 @@ def fa_apriori_bound(f, interval, k: int, b_norm: float = 1.0) -> float:
     never below the min up to the grid), inflated by a factor 4 of slack
     for the grid and the near-best constant.
 
-    Raises :class:`NonFiniteSample` if ``f`` is NaN/Inf at a sample."""
-    a, c = float(interval[0]), float(interval[1])
-    if not c > a:
-        raise ValueError("interval must have positive length")
+    Raises :class:`NonFiniteSample` if ``f`` is NaN/Inf at a sample, and
+    ``ValueError``, as :func:`cheb_approximant` does, before any sample
+    unless the interval is finite and has positive length."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    p = cheb_approximant(f, k - 1, (a, c))
+    p = cheb_approximant(f, k - 1, interval)
+    a, c = p.interval
     grid = 0.5 * (c - a) * np.linspace(-1.0, 1.0, 10_000) + 0.5 * (a + c)
     fg = _finite_values(f, grid, NonFiniteSample)
     err = float(np.abs(fg - p(grid)).max())

@@ -48,6 +48,8 @@ class DiscreteMeasure:
         weights = np.asarray(self.weights, dtype=float).ravel()
         if nodes.size == 0 or nodes.shape != weights.shape:
             raise ValueError("nodes and weights must be nonempty, same length")
+        if not (np.isfinite(nodes).all() and np.isfinite(weights).all()):
+            raise ValueError("nodes and weights must be finite")
         order = np.argsort(nodes, kind="stable")
         nodes, weights = nodes[order], weights[order]
         span = float(nodes[-1] - nodes[0])
@@ -124,10 +126,17 @@ def cheb_eval(kind: str, n: int, x):
     return p if p.ndim else float(p)
 
 
+def _interval(interval) -> tuple:
+    """``(a, b)`` as floats: the one check of every interval the polynomial
+    layer takes, that it is finite and has positive length."""
+    a, b = float(interval[0]), float(interval[1])
+    if not (np.isfinite(a) and np.isfinite(b) and b > a):
+        raise ValueError("interval must be finite and have positive length")
+    return a, b
+
+
 def _to_unit(x, interval):
-    a, b = interval
-    if not b > a:
-        raise ValueError("interval must have positive length")
+    a, b = _interval(interval)
     return (2.0 * np.asarray(x, dtype=float) - (a + b)) / (b - a)
 
 
@@ -143,7 +152,7 @@ class ChebyshevExpansion:
         object.__setattr__(
             self, "coefficients", np.asarray(self.coefficients, dtype=float)
         )
-        object.__setattr__(self, "interval", (float(self.interval[0]), float(self.interval[1])))
+        object.__setattr__(self, "interval", _interval(self.interval))
 
     @property
     def degree(self) -> int:
@@ -159,11 +168,12 @@ def cheb_approximant(f, degree: int, interval=(-1.0, 1.0)) -> ChebyshevExpansion
     Coefficients are Gauss-Chebyshev quadratures of f against the T
     polynomials with 2(k+1) nodes, exact whenever f is a polynomial of
     degree <= k; the expansion is then the best approximation in the
-    Chebyshev weighted L2 norm.
+    Chebyshev weighted L2 norm.  Raises ``ValueError`` before ``f`` is
+    sampled unless the interval is finite and has positive length.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    a, b = float(interval[0]), float(interval[1])
+    a, b = _interval(interval)
     N = 2 * (degree + 1)
     theta = (np.arange(N) + 0.5) * np.pi / N
     xt = np.cos(theta)
@@ -178,7 +188,11 @@ def cheb_approximant(f, degree: int, interval=(-1.0, 1.0)) -> ChebyshevExpansion
 def stieltjes(measure: DiscreteMeasure, k: int) -> SymTridiagonal:
     """Recurrence coefficients of the orthonormal polynomials of the
     normalized measure, by running fully reorthogonalized Lanczos on the
-    diagonal operator of the nodes with start vector sqrt(weights/mass)."""
+    diagonal operator of the nodes with start vector sqrt(weights/mass).
+
+    Raises :class:`InsufficientSupport` when k exceeds the number of nodes,
+    or when the run breaks down before step k (a node whose weight is
+    negligible against the others counts for none)."""
     from .lanczos import ReorthMode, lanczos
 
     if measure.total_mass <= 0:
@@ -189,8 +203,10 @@ def stieltjes(measure: DiscreteMeasure, k: int) -> SymTridiagonal:
         )
     A = LinearOperator.diagonal(measure.nodes)
     start = np.sqrt(measure.weights / measure.total_mass)
-    dec = lanczos(A, start, k, mode=ReorthMode.FULL)
-    return dec.T
+    T = lanczos(A, start, k, mode=ReorthMode.FULL).T
+    if T.size < k:
+        raise InsufficientSupport(f"k={k}: the Lanczos run broke down at step {T.size}")
+    return T
 
 
 def gauss_quadrature(M: SymTridiagonal, total_mass: float = 1.0) -> DiscreteMeasure:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .core import SINGULARITY_RTOL, LinearOperator, _qr_column
 from .errors import InsufficientIterates, InvalidInterval
@@ -412,29 +413,28 @@ def block_cg(
     mode: ReorthMode = ReorthMode.FULL,
 ) -> BlockIterateHistory:
     """Block CG: X_j = Q_j T_j^{-1} E_1 R_0 from block Lanczos, whose
-    ``termination`` ("max_iter" or "breakdown") the history keeps."""
+    ``termination`` ("max_iter" or "breakdown") the history keeps.  A step
+    is a gap (``None``, NaN residuals) when the QR of T_j has a ``|R_ii|``
+    below ``SINGULARITY_RTOL`` times the largest entry of T_j and B_j."""
     B = np.asarray(B, dtype=float)
     dec = block_lanczos(A, B, k, mode=mode)
     T = dec.to_banded_dense()
-    Q = dec.basis
     widths = dec.block_widths
     offs = np.concatenate(([0], np.cumsum(widths))).astype(int)
     m = B.shape[1]
-    m0 = widths[0]
 
     iterates, res = [], []
-    for j in range(1, len(dec.block_diag) + 1):
+    for j, Bj in enumerate(dec.block_offdiag, 1):
         nj = int(offs[j])
         Tj = T[:nj, :nj]
-        rhs = np.zeros((nj, m))
-        rhs[:m0, :] = dec.initial_R
-        try:
-            Y = np.linalg.solve(Tj, rhs)
-        except np.linalg.LinAlgError:
+        QT, RT = np.linalg.qr(Tj)
+        scale = max(np.abs(Tj).max(), np.abs(Bj).max(initial=0.0))
+        if np.abs(np.diag(RT)).min() < SINGULARITY_RTOL * (scale or 1.0):
             iterates.append(None)
             res.append(np.full(m, np.nan))
             continue
-        X = Q[:, :nj] @ Y
+        Y = scipy.linalg.solve_triangular(RT, QT[: widths[0]].T @ dec.initial_R)
+        X = dec.basis[:, :nj] @ Y
         R = B - np.column_stack([A.apply(X[:, c]) for c in range(m)])
         iterates.append(X)
         res.append(np.linalg.norm(R, axis=0))

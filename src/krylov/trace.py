@@ -35,6 +35,7 @@ from .matfunc import lanczos_qf
 from .orthopoly import (
     DiscreteMeasure,
     _cheb_series,
+    _interval,
     gauss_quadrature,
     jackson_damping,
     modified_moments,
@@ -299,10 +300,8 @@ def _automatic_interval(T) -> tuple:
     vals = _tridiag_eigenvalues(T)
     lo, hi = float(vals[0]), float(vals[-1])
     span = max(hi - lo, 1e-300)
-    a, b = lo - 0.05 * span, hi + 0.05 * span
-    if b - a <= 0:  # around one Ritz value, the widening can round away
-        raise ValueError("interval must have positive length")
-    return a, b
+    # Around one Ritz value, the widening can round away.
+    return _interval((lo - 0.05 * span, hi + 0.05 * span))
 
 
 def _chebyshev_moments(A: LinearOperator, b: np.ndarray, k: int, interval) -> np.ndarray:
@@ -401,9 +400,7 @@ def kpm_density(
         raise ValueError("damping must be None or 'jackson'")
 
     if interval is not None:
-        a, b_right = float(interval[0]), float(interval[1])
-        if not (b_right > a and math.isfinite(a) and math.isfinite(b_right)):
-            raise ValueError("interval must be finite and have positive length")
+        a, b_right = _interval(interval)
     n_coeffs = 2 * k
     ritz_steps = min(n_coeffs, A.dim)
 

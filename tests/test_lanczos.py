@@ -262,6 +262,15 @@ class TestBlockLanczos:
         betas = np.array([float(Bj[0, 0]) for Bj in blk.block_offdiag[: k - 1]])
         assert np.abs(alphas - lan.T.alphas).max() <= 1e-14 * max(abs(M).max(), 1)
         assert np.abs(betas - lan.T.betas).max() <= 1e-13
+        # One threshold: a start component of 1e-11 (beta_2 ~ 1e-11 of the
+        # scale) ends both runs at step 3.
+        A = LinearOperator.diagonal([1.0, 2.0, 3.0, 4.0])
+        b = np.array([1.0, 1.0, 1.0, 1e-11])
+        for mode in (ReorthMode.NONE, ReorthMode.FULL):
+            blk = block_lanczos(A, b[:, None], 4, mode=mode)
+            lan = lanczos(A, b, 4, mode=mode)
+            assert (len(blk.block_diag), blk.termination) == (3, "breakdown")
+            assert (lan.T.size, lan.termination) == (3, "breakdown")
 
     def test_invariant_subspace_terminates(self):
         A = LinearOperator.diagonal([1.0, 2.0, 3.0, 4.0])

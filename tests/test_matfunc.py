@@ -531,3 +531,10 @@ class TestAprioriBound:
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             fa_apriori_bound(np.exp, (1.0, 1.0), 3)
+        # Rejected before f is sampled: the interval is at fault, so no
+        # NonFiniteSample that blames f(inf).
+        samples = []
+        for interval in [(0.0, np.inf), (1.0, 0.0), (np.nan, 1.0)]:
+            with pytest.raises(ValueError, match="finite and have positive length"):
+                fa_apriori_bound(lambda x: samples.append(x) or np.exp(x), interval, 3)
+        assert samples == []

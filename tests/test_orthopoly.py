@@ -125,6 +125,17 @@ class TestChebApproximant:
         with pytest.raises(NonFiniteSample):
             cheb_approximant(lambda x: 1.0 / (x - x), 3)
 
+    @pytest.mark.parametrize(
+        "interval", [(1.0, 0.0), (1.0, 1.0), (0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan)]
+    )
+    def test_interval_rejected_before_f_is_sampled(self, interval):
+        # Not an expansion whose every call raises, and not a
+        # NonFiniteSample that blames f for an infinite end.
+        samples = []
+        with pytest.raises(ValueError, match="finite and have positive length"):
+            cheb_approximant(lambda x: samples.append(x) or np.exp(x), 4, interval)
+        assert samples == []
+
 
 class TestStieltjes:
     def test_single_node(self):
@@ -153,6 +164,12 @@ class TestStieltjes:
         mu = DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(InsufficientSupport):
             stieltjes(mu, 3)
+        # Three nodes, but the middle weight is negligible: the run breaks
+        # down at step 2, and a 2x2 T is not the 3x3 one asked for.
+        mu = DiscreteMeasure([1.0, 2.0, 3.0], [1.0, 1e-30, 1.0])
+        with pytest.raises(InsufficientSupport, match="step 2"):
+            stieltjes(mu, 3)
+        assert stieltjes(mu, 2).size == 2
 
 
 class TestGaussQuadrature:
@@ -239,6 +256,14 @@ class TestModifiedMoments:
                 direct = np.sum(mu.weights * cheb_eval(kind, j, mu.nodes))
                 assert m[j] == direct
 
+    @pytest.mark.parametrize("interval", [(0.0, np.inf), (1.0, -1.0)])
+    def test_invalid_interval(self, interval):
+        # Not [1, nan, nan] from an infinite end.
+        mu = DiscreteMeasure([0.25, 0.5], [0.5, 0.5])
+        for kind in ("T", "U"):
+            with pytest.raises(ValueError, match="finite and have positive length"):
+                modified_moments(mu, 3, kind, interval)
+
 
 class TestJacksonDamping:
     def test_rho0_is_one(self):
@@ -322,3 +347,16 @@ class TestDiscreteMeasure:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             DiscreteMeasure([0.0, 1.0], [0.5, -0.5])
+
+    @pytest.mark.parametrize(
+        "nodes, weights",
+        [
+            ([1.0, np.nan, 2.0], [1.0, 1.0, 1.0]),  # not a mass of 3.0
+            ([1.0, np.inf], [1.0, 1.0]),
+            ([1.0, 3.0, 2.0], [1.0, np.nan, 1.0]),  # not a NaN mass
+            ([1.0, 2.0], [1.0, np.inf]),
+        ],
+    )
+    def test_nonfinite_rejected(self, nodes, weights):
+        with pytest.raises(ValueError, match="must be finite"):
+            DiscreteMeasure(nodes, weights)

@@ -706,6 +706,15 @@ class TestBlockCG:
                 np.abs(blk.iterates[j][:, 0] - single.iterates[j]).max()
                 <= 1e-8 * np.linalg.norm(single.iterates[j])
             )
+        # Indefinite, T_1 = [alpha_1] ~ 1e-16: a gap at step 1 in both, not
+        # a block iterate of norm 1.7e15.
+        A = LinearOperator.diagonal([-1.0, 1.0 + 1e-15, 2.0, 3.0])
+        b = np.array([1.0, 1.0, 0.0, 0.0])
+        blk = block_cg(A, b[:, None], 2)
+        single = cg(A, b, 2, tol=None)
+        assert blk.iterates[0] is None and single.iterates[0] is None
+        assert np.isnan(blk.residual_norms[0]).all()
+        np.testing.assert_allclose(blk.iterates[1][:, 0], single.iterates[1], rtol=1e-12)
 
     def test_block_no_worse_than_single(self):
         # Each column of the block iterate is at least as accurate in the
