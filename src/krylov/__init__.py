@@ -13,7 +13,6 @@ Submodules:
 """
 
 from .core import (
-    ExtendedTridiagonal,
     LinearOperator,
     SymTridiagonal,
     TridiagEig,

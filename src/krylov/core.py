@@ -20,14 +20,13 @@ from .errors import FunctionDomainError, SingularSystem
 __all__ = [
     "LinearOperator",
     "SymTridiagonal",
-    "ExtendedTridiagonal",
     "TridiagEig",
     "sym_tridiag_eig",
     "tridiag_apply_function",
     "tridiag_solve",
 ]
 
-# Relative pivot threshold below which a small solve is declared singular.
+# Relative pivot threshold of a singular small solve, read only by _singular.
 SINGULARITY_RTOL = 1e-14
 
 
@@ -113,34 +112,9 @@ class SymTridiagonal:
             out[1:] += self.betas * v[:-1]
         return out
 
-    def norm_inf(self) -> float:
-        """Infinity norm, cheap on the tridiagonal structure."""
-        k = self.size
-        row = np.abs(self.alphas).astype(float)
-        if k > 1:
-            row[:-1] += np.abs(self.betas)
-            row[1:] += np.abs(self.betas)
-        return float(row.max())
-
     def principal(self, j: int) -> "SymTridiagonal":
         """Leading j-by-j principal submatrix."""
         return SymTridiagonal(self.alphas[:j], self.betas[: j - 1])
-
-
-@dataclass(frozen=True)
-class ExtendedTridiagonal:
-    """The (k+1)-by-k matrix obtained by appending a trailing off-diagonal
-    entry below a square symmetric tridiagonal."""
-
-    base: SymTridiagonal
-    trailing: float
-
-    def to_dense(self) -> np.ndarray:
-        k = self.base.size
-        out = np.zeros((k + 1, k))
-        out[:k, :] = self.base.to_dense()
-        out[k, k - 1] = self.trailing
-        return out
 
 
 @dataclass(frozen=True)
@@ -261,32 +235,36 @@ def _qr_column(rot2, rot1, beta_prev: float, diag, beta: float):
     return s2 * beta_prev, delta, gbar, _givens(gbar, beta)
 
 
-def tridiag_solve(T, rhs: np.ndarray, shift=0.0) -> np.ndarray:
-    """Solve a small (possibly shifted) tridiagonal system by a Givens QR
-    factorization, column by column (the same rotations MINRES uses):
-    rotations need no pivoting and do not square the conditioning.
+def _singular(smallest: float, scale: float) -> bool:
+    """The singularity test of every small solve, on Python floats: true
+    unless the smallest pivot magnitude is at least ``SINGULARITY_RTOL``
+    times ``scale`` (1 if zero), so a NaN pivot is singular."""
+    return not smallest >= SINGULARITY_RTOL * (scale or 1.0)
 
-    Square ``SymTridiagonal``: the solution of ``(T - shift I) x = rhs``,
-    factored as the extended matrix below with a trailing entry of 0.
-    ``ExtendedTridiagonal`` (the (k+1)-by-k case): the least-squares
-    solution, with the shift applied to the square top block.  Raises
-    :class:`SingularSystem` when the triangular factor has a diagonal
-    entry below ``SINGULARITY_RTOL`` times the matrix scale (a singular
-    or rank-deficient matrix).
+
+def tridiag_solve(T: SymTridiagonal, rhs: np.ndarray, shift=0.0) -> np.ndarray:
+    """Solve ``(T - shift I) x = rhs`` by a Givens QR factorization of the
+    extended matrix ``[T - shift I; 0]``, column by column (the rotations
+    MINRES uses): rotations need no pivoting and do not square the
+    conditioning.  Raises :class:`SingularSystem` when the triangular
+    factor's smallest ``|R_ii|`` fails :func:`_singular` against the
+    largest ``|alpha_i|``, ``|beta_i|`` or ``|shift|``.
     """
-    rhs = np.asarray(rhs)
-    if isinstance(T, SymTridiagonal):
-        if rhs.shape != (T.size,):
-            raise ValueError("rhs must have length k")
-        T, rhs = ExtendedTridiagonal(T, 0.0), np.append(rhs, 0.0)
-    if not isinstance(T, ExtendedTridiagonal):
+    return _tridiag_solve(T, rhs, shift, 0.0)
+
+
+def _tridiag_solve(T, rhs, shift, trailing: float) -> np.ndarray:
+    """:func:`tridiag_solve` with ``trailing``, the beta after the last
+    step of the Lanczos run that made ``T``, in the scale too, so the
+    solve is singular exactly where ``cg`` records a gap at that step."""
+    if not isinstance(T, SymTridiagonal):
         raise TypeError(f"unsupported tridiagonal type {type(T)!r}")
-    k = T.base.size
-    if rhs.shape != (k + 1,):
-        raise ValueError("rhs must have length k + 1")
+    if np.shape(rhs) != (T.size,):
+        raise ValueError("rhs must have length k")
+    k, rhs = T.size, np.append(rhs, 0.0)
     dtype = complex if np.iscomplexobj(np.asarray(shift)) else float
-    diag = (T.base.alphas - shift).tolist()
-    betas = T.base.betas.tolist() + [float(T.trailing)]
+    diag = (T.alphas - shift).tolist()
+    betas = T.betas.tolist() + [0.0]
     t = rhs.astype(np.result_type(rhs, dtype)).tolist()
     cols = []  # (eps, delta, gamma): column n of R, on and above its diagonal
     rots = ((1.0, 0.0), (1.0, 0.0))
@@ -302,7 +280,7 @@ def tridiag_solve(T, rhs: np.ndarray, shift=0.0) -> np.ndarray:
         )
         rots = (rots[1], (c, s))
     R = np.array(cols, dtype=dtype).T  # upper-banded storage for solve_banded
-    scale = max(T.base.norm_inf(), abs(T.trailing), abs(shift))
-    if np.abs(R[2]).min() < SINGULARITY_RTOL * (scale or 1.0):
-        raise SingularSystem("singular or rank-deficient tridiagonal system")
+    scale = max(np.abs(T.alphas).max(), np.abs(T.betas).max(initial=0.0), trailing, abs(shift))
+    if _singular(float(np.abs(R[2]).min()), float(scale)):
+        raise SingularSystem("singular shifted tridiagonal system")
     return scipy.linalg.solve_banded((0, 2), R, np.asarray(t[:k]))

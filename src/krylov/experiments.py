@@ -588,8 +588,8 @@ def _write_csv(report: ExperimentReport, cfg: ExperimentConfig) -> str:
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     """Run one named experiment; write its CSV when an output directory is
-    configured.  Raises :class:`InvalidSpec` for an unknown experiment or a
-    ``k`` or ``m`` below one."""
+    configured.  Raises :class:`InvalidSpec` for an unknown experiment, a
+    ``k`` or ``m`` below one or a negative ``seed``."""
     if cfg.experiment not in EXPERIMENTS:
         raise InvalidSpec(
             f"unknown experiment {cfg.experiment!r}; see list_experiments()"
@@ -598,6 +598,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         value = getattr(cfg, name)
         if value is not None and value < 1:
             raise InvalidSpec(f"{name} must be at least 1, got {value}")
+    if cfg.seed < 0:
+        raise InvalidSpec(f"seed must be non-negative, got {cfg.seed}")
     report = EXPERIMENTS[cfg.experiment](cfg)
     if cfg.out_dir is not None:
         path = _write_csv(report, cfg)

@@ -18,9 +18,9 @@ import numpy as np
 from .core import (
     LinearOperator,
     _finite_values,
+    _tridiag_solve,
     sym_tridiag_eig,
     tridiag_apply_function,
-    tridiag_solve,
 )
 from .errors import FunctionDomainError, NonFiniteSample, SingularSystem
 from .lanczos import ReorthMode, _Recurrence, block_lanczos
@@ -133,7 +133,9 @@ def rational_apply(
     (T - z_i I)^{-1} e1 come from one shifted small tridiagonal solve per
     shift, and ||b|| Q c is accumulated once.  When shifts come in
     conjugate pairs with conjugate weights the imaginary part of c (checked
-    to be negligible) is discarded and the result is real.  The k-vector
+    to be negligible) is discarded and the result is real.  Raises
+    :class:`SingularSystem` where ``cg`` records a gap at step k (the
+    run's last beta joins the solve's scale).  The k-vector
     basis is stored in both modes: replaying it from checkpoints gives the
     same bits in less memory, but its second pass of k products with A
     measured slower (see the README's low-memory paths).
@@ -149,7 +151,7 @@ def rational_apply(
     for w, z in zip(weights, shifts):
         zval = z if z.imag != 0.0 else z.real
         try:
-            coeffs = coeffs + w * tridiag_solve(T, e1, shift=zval)
+            coeffs = coeffs + w * _tridiag_solve(T, e1, zval, rec.beta)
         except SingularSystem:
             singular.append(z)
     if singular:

@@ -153,11 +153,18 @@ def generate_operator(spec) -> GeneratedOperator:
     carry their exact eigenvalues and eigenvectors (``None`` when
     diagonal, else ``Q``), so references built from them need no dense
     operator and no dimension cap.  A Matrix Market file carries neither.
+    Raises :class:`InvalidSpec` for an eigenvalue that is NaN or Inf and
+    for a negative ``rotation_seed``.
     """
     if isinstance(spec, MatrixMarketFile):
         return GeneratedOperator(load_matrix_market(spec.path), None)
-    vals = np.sort(_spec_eigenvalues(spec))
+    with np.errstate(all="ignore"):  # an infinite parameter gives NaN or Inf
+        vals = np.sort(_spec_eigenvalues(spec))
+    if not np.isfinite(vals).all():
+        raise InvalidSpec("eigenvalues must be finite")
     seed = getattr(spec, "rotation_seed", None)
+    if seed is not None and seed < 0:
+        raise InvalidSpec(f"rotation_seed must be non-negative, got {seed}")
     if seed is None:
         return GeneratedOperator(LinearOperator.diagonal(vals), vals)
     rng = np.random.default_rng(seed)
@@ -192,7 +199,8 @@ def load_matrix_market(path: str) -> LinearOperator:
     """Load a real symmetric sparse matrix in Matrix Market format.
 
     Asymmetry within ``1e-12`` (relative) is symmetrized with a warning;
-    anything worse raises :class:`NotSymmetric`.
+    anything worse raises :class:`NotSymmetric`.  A NaN or Inf entry
+    raises :class:`ParseError`.
     """
     try:
         A = scipy.io.mmread(path)
@@ -203,6 +211,8 @@ def load_matrix_market(path: str) -> LinearOperator:
         raise ParseError("matrix must be square")
     if np.iscomplexobj(A):
         raise ParseError("matrix must be real")
+    if not np.isfinite(A.data).all():
+        raise ParseError("matrix entries must be finite")
     scale = abs(A).max() or 1.0
     asym = abs(A - A.T).max()
     if asym > 1e-12 * scale:

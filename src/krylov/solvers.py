@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import SINGULARITY_RTOL, LinearOperator, _qr_column
+from .core import LinearOperator, _qr_column, _singular
 from .errors import InsufficientIterates, InvalidInterval
 from .lanczos import ReorthMode, _Recurrence, block_lanczos, lanczos
 
@@ -165,8 +165,7 @@ def _shifted_histories(run, shifts, method, tol, keep_iterates, A, b, M=None):
             u = q - delta * w1
             u -= eps * w2
             if want_cg:
-                threshold = SINGULARITY_RTOL * (scale or 1.0)
-                x = x_m + (phibar / gbar) * u if abs(gbar) >= threshold else None
+                x = None if _singular(abs(gbar), scale) else x_m + (phibar / gbar) * u
             # gamma = 0 only when beta_n = 0 (the last step) and T_n - z I is
             # singular; x^M_{n-1} is then a least-squares solution (tau_n = 0).
             if gamma != 0:
@@ -429,7 +428,7 @@ def block_cg(
         Tj = T[:nj, :nj]
         QT, RT = np.linalg.qr(Tj)
         scale = max(np.abs(Tj).max(), np.abs(Bj).max(initial=0.0))
-        if np.abs(np.diag(RT)).min() < SINGULARITY_RTOL * (scale or 1.0):
+        if _singular(float(np.abs(np.diag(RT)).min()), float(scale)):
             iterates.append(None)
             res.append(np.full(m, np.nan))
             continue

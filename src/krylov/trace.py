@@ -60,7 +60,8 @@ class ProbeSampler:
     Probe ``i`` depends only on ``(seed, i)``, so estimates are identical
     under any probe scheduling.  ``unit_sphere`` draws uniform unit
     vectors (normalized Gaussians); ``rademacher`` draws entries
-    +-1/sqrt(d).  Both satisfy E[b b^T] = I/d.
+    +-1/sqrt(d).  Both satisfy E[b b^T] = I/d.  ``seed`` must be an
+    integer >= 0 (a numpy integer too), or ``ValueError`` is raised.
     """
 
     distribution: str = "unit_sphere"
@@ -69,6 +70,8 @@ class ProbeSampler:
     def __post_init__(self):
         if self.distribution not in ("unit_sphere", "rademacher"):
             raise ValueError("distribution must be 'unit_sphere' or 'rademacher'")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     def probe(self, index: int, d: int) -> np.ndarray:
         rng = np.random.default_rng(

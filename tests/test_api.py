@@ -30,8 +30,6 @@ SURFACE = {
     "DiscreteMeasure.moment": ("degree",),
     "DiscreteMeasure.n_nodes": None,
     "DiscreteMeasure.total_mass": None,
-    "ExtendedTridiagonal": ("base", "trailing"),
-    "ExtendedTridiagonal.to_dense": (),
     "IterateHistory": ("iterates", "residual_norms", "termination", "b_norm"),
     "IterateHistory.final": None,
     "IterateHistory.k": None,
@@ -53,7 +51,6 @@ SURFACE = {
     "ShiftFamily": ("shifts", "weights"),
     "SymTridiagonal": ("alphas", "betas"),
     "SymTridiagonal.matvec": ("v",),
-    "SymTridiagonal.norm_inf": (),
     "SymTridiagonal.principal": ("j",),
     "SymTridiagonal.size": None,
     "SymTridiagonal.to_dense": (),

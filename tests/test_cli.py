@@ -83,6 +83,21 @@ class TestMatrixGeneration:
         M2 = generate_operator(spec).operator.to_dense()
         assert np.array_equal(M1, M2)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (ExplicitEigenvalues((float("nan"), 1.0, 2.0)), "finite"),
+            (GradedSpectrum(d=10, lam_min=1.0, lam_max=float("inf")), "finite"),
+            (TwoIntervalSpectrum(6, -float("inf"), -1.0, 1.0, 2.0), "finite"),
+            (GradedSpectrum(d=10, lam_min=1.0, lam_max=2.0, rotation_seed=-1), "rotation_seed"),
+        ],
+        ids=["explicit-nan", "graded-inf", "two-interval-inf", "negative-rotation-seed"],
+    )
+    def test_invalid_spec_rejected(self, spec, message):
+        with pytest.raises(InvalidSpec, match=message):
+            generate_operator(spec)
+
 
 class TestMatrixMarket:
     def _write_toeplitz(self, path, n=10):
@@ -124,6 +139,16 @@ class TestMatrixMarket:
             "2 3 1\n1 1 1.0\n"
         )
         with pytest.raises(ParseError):
+            load_matrix_market(str(p))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, bad):
+        p = tmp_path / "bad.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n"
+            f"2 2 2\n1 1 {bad}\n2 2 1.0\n"
+        )
+        with pytest.raises(ParseError, match="finite"):
             load_matrix_market(str(p))
 
     def test_missing_file(self):
@@ -345,6 +370,13 @@ class TestExperiments:
             with pytest.raises(InvalidSpec, match=f"{field} must be at least 1"):
                 run_experiment(cfg)
 
+    def test_negative_seed_rejected(self):
+        from krylov.experiments import ExperimentConfig
+
+        cfg = ExperimentConfig(experiment="slq-wasserstein", seed=-1)
+        with pytest.raises(InvalidSpec, match="seed must be non-negative"):
+            run_experiment(cfg)
+
     def test_csv_format(self, tmp_path):
         from krylov.experiments import ExperimentConfig
 
@@ -409,6 +441,27 @@ class TestCliCommands:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert calls[0] == 0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("explicit:nan,1,2", "eigenvalues must be finite"),
+            ("graded:d=10,lam_min=1,lam_max=inf", "eigenvalues must be finite"),
+            ("graded:d=10,lam_min=1,lam_max=2,rotation_seed=-1", "rotation_seed"),
+            ("mm:{tmp}/nan.mtx", "matrix entries must be finite"),
+        ],
+        ids=["explicit-nan", "graded-inf", "negative-rotation-seed", "mm-nan"],
+    )
+    def test_matrix_info_bad_spec_is_one_error_line(self, tmp_path, capsys, spec, message):
+        (tmp_path / "nan.mtx").write_text(
+            "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 nan\n2 2 1\n"
+        )
+        assert main(["matrix-info", spec.format(tmp=tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
     def test_run_config(self, tmp_path, capsys):
         p = tmp_path / "exp.ini"
         p.write_text(
@@ -449,8 +502,22 @@ class TestCliCommands:
             ("name = cg-bounds\n", [], "no section headers"),
             ("[experiment]\nname = cg-bounds\n", ["--k", "0"], "k must be at least 1"),
             ("[experiment]\nname = slq-wasserstein\n", ["--m", "0"], "m must be at least 1"),
+            (
+                "[experiment]\nname = slq-wasserstein\n"
+                "[matrix]\nkind = explicit\nvalues = 1,2,inf,4\n",
+                [],
+                "eigenvalues must be finite",
+            ),
+            (
+                "[experiment]\nname = slq-wasserstein\nseed = -1\n",
+                [],
+                "seed must be non-negative",
+            ),
         ],
-        ids=["k-not-an-integer", "no-section-header", "k-zero", "m-zero"],
+        ids=[
+            "k-not-an-integer", "no-section-header", "k-zero", "m-zero",
+            "infinite-eigenvalue", "negative-seed",
+        ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, text, flags, message):
         # No traceback, and k or m of 0 never falls back to the default.

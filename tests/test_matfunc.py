@@ -5,6 +5,7 @@ import pytest
 
 from krylov.core import (
     LinearOperator,
+    SymTridiagonal,
     sym_tridiag_eig,
     tridiag_apply_function,
     tridiag_solve,
@@ -296,6 +297,21 @@ class TestRationalApply:
         hists = multi_shift_solve(A, b, fam.shifts, k, method="cg")
         a2 = sum(w * h.final for w, h in zip(fam.weights, hists))
         assert np.abs(a1 - a2).max() <= 1e-9 * np.abs(a1).max()
+
+    def test_near_singular_shift_is_judged_as_cg_judges_it(self):
+        # z is 1.2e-14 below the top eigenvalue 1 + sqrt(2) of T.  The last
+        # pivot, 2.42e-14, passes against the largest coefficient or shift
+        # (|z|) but failed against ||T||_inf = 3, the scale tridiag_solve
+        # used.  Every path solves, and to the same bits.
+        T = SymTridiagonal([1.0, 1.0, 1.0], [1.0, 1.0])
+        A = LinearOperator.from_matrix(T.to_dense())
+        b = np.array([1.0, 0.0, 0.0])
+        z = 2.4142135623730829
+        (hist,) = multi_shift_solve(A, b, [z], 3, method="cg", tol=None)
+        x = tridiag_solve(T, b, shift=z)
+        assert np.isfinite(x).all() and np.abs(x).max() > 1e13
+        np.testing.assert_array_equal(hist.iterates[2], x)
+        np.testing.assert_array_equal(rational_apply(A, b, ShiftFamily([z], [1.0]), 3), x)
 
     def test_error_plateau_bounded_by_slowest_pole(self):
         # The overall error is at most the sum of per-pole solve errors.

@@ -1,6 +1,7 @@
 """Properties of the shared Lanczos recurrence on random spectra drawn by
 hypothesis (profile in ``conftest.py``): bit identities between callers,
-multi-shift histories that stop early as bit-identical prefixes, the
+multi-shift histories that stop early as bit-identical prefixes, shifted
+solves that are singular exactly where CG records a gap, the
 CG-MINRES residual identities on indefinite spectra, one end rule for
 decompositions and solver histories, orthonormality of the
 reorthogonalized basis, the polynomial exactness of Lanczos-FA and Gauss
@@ -20,7 +21,7 @@ import pytest
 import scipy.linalg
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from krylov.core import (  # noqa: E402
@@ -28,13 +29,21 @@ from krylov.core import (  # noqa: E402
     SymTridiagonal,
     _tridiag_eigenvalues,
     sym_tridiag_eig,
+    tridiag_solve,
 )
+from krylov.errors import SingularSystem  # noqa: E402
 from krylov.lanczos import ReorthMode, block_lanczos, lanczos  # noqa: E402
-from krylov.matfunc import lanczos_fa, lanczos_qf, two_pass_lanczos_fa  # noqa: E402
+from krylov.matfunc import (  # noqa: E402
+    lanczos_fa,
+    lanczos_qf,
+    rational_apply,
+    two_pass_lanczos_fa,
+)
 from krylov.orthopoly import gauss_quadrature, modified_moments  # noqa: E402
 from krylov.solvers import (  # noqa: E402
     DEFAULT_TOL,
     IterateHistory,
+    ShiftFamily,
     _stored_history,
     block_cg,
     cg,
@@ -176,6 +185,48 @@ def test_cg_backends_are_bit_identical(vals, seed, k, tol, mode):
     assert_same_history(
         _stored_history(A, b, dec, "minres", tol), minres(A, b, k, **kw)
     )
+
+
+def raises_singular(solve) -> bool:
+    try:
+        solve()
+    except SingularSystem:
+        return True
+    return False
+
+
+@given(
+    spectra,
+    start_seeds,
+    st.integers(1, 30),
+    st.integers(0, 29),
+    st.floats(1e-16, 1e-12),
+    st.sampled_from([-1.0, 1.0]),
+    modes,
+)
+# z just below lambda = 2, the top Ritz value of T_2: judged against
+# ||T_2||_inf, not its largest coefficient, the solve used to raise.
+@example([1.0, 2.0], 4, 2, 1, 1e-14, -1.0, ReorthMode.FULL)
+def test_shifted_solves_are_singular_where_cg_records_a_gap(
+    vals, seed, k, which, rel, sign, mode
+):
+    # One singularity test.  With z within 1e-16 to 1e-12 (relative) of a
+    # Ritz value of T_k, the solve on T_k - z I raises exactly where cg
+    # records a gap at step k: rational_apply's, judged by the run's
+    # coefficients with beta_k, always; tridiag_solve's, which sees T_k
+    # alone, wherever beta_k is not the largest of them.
+    A = LinearOperator.diagonal(vals)
+    b = start_vector(seed, len(vals))
+    dec = lanczos(A, b, k, mode=mode)
+    ritz = _tridiag_eigenvalues(dec.T)
+    z = float(ritz[which % ritz.size] * (1.0 + sign * rel))
+    (hist,) = multi_shift_solve(A, b, [z], k, method="cg", mode=mode, tol=None)
+    gap = hist.iterates[-1] is None
+    family = ShiftFamily([z], [1.0])
+    assert raises_singular(lambda: rational_apply(A, b, family, k, mode=mode)) == gap
+    T, e1 = dec.T, np.eye(dec.k)[0]
+    if dec.trailing_beta <= max(np.abs(T.alphas).max(), T.betas.max(initial=0.0), abs(z)):
+        assert raises_singular(lambda: tridiag_solve(T, e1, shift=z)) == gap
 
 
 # Indefinite diagonal spectra, |lambda| in [0.1, 10] with both signs

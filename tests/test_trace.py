@@ -183,6 +183,13 @@ class TestProbeSampler:
         with pytest.raises(ValueError):
             ProbeSampler("gaussian")
 
+    def test_seed_must_be_a_non_negative_integer(self):
+        for seed in (-1, 1.5, "3", None, np.int64(-2)):
+            with pytest.raises(ValueError, match="seed"):
+                ProbeSampler(seed=seed)
+        a = ProbeSampler(seed=np.int64(3)).probe(0, 5)
+        assert np.array_equal(a, ProbeSampler(seed=3).probe(0, 5))
+
     @pytest.mark.parametrize("dist", ["unit_sphere", "rademacher"])
     def test_second_moment_is_scaled_identity(self, dist):
         d, m = 4, 10_000
