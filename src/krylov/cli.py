@@ -18,41 +18,18 @@ import sys
 from dataclasses import replace
 
 from .errors import InvalidSpec, KrylovError
-from .experiments import (
-    ExperimentConfig,
-    _exact_spectrum,
-    list_experiments,
-    run_experiment,
-)
-from .matrices import parse_matrix_spec
+from .experiments import ExperimentConfig, list_experiments, run_experiment
+from .matrices import _exact_spectrum, _spec_from_fields, parse_matrix_spec
 
 _EXPERIMENT_KEYS = {"name", "k", "m", "seed"}
-_MATRIX_KEYS = {
-    "kind", "d", "lam_min", "lam_max", "rho", "a", "b", "c", "d_right",
-    "values", "path", "rotation_seed",
-}
 _OUTPUT_KEYS = {"out_dir"}
-# Kinds whose spec string takes one positional list; their keys are checked here.
-_POSITIONAL_KINDS = {"explicit": {"values", "rotation_seed"}, "mm": {"path"}}
 
 
 def _matrix_from_section(sec) -> object:
-    kind = sec.get("kind")
-    if kind is None:
+    fields = dict(sec)
+    if "kind" not in fields:
         raise KrylovError("matrix section needs a 'kind' key")
-    keys = {key: sec[key] for key in sec if key != "kind"}
-    if kind not in _POSITIONAL_KINDS:
-        pairs = ",".join(f"{k}={v}" for k, v in keys.items())
-        return parse_matrix_spec(f"{kind}:{pairs}")
-    extra = keys.keys() - _POSITIONAL_KINDS[kind]
-    if extra:
-        raise InvalidSpec(f"unknown keys {sorted(extra)} for kind {kind!r}")
-    if kind == "mm":
-        return parse_matrix_spec(f"mm:{keys.get('path', '')}")
-    spec = parse_matrix_spec(f"explicit:{keys.get('values', '')}")
-    if "rotation_seed" in keys:
-        spec = replace(spec, rotation_seed=_integer(sec, "rotation_seed"))
-    return spec
+    return _spec_from_fields(fields.pop("kind"), fields)
 
 
 def _integer(section, key: str) -> int:
@@ -70,16 +47,13 @@ def load_config(path: str) -> ExperimentConfig:
     if not read:
         raise KrylovError(f"cannot read config file {path!r}")
 
-    known = {
-        "experiment": _EXPERIMENT_KEYS,
-        "matrix": _MATRIX_KEYS,
-        "output": _OUTPUT_KEYS,
-    }
+    # the keys of [matrix] are its kind's, checked as its spec is read
+    known = {"experiment": _EXPERIMENT_KEYS, "matrix": None, "output": _OUTPUT_KEYS}
     for section in parser.sections():
         if section not in known:
             raise KrylovError(f"unknown config section [{section}]")
         for key in parser[section]:
-            if key not in known[section]:
+            if known[section] is not None and key not in known[section]:
                 raise KrylovError(f"unknown key {key!r} in section [{section}]")
 
     if "experiment" not in parser or "name" not in parser["experiment"]:

@@ -24,7 +24,7 @@ from .matrices import (
     ClusterPerturbed,
     ExplicitEigenvalues,
     GradedSpectrum,
-    _dense_eigh,
+    _exact_spectrum,
     _from_eigenbasis,
     _to_eigenbasis,
     generate_operator,
@@ -93,22 +93,6 @@ class ExperimentReport:
     @property
     def passed(self) -> bool:
         return all(a.passed for a in self.assertions)
-
-
-def _exact_spectrum(spec):
-    """``(A, vals, vecs)``: the operator a spec describes and its exact
-    eigenpairs, from which every reference of an experiment is computed.
-
-    A generated spec carries them (``vecs`` is ``None`` for a diagonal
-    operator), so no reference needs the dense operator or a dimension
-    cap.  A Matrix Market file does not: its eigenpairs are ``eigh`` of
-    the dense operator, d operator calls, and a dimension above
-    ``DENSE_ORACLE_LIMIT`` raises :class:`DimensionTooLarge`."""
-    gen = generate_operator(spec)
-    if gen.eigenvalues is not None:
-        return gen.operator, gen.eigenvalues, gen.eigenvectors
-    _, vals, vecs = _dense_eigh(gen.operator)
-    return gen.operator, vals, vecs
 
 
 def _start_vector(d: int) -> np.ndarray:

@@ -4,6 +4,7 @@ eigenpairs, Matrix Market loading, and the best-approximation oracle."""
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -42,6 +43,11 @@ class ExplicitEigenvalues:
 
     values: tuple
     rotation_seed: int | None = None
+
+    def eigenvalues(self) -> np.ndarray:
+        if len(self.values) == 0:
+            raise InvalidSpec("need at least one eigenvalue")
+        return np.asarray(self.values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -82,8 +88,8 @@ class TwoIntervalSpectrum:
     rotation_seed: int | None = None
 
     def eigenvalues(self) -> np.ndarray:
-        if not (self.a <= self.b < self.c <= self.d_right):
-            raise InvalidSpec("need a <= b < c <= d_right")
+        if self.d < 1 or not (self.a <= self.b < self.c <= self.d_right):
+            raise InvalidSpec("need d >= 1 and a <= b < c <= d_right")
         n1 = self.d // 2
         n2 = self.d - n1
         return np.concatenate(
@@ -94,12 +100,25 @@ class TwoIntervalSpectrum:
 @dataclass(frozen=True)
 class ClusterPerturbed:
     """Each base eigenvalue replaced by ``cluster_size`` equally spaced
-    eigenvalues spanning ``cluster_width`` centered on it."""
+    eigenvalues spanning ``cluster_width`` centered on it (an unrotated base)."""
 
     base: object
     cluster_size: int
     cluster_width: float
     rotation_seed: int | None = None
+
+    def eigenvalues(self) -> np.ndarray:
+        if self.cluster_size < 1 or self.cluster_width < 0:
+            raise InvalidSpec("invalid cluster parameters")
+        if getattr(self.base, "rotation_seed", None) is not None:
+            raise InvalidSpec("a cluster's base cannot set rotation_seed")
+        base = _eigenvalues_of(self.base)
+        if self.cluster_size == 1:
+            return base
+        offsets = np.linspace(
+            -self.cluster_width / 2.0, self.cluster_width / 2.0, self.cluster_size
+        )
+        return (base[:, None] + offsets[None, :]).ravel()
 
 
 @dataclass(frozen=True)
@@ -124,25 +143,11 @@ class GeneratedOperator:
     eigenvectors: np.ndarray | None = None
 
 
-def _spec_eigenvalues(spec) -> np.ndarray:
-    if isinstance(spec, ExplicitEigenvalues):
-        vals = np.asarray(spec.values, dtype=float)
-        if vals.size < 1:
-            raise InvalidSpec("need at least one eigenvalue")
-        return vals
-    if isinstance(spec, (GradedSpectrum, TwoIntervalSpectrum)):
-        return spec.eigenvalues()
-    if isinstance(spec, ClusterPerturbed):
-        if spec.cluster_size < 1 or spec.cluster_width < 0:
-            raise InvalidSpec("invalid cluster parameters")
-        base = _spec_eigenvalues(spec.base)
-        if spec.cluster_size == 1:
-            return base
-        offsets = np.linspace(
-            -spec.cluster_width / 2.0, spec.cluster_width / 2.0, spec.cluster_size
-        )
-        return (base[:, None] + offsets[None, :]).ravel()
-    raise InvalidSpec(f"unsupported spec {type(spec)!r}")
+def _eigenvalues_of(spec) -> np.ndarray:
+    """A synthetic spec's eigenvalues; :class:`InvalidSpec` for any other."""
+    if not callable(getattr(spec, "eigenvalues", None)):
+        raise InvalidSpec(f"unsupported spec {type(spec)!r}")
+    return spec.eigenvalues()
 
 
 def generate_operator(spec) -> GeneratedOperator:
@@ -159,7 +164,7 @@ def generate_operator(spec) -> GeneratedOperator:
     if isinstance(spec, MatrixMarketFile):
         return GeneratedOperator(load_matrix_market(spec.path), None)
     with np.errstate(all="ignore"):  # an infinite parameter gives NaN or Inf
-        vals = np.sort(_spec_eigenvalues(spec))
+        vals = np.sort(_eigenvalues_of(spec))
     if not np.isfinite(vals).all():
         raise InvalidSpec("eigenvalues must be finite")
     seed = getattr(spec, "rotation_seed", None)
@@ -171,6 +176,22 @@ def generate_operator(spec) -> GeneratedOperator:
     Q, _ = np.linalg.qr(rng.standard_normal((vals.size, vals.size)))
     op = LinearOperator(vals.size, lambda v: Q @ (vals * (Q.T @ v)))
     return GeneratedOperator(op, vals, Q)
+
+
+def _exact_spectrum(spec):
+    """``(A, vals, vecs)``: the operator a spec describes and its exact
+    eigenpairs, from which every reference of an experiment is computed.
+
+    A generated spec carries them (``vecs`` is ``None`` for a diagonal
+    operator), so no reference needs the dense operator or a dimension
+    cap.  A Matrix Market file does not: its eigenpairs are ``eigh`` of
+    the dense operator, d operator calls, and a dimension above
+    ``DENSE_ORACLE_LIMIT`` raises :class:`DimensionTooLarge`."""
+    gen = generate_operator(spec)
+    if gen.eigenvalues is not None:
+        return gen.operator, gen.eigenvalues, gen.eigenvectors
+    _, vals, vecs = _dense_eigh(gen.operator)
+    return gen.operator, vals, vecs
 
 
 def _to_eigenbasis(vecs: np.ndarray | None, v: np.ndarray) -> np.ndarray:
@@ -267,54 +288,72 @@ def optimal_ksm_error(A: LinearOperator, b: np.ndarray, f, k: int) -> np.ndarray
     return errors
 
 
+# The spec class of each matrix kind; its fields are the kind's keys.
+_KINDS = {
+    "graded": GradedSpectrum,
+    "two_interval": TwoIntervalSpectrum,
+    "explicit": ExplicitEigenvalues,
+    "mm": MatrixMarketFile,
+}
+
+# How a field's text is read, by its declared type (a string in this module).
+_FIELD_READERS = {
+    "int": int,
+    "float": float,
+    "int | None": int,
+    "tuple": lambda text: tuple(float(t) for t in text.split(",") if t.strip()),
+    "str": str,
+}
+
+
+def _spec_from_fields(kind: str, fields: dict):
+    """The spec of ``kind`` (case-insensitive) built from ``fields``, a map
+    of key to text, as spec strings and ``[matrix]`` sections give it.  An
+    unknown kind, a key the kind does not take, a missing key and a bad
+    value raise :class:`InvalidSpec`."""
+    kind = kind.strip().lower()
+    if kind not in _KINDS:
+        raise InvalidSpec(f"unknown matrix kind {kind!r}")
+    declared = {f.name: f for f in dataclasses.fields(_KINDS[kind])}
+    unknown = fields.keys() - declared.keys()
+    if unknown:
+        raise InvalidSpec(f"unknown keys {sorted(unknown)} for kind {kind!r}")
+    args = {}
+    for name, field in declared.items():
+        if name in fields:
+            text = fields[name].strip()
+            try:
+                args[name] = _FIELD_READERS[field.type](text)
+            except ValueError:
+                raise InvalidSpec(f"bad value for kind {kind!r}: {name}={text!r}") from None
+        elif field.default is dataclasses.MISSING:
+            raise InvalidSpec(f"missing key {name!r} for kind {kind!r}")
+    return _KINDS[kind](**args)
+
+
 def parse_matrix_spec(text: str):
     """Parse a compact matrix spec string, e.g.
     ``graded:d=48,lam_min=0.001,lam_max=1000,rho=0.9``,
     ``explicit:1,2,3``, ``two_interval:d=40,a=-3,b=-1,c=1,d_right=3``,
-    or ``mm:path/to/file.mtx``.  A key the kind does not take raises
-    :class:`InvalidSpec`, as a missing key or a bad number does."""
+    or ``mm:path/to/file.mtx``: the rest is ``key=value`` pairs, but all
+    of it is the path of ``mm`` and the items of ``explicit`` without ``=``
+    its ``values``.  The fields are read as a ``[matrix]`` section's are;
+    a key given twice also raises :class:`InvalidSpec`."""
     kind, _, rest = text.partition(":")
-    kind = kind.strip().lower()
-    if kind == "mm":
-        return MatrixMarketFile(rest.strip())
-    if kind == "explicit":
-        try:
-            vals = tuple(float(t) for t in rest.split(",") if t.strip())
-        except ValueError as exc:
-            raise InvalidSpec(f"bad eigenvalue list {rest!r}") from exc
-        return ExplicitEigenvalues(vals)
-    kv = {}
-    for item in rest.split(","):
-        if not item.strip():
-            continue
-        key, _, val = item.partition("=")
-        kv[key.strip()] = val.strip()
-    try:
-        rs = kv.pop("rotation_seed", None)
-        rotation_seed = int(rs) if rs is not None else None
-        if kind == "graded":
-            spec = GradedSpectrum(
-                d=int(kv.pop("d")),
-                lam_min=float(kv.pop("lam_min")),
-                lam_max=float(kv.pop("lam_max")),
-                rho=float(kv.pop("rho", "0.9")),
-                rotation_seed=rotation_seed,
-            )
-        elif kind == "two_interval":
-            spec = TwoIntervalSpectrum(
-                d=int(kv.pop("d")),
-                a=float(kv.pop("a")),
-                b=float(kv.pop("b")),
-                c=float(kv.pop("c")),
-                d_right=float(kv.pop("d_right")),
-                rotation_seed=rotation_seed,
-            )
+    if kind.strip().lower() == "mm":
+        return _spec_from_fields(kind, {"path": rest})
+    explicit = kind.strip().lower() == "explicit"
+    fields, values = {}, []
+    for item in filter(str.strip, rest.split(",")):
+        key, eq, value = item.partition("=")
+        if explicit and not eq:
+            values.append(item)
+        elif key.strip() in fields:
+            raise InvalidSpec(f"key {key.strip()!r} given twice")
         else:
-            raise InvalidSpec(f"unknown matrix kind {kind!r}")
-    except KeyError as exc:
-        raise InvalidSpec(f"missing key {exc} for kind {kind!r}") from exc
-    except ValueError as exc:
-        raise InvalidSpec(f"bad value for kind {kind!r}: {exc}") from exc
-    if kv:
-        raise InvalidSpec(f"unknown keys {sorted(kv)} for kind {kind!r}")
-    return spec
+            fields[key.strip()] = value
+    if explicit:
+        if values and "values" in fields:
+            raise InvalidSpec("key 'values' given twice")
+        fields.setdefault("values", ",".join(values))
+    return _spec_from_fields(kind, fields)

@@ -91,8 +91,16 @@ class TestMatrixGeneration:
             (GradedSpectrum(d=10, lam_min=1.0, lam_max=float("inf")), "finite"),
             (TwoIntervalSpectrum(6, -float("inf"), -1.0, 1.0, 2.0), "finite"),
             (GradedSpectrum(d=10, lam_min=1.0, lam_max=2.0, rotation_seed=-1), "rotation_seed"),
+            (TwoIntervalSpectrum(0, -3.0, -1.0, 1.0, 3.0), "d >= 1"),
+            (TwoIntervalSpectrum(-4, -3.0, -1.0, 1.0, 3.0), "d >= 1"),
+            # A cluster of a rotated base would silently be diagonal.
+            (ClusterPerturbed(ExplicitEigenvalues((1.0, 2.0), rotation_seed=3), 2, 0.1),
+             "rotation_seed"),
         ],
-        ids=["explicit-nan", "graded-inf", "two-interval-inf", "negative-rotation-seed"],
+        ids=[
+            "explicit-nan", "graded-inf", "two-interval-inf", "negative-rotation-seed",
+            "two-interval-d-zero", "two-interval-d-negative", "rotated-cluster-base",
+        ],
     )
     def test_invalid_spec_rejected(self, spec, message):
         with pytest.raises(InvalidSpec, match=message):
@@ -325,6 +333,35 @@ class TestConfig:
         assert cfg.matrix == ExplicitEigenvalues((1.0, 2.0, 3.0), rotation_seed=7)
 
     @pytest.mark.parametrize(
+        "text, section",
+        [
+            (
+                "graded:d=48,lam_min=0.001,lam_max=1000,rho=0.8",
+                "kind = graded\nd = 48\nlam_min = 0.001\nlam_max = 1000\nrho = 0.8\n",
+            ),
+            (
+                "graded:d=10,lam_min=1,lam_max=2",
+                "kind = graded\nd = 10\nlam_min = 1\nlam_max = 2\n",
+            ),
+            (
+                "two_interval:d=40,a=-3,b=-1,c=1,d_right=3",
+                "kind = two_interval\nd = 40\na = -3\nb = -1\nc = 1\nd_right = 3\n",
+            ),
+            ("explicit:1,2,3", "kind = Explicit\nvalues = 1,2,3\n"),
+            (
+                "explicit:1,2,3,rotation_seed=7",
+                "kind = explicit\nvalues = 1,2,3\nrotation_seed = 7\n",
+            ),
+            ("mm:some/file.mtx", "kind = mm\npath = some/file.mtx\n"),
+        ],
+        ids=["graded", "graded-default-rho", "two-interval", "explicit", "explicit-rotated", "mm"],
+    )
+    def test_spec_string_reads_as_matrix_section(self, tmp_path, text, section):
+        # Spec strings and [matrix] sections go through one reader.
+        path = self._write(tmp_path, f"[experiment]\nname = cg-bounds\n[matrix]\n{section}")
+        assert parse_matrix_spec(text) == load_config(path).matrix
+
+    @pytest.mark.parametrize(
         "matrix, key",
         [
             ("kind = explicit\nvalues = 1,2,3\nd = 3\n", "d"),
@@ -449,8 +486,14 @@ class TestCliCommands:
             ("graded:d=10,lam_min=1,lam_max=inf", "eigenvalues must be finite"),
             ("graded:d=10,lam_min=1,lam_max=2,rotation_seed=-1", "rotation_seed"),
             ("mm:{tmp}/nan.mtx", "matrix entries must be finite"),
+            ("two_interval:d=0,a=-3,b=-1,c=1,d_right=3", "d >= 1"),
+            ("two_interval:d=-4,a=-3,b=-1,c=1,d_right=3", "d >= 1"),
+            ("graded:d=10,lam_min=1,lam_max=2,d=20", "key 'd' given twice"),
         ],
-        ids=["explicit-nan", "graded-inf", "negative-rotation-seed", "mm-nan"],
+        ids=[
+            "explicit-nan", "graded-inf", "negative-rotation-seed", "mm-nan",
+            "two-interval-d-zero", "two-interval-d-negative", "repeated-key",
+        ],
     )
     def test_matrix_info_bad_spec_is_one_error_line(self, tmp_path, capsys, spec, message):
         (tmp_path / "nan.mtx").write_text(
@@ -513,10 +556,16 @@ class TestCliCommands:
                 [],
                 "seed must be non-negative",
             ),
+            (
+                "[experiment]\nname = nearby-problem\n[matrix]\nkind = graded\nd = 32\n"
+                "lam_min = 0.001\nlam_max = 1\nrho = 0.8\nrotation_seed = 3\n",
+                [],
+                "rotation_seed",
+            ),
         ],
         ids=[
             "k-not-an-integer", "no-section-header", "k-zero", "m-zero",
-            "infinite-eigenvalue", "negative-seed",
+            "infinite-eigenvalue", "negative-seed", "rotated-cluster-base",
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, text, flags, message):

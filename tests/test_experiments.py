@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from krylov import experiments
+from krylov import matrices
 from krylov.core import LinearOperator
 from krylov.errors import DimensionTooLarge, KrylovError
 from krylov.experiments import (
@@ -175,7 +175,7 @@ def test_rotated_references_match_dense_path(name, monkeypatch):
     cfg = ExperimentConfig(experiment=name, matrix=ROTATED_SPECS[name])
     exact = run_experiment(cfg)
     monkeypatch.setattr(
-        experiments,
+        matrices,
         "generate_operator",
         lambda spec: GeneratedOperator(generate_operator(spec).operator, None),
     )
