@@ -8,7 +8,7 @@ threads; ``LinearOperator.apply`` must tolerate concurrent calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -186,10 +186,20 @@ def _finite_values(f, points: np.ndarray, error: type) -> np.ndarray:
     return fvals
 
 
-def _eig_apply_function(eig: TridiagEig, fvals: np.ndarray) -> np.ndarray:
-    """``f(T) e_1`` from the eigendecomposition of ``T`` and ``f`` at its
-    eigenvalues."""
-    return eig.eigenvectors @ (fvals * eig.eigenvectors[0, :])
+def _spectral_apply(
+    f, vals: np.ndarray, vecs: np.ndarray | None, rhs: np.ndarray
+) -> np.ndarray:
+    """``V diag(f(vals)) V^T rhs`` for the symmetric matrix with eigenvalues
+    ``vals`` and orthonormal eigenvector columns ``vecs`` (``None``: the
+    unit vectors, a diagonal matrix), ``rhs`` a vector or an ``n x m``
+    block.  Raises :class:`FunctionDomainError` if ``f`` is NaN/Inf at an
+    eigenvalue."""
+    fvals = _finite_values(f, vals, FunctionDomainError)
+    if np.ndim(rhs) == 2:
+        fvals = fvals[:, None]
+    if vecs is None:
+        return fvals * rhs
+    return vecs @ (fvals * (vecs.T @ rhs))
 
 
 def tridiag_apply_function(T: SymTridiagonal, f) -> np.ndarray:
@@ -199,8 +209,9 @@ def tridiag_apply_function(T: SymTridiagonal, f) -> np.ndarray:
     eigenvalue of ``T`` (e.g. ``1/x`` with an eigenvalue at zero).
     """
     eig = sym_tridiag_eig(T)
-    fvals = _finite_values(f, eig.eigenvalues, FunctionDomainError)
-    return _eig_apply_function(eig, fvals)
+    e1 = np.zeros(T.size)
+    e1[0] = 1.0
+    return _spectral_apply(f, eig.eigenvalues, eig.eigenvectors, e1)
 
 
 def _givens(a, b: float):

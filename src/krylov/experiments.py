@@ -11,21 +11,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (
-    _eig_apply_function,
-    _finite_values,
+    _spectral_apply,
     _tridiag_eigenvalues,
     sym_tridiag_eig,
     tridiag_apply_function,
 )
-from .errors import FunctionDomainError, InvalidSpec
+from .errors import InvalidSpec
 from .lanczos import ReorthMode, lanczos
-from .matfunc import _eig_pitfall
 from .matrices import (
     ClusterPerturbed,
     ExplicitEigenvalues,
     GradedSpectrum,
     _exact_spectrum,
-    _from_eigenbasis,
     _to_eigenbasis,
     generate_operator,
 )
@@ -253,16 +250,22 @@ def _moment_stability(cfg: ExperimentConfig) -> ExperimentReport:
 
 def _cg_bounds(cfg: ExperimentConfig) -> ExperimentReport:
     """Measured CG convergence versus the sharp two-term Chebyshev value
-    and the exponential estimate (which can be very pessimistic)."""
+    and the exponential estimate (which can be very pessimistic), on a
+    positive definite spectrum (else :class:`InvalidSpec`)."""
     spec = cfg.matrix or GradedSpectrum(d=100, lam_min=1.0, lam_max=1e4, rho=0.9)
     k = cfg.k or 40
     A, vals, vecs = _exact_spectrum(spec)
-    b = _start_vector(A.dim)
     lam_min, lam_max = float(vals.min()), float(vals.max())
+    if lam_min <= 0.0:
+        raise InvalidSpec(
+            "cg-bounds needs a positive definite spectrum;"
+            f" the smallest eigenvalue is {lam_min:g}"
+        )
+    b = _start_vector(A.dim)
 
     # Only the iterates are read, so no residual is computed.
     hist = cg(A, b, k, mode=ReorthMode.FULL, tol=None)
-    x_star = _from_eigenbasis(vecs, _to_eigenbasis(vecs, b) / vals)
+    x_star = _spectral_apply(lambda x: 1.0 / x, vals, vecs, b)
 
     def a_norm(v):
         c = _to_eigenbasis(vecs, v)
@@ -374,8 +377,7 @@ def _fa_optimality(cfg: ExperimentConfig) -> ExperimentReport:
     b = _start_vector(A.dim)
     f = np.sqrt
 
-    fvals = _finite_values(f, vals, FunctionDomainError)
-    target = _from_eigenbasis(vecs, fvals * _to_eigenbasis(vecs, b))
+    target = _spectral_apply(f, vals, vecs, b)
 
     # The FULL run's basis spans K_j orthonormally, so the optimal error at
     # step j is the norm of target minus its projection on q_1..q_j, each
@@ -412,7 +414,7 @@ def _fa_formulas(cfg: ExperimentConfig) -> ExperimentReport:
     b = _start_vector(A.dim)
     f = lambda x: np.exp(-x)
 
-    target = _from_eigenbasis(vecs, np.exp(-vals) * _to_eigenbasis(vecs, b))
+    target = _spectral_apply(f, vals, vecs, b)
     tnorm = float(np.linalg.norm(target))
 
     dec = lanczos(A, b, k, mode=ReorthMode.NONE)
@@ -420,11 +422,13 @@ def _fa_formulas(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     correct_err = pitfall_err = np.nan
     for j in range(1, dec.T.size + 1):
-        # One eigendecomposition and one set of f values feed both formulas.
+        # One eigendecomposition feeds both formulas.
         eig = sym_tridiag_eig(dec.T.principal(j))
-        fvals = _finite_values(f, eig.eigenvalues, FunctionDomainError)
-        correct = dec.b_norm * (Q[:, :j] @ _eig_apply_function(eig, fvals))
-        pitfall = _eig_pitfall(Q[:, :j], eig, fvals, b)
+        vals_j, vecs_j = eig.eigenvalues, eig.eigenvectors
+        e1 = np.zeros(j)
+        e1[0] = 1.0
+        correct = dec.b_norm * (Q[:, :j] @ _spectral_apply(f, vals_j, vecs_j, e1))
+        pitfall = Q[:, :j] @ _spectral_apply(f, vals_j, vecs_j, Q[:, :j].T @ b)
         correct_err = float(np.linalg.norm(target - correct)) / tnorm
         pitfall_err = float(np.linalg.norm(target - pitfall)) / tnorm
         rows.append(("rel_error_correct", j, correct_err))

@@ -18,11 +18,12 @@ import numpy as np
 from .core import (
     LinearOperator,
     _finite_values,
+    _spectral_apply,
     _tridiag_solve,
     sym_tridiag_eig,
     tridiag_apply_function,
 )
-from .errors import FunctionDomainError, NonFiniteSample, SingularSystem
+from .errors import NonFiniteSample, SingularSystem
 from .lanczos import ReorthMode, _Recurrence, block_lanczos
 from .orthopoly import cheb_approximant
 
@@ -47,13 +48,6 @@ class MatFuncResult:
     diagnostics: dict
 
 
-def _eig_pitfall(Q: np.ndarray, eig, fvals: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Q f(T) Q^T b from the eigendecomposition of T and f at its
-    eigenvalues."""
-    w = eig.eigenvectors.T @ (Q.T @ np.asarray(b, dtype=float))
-    return Q @ (eig.eigenvectors @ (fvals * w))
-
-
 def lanczos_fa(
     A: LinearOperator,
     b: np.ndarray,
@@ -74,9 +68,9 @@ def lanczos_fa(
     if formula == "correct":
         value = rec.combine(tridiag_apply_function(rec.T, f))
     else:
-        eig = sym_tridiag_eig(rec.T)
-        fvals = _finite_values(f, eig.eigenvalues, FunctionDomainError)
-        value = _eig_pitfall(rec.basis.rows.T, eig, fvals, b)
+        Q, eig = rec.basis.rows.T, sym_tridiag_eig(rec.T)
+        rhs = Q.T @ np.asarray(b, dtype=float)
+        value = Q @ _spectral_apply(f, eig.eigenvalues, eig.eigenvectors, rhs)
     return MatFuncResult(
         value=value, k_used=len(rec.alphas), diagnostics={"trailing_beta": rec.beta}
     )
@@ -164,30 +158,26 @@ def rational_apply(
 
 def block_lanczos_fa(A: LinearOperator, B: np.ndarray, f, k: int) -> np.ndarray:
     """Block Lanczos approximation to f(A) B."""
-    B = np.asarray(B, dtype=float)
-    dec = block_lanczos(A, B, k)
-    T = dec.to_banded_dense()
-    fT = _dense_symmetric_function(T, f)
-    m0 = dec.block_widths[0]
-    return dec.basis @ (fT[:, :m0] @ dec.initial_R)
+    dec = block_lanczos(A, np.asarray(B, dtype=float), k)
+    return dec.basis @ _block_coeffs(dec, f)
 
 
 def block_lanczos_qf(A: LinearOperator, B: np.ndarray, f, k: int) -> np.ndarray:
     """Block Lanczos quadratic form: approximation to B^T f(A) B,
     returned symmetrized."""
-    B = np.asarray(B, dtype=float)
-    dec = block_lanczos(A, B, k)
-    T = dec.to_banded_dense()
-    fT = _dense_symmetric_function(T, f)
+    dec = block_lanczos(A, np.asarray(B, dtype=float), k)
     m0 = dec.block_widths[0]
-    out = dec.initial_R.T @ fT[:m0, :m0] @ dec.initial_R
+    out = dec.initial_R.T @ _block_coeffs(dec, f)[:m0]
     return 0.5 * (out + out.T)
 
 
-def _dense_symmetric_function(T: np.ndarray, f) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(T)
-    fvals = _finite_values(f, vals, FunctionDomainError)
-    return (vecs * fvals) @ vecs.T
+def _block_coeffs(dec, f) -> np.ndarray:
+    """``f(T) E1 R0`` for the block tridiagonal ``T`` of ``dec``, where
+    ``E1 R0`` is its ``initial_R`` padded by zero rows to ``T``'s size."""
+    vals, vecs = np.linalg.eigh(dec.to_banded_dense())
+    rhs = np.zeros((vals.size, dec.initial_R.shape[1]))
+    rhs[: dec.block_widths[0]] = dec.initial_R
+    return _spectral_apply(f, vals, vecs, rhs)
 
 
 def fa_apriori_bound(f, interval, k: int, b_norm: float = 1.0) -> float:

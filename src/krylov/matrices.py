@@ -1,6 +1,6 @@
 """Test-matrix generation and ingestion: synthetic spectra (optionally
 hidden behind a random orthogonal similarity) with their exact
-eigenpairs, Matrix Market loading, and the best-approximation oracle."""
+eigenpairs, and Matrix Market loading."""
 
 from __future__ import annotations
 
@@ -12,10 +12,9 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .core import LinearOperator, _finite_values
+from .core import LinearOperator
 from .errors import (
     DimensionTooLarge,
-    FunctionDomainError,
     InvalidSpec,
     NotSymmetric,
     ParseError,
@@ -30,7 +29,6 @@ __all__ = [
     "GeneratedOperator",
     "generate_operator",
     "load_matrix_market",
-    "optimal_ksm_error",
     "parse_matrix_spec",
 ]
 
@@ -146,7 +144,10 @@ class GeneratedOperator:
 def _eigenvalues_of(spec) -> np.ndarray:
     """A synthetic spec's eigenvalues; :class:`InvalidSpec` for any other."""
     if not callable(getattr(spec, "eigenvalues", None)):
-        raise InvalidSpec(f"unsupported spec {type(spec)!r}")
+        raise InvalidSpec(
+            "a synthetic spectrum (graded, two_interval or explicit) is needed,"
+            f" not {type(spec).__name__}"
+        )
     return spec.eigenvalues()
 
 
@@ -200,11 +201,6 @@ def _to_eigenbasis(vecs: np.ndarray | None, v: np.ndarray) -> np.ndarray:
     return v if vecs is None else vecs.T @ v
 
 
-def _from_eigenbasis(vecs: np.ndarray | None, c: np.ndarray) -> np.ndarray:
-    """The vector with coordinates ``c`` in the eigenbasis ``vecs``."""
-    return c if vecs is None else vecs @ c
-
-
 def _dense_eigh(A: LinearOperator):
     """``(dense, vals, vecs)``: the materialized operator (d operator
     calls) and its ``eigh``.  Raises :class:`DimensionTooLarge` above
@@ -243,49 +239,6 @@ def load_matrix_market(path: str) -> LinearOperator:
         A = (A + A.T) * 0.5
         A = scipy.sparse.csr_matrix(A)
     return LinearOperator.from_matrix(A)
-
-
-def optimal_ksm_error(A: LinearOperator, b: np.ndarray, f, k: int) -> np.ndarray:
-    """Per-step 2-norm distance of f(A) b from the Krylov subspaces:
-    the unbeatable baseline for any Krylov method.
-
-    An arbitrary operator has no known eigenpairs, so this materializes it
-    (d operator calls) and takes its ``eigh``; the dimension is capped at
-    ``DENSE_ORACLE_LIMIT`` (:class:`DimensionTooLarge`).  Raises
-    :class:`FunctionDomainError` if ``f`` is NaN/Inf at an eigenvalue.
-
-    The Krylov basis is built by Arnoldi with two modified Gram-Schmidt
-    passes and ends once a new vector's norm is at most 1e-12.  The
-    residual of ``f(A) b`` against the basis is kept as it grows: each new
-    basis vector's projection is subtracted once, in the order a full
-    recomputation at every step would subtract it."""
-    dense, vals, vecs = _dense_eigh(A)
-    b = np.asarray(b, dtype=float)
-    fvals = _finite_values(f, vals, FunctionDomainError)
-    target = vecs @ (fvals * (vecs.T @ b))
-
-    errors = np.empty(k)
-    basis: list[np.ndarray] = []
-    resid = target
-    v = b / np.linalg.norm(b)
-    exhausted = False
-    for j in range(k):
-        if not exhausted:
-            w = v.copy()
-            for _ in range(2):
-                for u in basis:
-                    w = w - (u @ w) * u
-            nw = np.linalg.norm(w)
-            if nw <= 1e-12:
-                exhausted = True
-            else:
-                u = w / nw
-                basis.append(u)
-                if j + 1 < k:  # the last basis vector needs no successor
-                    v = dense @ u
-                resid = resid - (u @ target) * u
-        errors[j] = np.linalg.norm(resid)
-    return errors
 
 
 # The spec class of each matrix kind; its fields are the kind's keys.

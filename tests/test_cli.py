@@ -24,9 +24,9 @@ from krylov.matrices import (
     TwoIntervalSpectrum,
     generate_operator,
     load_matrix_market,
-    optimal_ksm_error,
     parse_matrix_spec,
 )
+from oracles import optimal_ksm_error
 
 
 class TestMatrixGeneration:

@@ -5,6 +5,7 @@ import krylov.core
 from krylov.core import (
     LinearOperator,
     SymTridiagonal,
+    _spectral_apply,
     sym_tridiag_eig,
     tridiag_apply_function,
     tridiag_solve,
@@ -157,6 +158,35 @@ class TestTridiagApplyFunction:
         T = SymTridiagonal([0.0, 0.0], [1.0])  # eigenvalues -1, 1
         with pytest.raises(FunctionDomainError):
             tridiag_apply_function(T, np.sqrt)
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 30])
+    def test_bits_of_first_row_product(self, k):
+        # V^T e1 is V's first row bit for bit, so the kernel's f(T) e1 is
+        # the product with that row.
+        T = random_tridiag(np.random.default_rng(k), k)
+        eig = sym_tridiag_eig(T)
+        V = eig.eigenvectors
+        fvals = np.array([np.exp(t) for t in eig.eigenvalues])
+        want = V @ (fvals * V[0, :])
+        assert tridiag_apply_function(T, np.exp).tobytes() == want.tobytes()
+
+
+class TestSpectralApply:
+    @pytest.mark.parametrize("shape", [(6,), (6, 3)])
+    def test_no_vectors_is_the_identity_basis(self, shape):
+        rng = np.random.default_rng(7)
+        vals = rng.uniform(0.5, 2.0, 6)
+        rhs = rng.standard_normal(shape)
+        diagonal = _spectral_apply(np.log, vals, None, rhs)
+        assert diagonal.shape == shape
+        np.testing.assert_array_equal(diagonal, _spectral_apply(np.log, vals, np.eye(6), rhs))
+
+    def test_nan_at_an_eigenvalue_raises(self):
+        vals = np.array([1.0, 2.0, 3.0])
+        V = np.linalg.qr(np.random.default_rng(8).standard_normal((3, 3)))[0]
+        f = lambda x: np.nan if x == 2.0 else x
+        with pytest.raises(FunctionDomainError, match=r"not finite at \[2\.\]"):
+            _spectral_apply(f, vals, V, np.ones(3))
 
 
 class TestTridiagSolve:

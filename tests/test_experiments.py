@@ -3,7 +3,7 @@ import pytest
 
 from krylov import matrices
 from krylov.core import LinearOperator
-from krylov.errors import DimensionTooLarge, KrylovError
+from krylov.errors import DimensionTooLarge, InvalidSpec, KrylovError
 from krylov.experiments import (
     ExperimentConfig,
     list_experiments,
@@ -16,8 +16,9 @@ from krylov.matrices import (
     GradedSpectrum,
     MatrixMarketFile,
     generate_operator,
-    optimal_ksm_error,
+    parse_matrix_spec,
 )
+from oracles import optimal_ksm_error
 
 
 @pytest.mark.parametrize("name", list_experiments())
@@ -121,14 +122,16 @@ def _write_diagonal_mtx(path, vals):
 @pytest.mark.parametrize("name", list_experiments())
 def test_matrix_market_config_reports_or_raises_krylov_error(name, tmp_path):
     # A Matrix Market file carries no eigenpairs; experiments take them from
-    # the dense operator, and any failure is a library error, not a crash.
+    # the dense operator, and any failure is a library error whose message
+    # names what the experiment needs, not a Python class.
     vals = np.linspace(0.1, 1.0, 50)
     path = tmp_path / "diag50.mtx"
     _write_diagonal_mtx(path, vals)
     cfg = ExperimentConfig(experiment=name, matrix=MatrixMarketFile(str(path)))
     try:
         report = run_experiment(cfg)
-    except KrylovError:
+    except KrylovError as exc:
+        assert "<class" not in str(exc)
         return
     assert report.rows
     # On a diagonal file the references are those of the same explicit spectrum.
@@ -139,6 +142,33 @@ def test_matrix_market_config_reports_or_raises_krylov_error(name, tmp_path):
     want = np.array([v for _, _, v in ref.rows])
     assert [r[:2] for r in report.rows] == [r[:2] for r in ref.rows]
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+KIND_SPECS = {
+    "graded": "graded:d=48,lam_min=0.001,lam_max=1,rho=0.9",
+    "two_interval": "two_interval:d=40,a=-3,b=-1,c=1,d_right=3",
+    "explicit": "explicit:1,2,3,4,5,6",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_SPECS))
+@pytest.mark.parametrize("name", list_experiments())
+def test_every_experiment_on_every_synthetic_kind(name, kind):
+    # PASS or FAIL, or a library error whose message names what the
+    # experiment needs, never a Python class.  Matrix Market files are
+    # covered by the test above.
+    spec = parse_matrix_spec(KIND_SPECS[kind])
+    cfg = ExperimentConfig(experiment=name, matrix=spec)
+    if (name, kind) == ("cg-bounds", "two_interval"):
+        with pytest.raises(InvalidSpec, match="positive definite"):
+            run_experiment(cfg)
+        return
+    try:
+        report = run_experiment(cfg)
+    except KrylovError as exc:
+        assert "<class" not in str(exc)
+    else:
+        assert report.assertions
 
 
 def test_matrix_market_above_dense_limit_raises(tmp_path):

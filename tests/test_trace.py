@@ -15,7 +15,6 @@ from krylov.errors import (
     NonFiniteOperator,
     SpectrumOutsideInterval,
 )
-from krylov.matrices import optimal_ksm_error
 from krylov.orthopoly import ChebyshevExpansion, DiscreteMeasure, cheb_eval, wasserstein
 from krylov.trace import (
     ProbeSampler,
@@ -25,6 +24,7 @@ from krylov.trace import (
     slq_density,
     slq_trace,
 )
+from oracles import optimal_ksm_error
 
 
 def counting(A):
