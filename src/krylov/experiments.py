@@ -182,20 +182,10 @@ def _nearby_problem(cfg: ExperimentConfig) -> ExperimentReport:
     clustered = lanczos(gen_c.operator, b_c, k, mode=ReorthMode.FULL)
 
     rows = []
-    for name, dec in (
-        ("alpha_fp", fp),
-        ("alpha_exact", exact),
-        ("alpha_clustered", clustered),
-    ):
-        for j, a in enumerate(dec.T.alphas):
-            rows.append((name, j + 1, float(a)))
-    for name, dec in (
-        ("beta_fp", fp),
-        ("beta_exact", exact),
-        ("beta_clustered", clustered),
-    ):
-        for j, bta in enumerate(dec.T.betas):
-            rows.append((name, j + 1, float(bta)))
+    for coeff in ("alpha", "beta"):
+        for run, dec in (("fp", fp), ("exact", exact), ("clustered", clustered)):
+            for j, c in enumerate(getattr(dec.T, f"{coeff}s")):
+                rows.append((f"{coeff}_{run}", j + 1, float(c)))
 
     d_exact = _max_abs_diff(fp.T, exact.T)
     d_clustered = _max_abs_diff(fp.T, clustered.T)
@@ -422,13 +412,15 @@ def _fa_formulas(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     correct_err = pitfall_err = np.nan
     for j in range(1, dec.T.size + 1):
-        # One eigendecomposition feeds both formulas.
+        # One eigendecomposition, one evaluation of f and one product with
+        # Q_j feed both formulas: columns ||b|| e1 (correct) and Q_j^T b.
         eig = sym_tridiag_eig(dec.T.principal(j))
-        vals_j, vecs_j = eig.eigenvalues, eig.eigenvectors
-        e1 = np.zeros(j)
-        e1[0] = 1.0
-        correct = dec.b_norm * (Q[:, :j] @ _spectral_apply(f, vals_j, vecs_j, e1))
-        pitfall = Q[:, :j] @ _spectral_apply(f, vals_j, vecs_j, Q[:, :j].T @ b)
+        Qj = Q[:, :j]
+        rhs = np.zeros((j, 2))
+        rhs[0, 0] = dec.b_norm
+        rhs[:, 1] = Qj.T @ b
+        coeffs = _spectral_apply(f, eig.eigenvalues, eig.eigenvectors, rhs)
+        correct, pitfall = (Qj @ coeffs).T
         correct_err = float(np.linalg.norm(target - correct)) / tnorm
         pitfall_err = float(np.linalg.norm(target - pitfall)) / tnorm
         rows.append(("rel_error_correct", j, correct_err))

@@ -171,19 +171,21 @@ class _Recurrence:
     """The Lanczos three-term recurrence, shared by every Lanczos-type
     caller so that all of them run the same arithmetic bit for bit.
 
-    Owns ``q_prev``, ``q`` and ``beta_prev``; :meth:`step` forms
-    ``y = A q - beta_prev q_prev``, ``alpha = q . y``, ``z = y - alpha q``
-    (reorthogonalized when ``mode`` is FULL, which also hands back
-    ``||z||^2``) and ``beta = ||z||``, raises
-    :class:`NonFiniteOperator` when either is NaN or Inf, and reports
-    breakdown when ``beta`` is at most ``BREAKDOWN_RTOL`` times the
-    running coefficient scale; :meth:`advance` moves to
-    ``q = z / beta``.  Storage: nothing beyond the current pair, the full
-    basis (``store_basis``, implied by FULL), or ``(q_prev, q)``
-    checkpoints every ``checkpoint_stride`` steps for :meth:`replay`.
-    :meth:`combine` forms ``b_norm * Q c`` from the stored basis, or from
-    :meth:`replay` when the run kept checkpoints: the storage is chosen
-    once, at construction.
+    :meth:`steps` is the one routine that advances a run.  Step n accepts
+    ``beta_{n-1}`` and moves to ``q = z / beta_{n-1}`` (from n = 1 on),
+    forms ``y = A q - beta_prev q_prev``, ``alpha = q . y`` and
+    ``z = y - alpha q`` (reorthogonalized when ``mode`` is FULL, which
+    also hands back ``||z||^2``) and ``beta = ||z||``, raises
+    :class:`NonFiniteOperator` when either is NaN or Inf, and ends the run
+    at breakdown, when ``beta`` is at most ``BREAKDOWN_RTOL`` times the
+    running coefficient scale.  Between steps the object holds
+    ``q_prev``, ``q``, ``beta_prev``, the last step's ``z`` and ``beta``,
+    and the coefficients ``alphas`` and ``betas``.  Storage: nothing
+    beyond the current pair, the full basis (``store_basis``, implied by
+    FULL), or ``(q_prev, q, start)`` checkpoints every
+    ``checkpoint_stride`` steps for :meth:`replay`.  :meth:`combine` forms
+    ``b_norm * Q c`` from the stored basis, or from :meth:`replay` when
+    the run kept checkpoints: the storage is chosen once, at construction.
     """
 
     def __init__(
@@ -205,10 +207,8 @@ class _Recurrence:
         self.q = b / self.b_norm
         self.q_prev = None
         self.beta_prev = 0.0
-        self.n = 0
         self.alphas: list[float] = []
         self.betas: list[float] = []
-        self.scale = 0.0
         self.z = None
         self.beta = 0.0
         self.termination: str | None = None
@@ -225,54 +225,41 @@ class _Recurrence:
 
     def _y(self) -> np.ndarray:
         y = self.A.apply(self.q)
-        if self.n > 0:
+        if self.q_prev is not None:
             y = y - self.beta_prev * self.q_prev
         return y
-
-    def _shift(self, q_next: np.ndarray, beta: float) -> None:
-        self.q_prev, self.q, self.beta_prev = self.q, q_next, beta
-        self.n += 1
-
-    def step(self) -> bool:
-        """Compute alpha_n, z and beta_n; True on breakdown."""
-        if self._stride is not None and self.n % self._stride == 0:
-            self.checkpoints.append((self.q_prev, self.q, self.beta_prev, self.n))
-        y = self._y()
-        alpha = float(self.q @ y)
-        z = y - alpha * self.q
-        if self._reorth:
-            z, ss = self.basis.reorthogonalize(z)
-        else:
-            ss = float(z @ z)  # sqrt of it is bit-equal to np.linalg.norm
-        self.z, self.beta = z, math.sqrt(ss)
-        if not (math.isfinite(alpha) and math.isfinite(self.beta)):
-            raise NonFiniteOperator(f"non-finite Lanczos coefficient at step {self.n}")
-        self.alphas.append(alpha)
-        self.scale = max(self.scale, abs(alpha))
-        if self.beta <= BREAKDOWN_RTOL * self.scale:
-            return True
-        self.scale = max(self.scale, self.beta)
-        return False
-
-    def advance(self) -> None:
-        """Accept beta_n and move to q_{n+1} = z / beta_n."""
-        self.betas.append(self.beta)
-        self._shift(self.z / self.beta, self.beta)
-        if self.basis is not None:
-            self.basis.append(self.q)
 
     def steps(self):
         """Yield ``(q_n, alpha_n, beta_n)`` for n = 0, 1, ... until
         breakdown or until k coefficients alpha are known; the last step
         sets ``termination`` to "breakdown" or "max_iter".  Step n+1 (its
         product with ``A``) runs only when the caller asks for it."""
+        scale = 0.0
         for n in range(self.k):
             if n:
-                self.advance()
-            broke = self.step()
+                self.betas.append(self.beta)
+                self.q_prev, self.q, self.beta_prev = self.q, self.z / self.beta, self.beta
+                if self.basis is not None:
+                    self.basis.append(self.q)
+            if self._stride is not None and n % self._stride == 0:
+                self.checkpoints.append((self.q_prev, self.q, n))
+            y = self._y()
+            alpha = float(self.q @ y)
+            z = y - alpha * self.q
+            if self._reorth:
+                z, ss = self.basis.reorthogonalize(z)
+            else:
+                ss = float(z @ z)  # sqrt of it is bit-equal to np.linalg.norm
+            self.z, self.beta = z, math.sqrt(ss)
+            if not (math.isfinite(alpha) and math.isfinite(self.beta)):
+                raise NonFiniteOperator(f"non-finite Lanczos coefficient at step {n}")
+            self.alphas.append(alpha)
+            scale = max(scale, abs(alpha))
+            broke = self.beta <= BREAKDOWN_RTOL * scale
+            scale = max(scale, self.beta)
             if broke or n == self.k - 1:
                 self.termination = "breakdown" if broke else "max_iter"
-            yield self.q, self.alphas[-1], self.beta
+            yield self.q, alpha, self.beta
             if broke:
                 return
 
@@ -287,14 +274,15 @@ class _Recurrence:
         coefficients, computing no inner products (the second pass of
         two-pass Lanczos)."""
         k_used = len(self.alphas)
-        for q_prev, q, beta_prev, start in self.checkpoints:
-            self.q_prev, self.q, self.beta_prev, self.n = q_prev, q, beta_prev, start
+        for q_prev, q, start in self.checkpoints:
+            self.q_prev, self.q = q_prev, q
+            self.beta_prev = self.betas[start - 1] if start else 0.0
             stop = min(start + self._stride, k_used)
             for n in range(start, stop):
                 yield self.q
                 if n + 1 < stop:
-                    z = self._y() - self.alphas[n] * self.q
-                    self._shift(z / self.betas[n], self.betas[n])
+                    z, beta = self._y() - self.alphas[n] * self.q, self.betas[n]
+                    self.q_prev, self.q, self.beta_prev = self.q, z / beta, beta
 
     def combine(self, coeffs) -> np.ndarray:
         """``b_norm * sum_n coeffs[n] q_n``, one term per step, summed left

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from krylov import matrices
+from krylov import core, matrices
 from krylov.core import LinearOperator
 from krylov.errors import DimensionTooLarge, InvalidSpec, KrylovError
 from krylov.experiments import (
@@ -76,6 +76,21 @@ def test_default_operator_call_budget(monkeypatch):
         run_experiment(ExperimentConfig(experiment=name))
         got[name] = calls[0]
     assert got == OPERATOR_CALLS
+
+
+def test_fa_formulas_evaluates_f_once_per_step(monkeypatch):
+    # The target exp(-A) b takes f at the 64 eigenvalues; step j takes it
+    # once at the j Ritz values for both formulas, 1 + 2 + ... + 60 = 1830.
+    finite_values = core._finite_values
+    points = [0]
+
+    def counted(f, pts, error):
+        points[0] += len(pts)
+        return finite_values(f, pts, error)
+
+    monkeypatch.setattr(core, "_finite_values", counted)
+    run_experiment(ExperimentConfig(experiment="fa-formulas"))
+    assert points[0] == 64 + 60 * 61 // 2
 
 
 def test_unknown_experiment_raises():

@@ -6,8 +6,10 @@ import pytest
 from krylov.core import LinearOperator
 from krylov.errors import NonFiniteOperator, ZeroStartBlock, ZeroStartVector
 from krylov.lanczos import (
+    BREAKDOWN_RTOL,
     ReorthMode,
     _Basis,
+    _Recurrence,
     block_lanczos,
     krylov_grade,
     lanczos,
@@ -210,6 +212,61 @@ class TestReorthogonalize:
         dec = lanczos(A, b, 40, mode=ReorthMode.FULL)
         assert dec.termination == "max_iter" and dec.T.size == 40
         assert products[0] == 2 * 40
+
+
+class TestRecurrence:
+    # _Recurrence.steps() is the one routine that advances a run: each
+    # pulled step applies A once, and the last sets the termination kind.
+
+    @staticmethod
+    def _counted(vals):
+        D = LinearOperator.diagonal(vals)
+        calls = [0]
+
+        def matvec(v):
+            calls[0] += 1
+            return D.apply(v)
+
+        return LinearOperator(D.dim, matvec), calls
+
+    @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
+    def test_each_pulled_step_applies_A_once(self, mode):
+        A, calls = self._counted(np.linspace(1.0, 2.0, 30))
+        k = 8
+        rec = _Recurrence(A, np.ones(30), k, mode=mode)
+        steps = rec.steps()
+        for j in range(1, k):
+            next(steps)
+            assert calls[0] == j and rec.termination is None
+        next(steps)
+        assert calls[0] == k and rec.termination == "max_iter"
+        assert next(steps, None) is None and calls[0] == k
+        assert len(rec.alphas) == k and len(rec.betas) == k - 1
+
+    @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
+    def test_breakdown_ends_the_steps(self, mode):
+        # Three distinct eigenvalues: the Krylov space is full after 3 steps.
+        A, calls = self._counted(np.array([1.0, 2.0, 3.0, 3.0, 2.0]))
+        rec = _Recurrence(A, np.ones(5), 10, mode=mode)
+        got = list(rec.steps())
+        assert len(got) == 3 and calls[0] == 3
+        assert rec.termination == "breakdown"
+        scale = max(np.abs(rec.alphas).max(), *rec.betas)
+        assert got[-1][2] <= BREAKDOWN_RTOL * scale
+
+    @pytest.mark.parametrize("stride", [3, 4, 7])
+    def test_replay_regenerates_the_stored_basis(self, stride):
+        rng = np.random.default_rng(33)
+        A = LinearOperator.diagonal(np.geomspace(1e-3, 1.0, 60))
+        b, k = rng.standard_normal(60), 11
+        stored = _Recurrence(A, b, k, store_basis=True).run()
+        rec = _Recurrence(A, b, k, checkpoint_stride=stride).run()
+        assert [start for *_, start in rec.checkpoints] == list(range(0, k, stride))
+        assert rec.alphas == stored.alphas and rec.betas == stored.betas
+        replayed = list(rec.replay())
+        assert len(replayed) == k
+        for q, row in zip(replayed, stored.basis.rows):
+            assert np.array_equal(q, row)
 
 
 class TestBlockLanczos:
