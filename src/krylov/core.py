@@ -139,10 +139,6 @@ def sym_tridiag_eig(T: SymTridiagonal) -> TridiagEig:
     Inf, and ``numpy.linalg.LinAlgError`` if the QL/QR iteration does not
     converge.
     """
-    if T.size == 1:
-        vals = np.array([T.alphas[0]])
-        vecs = np.array([[1.0]])
-        return TridiagEig(vals, vecs)
     vals, vecs = _dstev(T)
     # Deterministic sign convention: first nonzero component positive.
     first = vecs[np.argmax(vecs != 0, axis=0), np.arange(vecs.shape[1])]
@@ -156,15 +152,17 @@ def _tridiag_eigenvalues(T: SymTridiagonal) -> np.ndarray:
     eigenvectors (LAPACK's root-free QL/QR ``dsterf``), so no k-by-k
     matrix is formed.  They may differ from :func:`sym_tridiag_eig`'s in
     the last bits.  Raises as :func:`sym_tridiag_eig` does."""
-    if T.size == 1:
-        return np.array([T.alphas[0]])
     return _dstev(T, compute_v=0)[0]
 
 
 def _dstev(T: SymTridiagonal, **options) -> tuple:
-    """``dstev``'s values and vectors, after the checks both callers share."""
+    """``dstev``'s values and vectors, after the checks both callers share;
+    a 1-by-1 ``T`` is its own eigendecomposition (the wrapper takes no
+    empty off-diagonal)."""
     if not (np.isfinite(T.alphas).all() and np.isfinite(T.betas).all()):
         raise ValueError("array must not contain infs or NaNs")
+    if T.size == 1:
+        return np.array([T.alphas[0]]), np.array([[1.0]])
     vals, vecs, info = dstev(T.alphas, T.betas, **options)
     if info > 0:
         raise np.linalg.LinAlgError(
@@ -174,14 +172,28 @@ def _dstev(T: SymTridiagonal, **options) -> tuple:
 
 
 def _finite_values(f, points: np.ndarray, error: type) -> np.ndarray:
-    """``f`` at each point, by one scalar call per point, as a float array.
+    """``f`` at each point, as a float array.
 
-    Raises ``error`` if any value is NaN or Inf (``f`` off its domain).
+    ``f`` is called once, on a read-only float view of all the points, and
+    should act elementwise.  If that call, or converting its result to
+    floats, raises ``TypeError`` or ``ValueError`` (a callable that takes
+    only scalars, branches on its argument or writes into it), or the
+    result's shape is not the points' (a constant), ``f`` is called once
+    per point instead.  Raises ``error`` if any value is NaN or Inf (``f``
+    off its domain).
     """
+    points = np.asarray(points, dtype=float)
+    view = points.view()
+    view.flags.writeable = False
     with np.errstate(all="ignore"):
-        fvals = np.asarray([f(t) for t in points], dtype=float)
+        try:
+            fvals = np.asarray(f(view), dtype=float)
+        except (TypeError, ValueError):
+            fvals = None
+        if fvals is None or fvals.shape != points.shape:
+            fvals = np.asarray([f(t) for t in points], dtype=float)
     if not np.all(np.isfinite(fvals)):
-        bad = np.asarray(points)[~np.isfinite(fvals)]
+        bad = points[~np.isfinite(fvals)]
         raise error(f"f is not finite at {bad[:3]}")
     return fvals
 

@@ -201,6 +201,8 @@ class _Recurrence:
         self.b_norm = float(np.linalg.norm(b))
         if self.b_norm == 0.0:
             raise ZeroStartVector("starting vector has zero norm")
+        if not math.isfinite(self.b_norm):
+            raise ValueError("starting vector norm is not finite")
         if k < 1:
             raise ValueError("k must be at least 1")
         self.A, self.k = A, k

@@ -90,6 +90,8 @@ class ShiftFamily:
         weights = np.asarray(self.weights, dtype=complex).ravel()
         if shifts.shape != weights.shape:
             raise ValueError("shifts and weights must have matching length")
+        if not (np.isfinite(shifts).all() and np.isfinite(weights).all()):
+            raise ValueError("shifts and weights must be finite")
         if np.unique(shifts).size != shifts.size:
             raise ValueError("shifts must be distinct")
         object.__setattr__(self, "shifts", shifts)
@@ -301,19 +303,22 @@ def multi_shift_solve(
     records the recurrence's kind: ``"breakdown"`` if it broke down, at
     step k too, and ``"max_iter"`` otherwise.  With ``keep_iterates=False``
     each shift keeps only its last reported iterate, so :attr:`final`
-    still works.  An empty ``shifts`` raises ``ValueError`` before any
-    operator call.  ``tol=0.0`` runs every shift to step k unless
-    its residual is exactly zero.  ``tol=None`` is no stopping test: every
-    shift runs to step k with no residual computed (``residual_norms`` is
-    all NaN) and the ``tol=0.0`` call's iterates bit for bit, so the call
-    applies ``A`` exactly k times for any number of shifts (fewer only at
-    a breakdown).  Returns one :class:`IterateHistory` per shift.
+    still works.  An empty ``shifts``, or one with a NaN or Inf, raises
+    ``ValueError`` before any operator call.  ``tol=0.0`` runs every shift
+    to step k unless its residual is exactly zero.  ``tol=None`` is no
+    stopping test: every shift runs to step k with no residual computed
+    (``residual_norms`` is all NaN) and the ``tol=0.0`` call's iterates
+    bit for bit, so the call applies ``A`` exactly k times for any number
+    of shifts (fewer only at a breakdown).  Returns one
+    :class:`IterateHistory` per shift.
     """
     if method not in ("cg", "minres"):
         raise ValueError(f"unknown method {method!r}")
     shifts = [z if z.imag else z.real for z in map(complex, np.ravel(shifts))]
     if not shifts:
         raise ValueError("need at least one shift")
+    if not np.isfinite(shifts).all():
+        raise ValueError("shifts must be finite")
     rec = _Recurrence(A, b, k, mode=mode)
     return _shifted_histories(rec, shifts, method, tol, keep_iterates, A, b)
 

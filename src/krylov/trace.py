@@ -161,6 +161,8 @@ def hutchinson_trace(quad_form, d: int, m: int, sampler: ProbeSampler) -> TraceE
     """Hutchinson/Girard estimator of d^{-1} tr(M) from a quadratic-form
     evaluator ``quad_form(b) = b^T M b``."""
     _check_probes(m)
+    if d < 1:
+        raise ValueError("d must be at least 1")
     samples = [float(quad_form(sampler.probe(i, d))) for i in range(m)]
     mean, stderr = _mean_stderr(samples)
     return TraceEstimate(estimate=mean, stderr=stderr, n_probes=m)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,16 @@ import krylov.core
 from krylov.core import (
     LinearOperator,
     SymTridiagonal,
+    _finite_values,
     _spectral_apply,
+    _tridiag_eigenvalues,
     sym_tridiag_eig,
     tridiag_apply_function,
     tridiag_solve,
 )
-from krylov.errors import FunctionDomainError, SingularSystem
+from krylov.errors import FunctionDomainError, NonFiniteSample, SingularSystem
+from krylov.orthopoly import DiscreteMeasure, cheb_approximant
+from krylov.trace import DensityApprox
 
 
 def random_tridiag(rng, k, positive_betas=True):
@@ -101,6 +107,13 @@ class TestSymTridiagEig:
         with pytest.raises(ValueError, match="infs or NaNs"):
             sym_tridiag_eig(SymTridiagonal(**entries))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("solve", [sym_tridiag_eig, _tridiag_eigenvalues])
+    def test_non_finite_1x1_raises(self, solve, bad):
+        # The 1-by-1 shortcut runs after the finiteness check, as dstev does.
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve(SymTridiagonal([bad], []))
+
     def test_no_convergence_raises(self, monkeypatch):
         # dstev's info > 0: the QL/QR iteration left off-diagonals nonzero.
         monkeypatch.setattr(
@@ -187,6 +200,69 @@ class TestSpectralApply:
         f = lambda x: np.nan if x == 2.0 else x
         with pytest.raises(FunctionDomainError, match=r"not finite at \[2\.\]"):
             _spectral_apply(f, vals, V, np.ones(3))
+
+
+def horner(x, p=(0.3, -1.2, 0.7, 2.0, -0.4, 1.1)):
+    # Horner's rule on a list of coefficients, as kpm-density's test
+    # polynomials are written.
+    acc = p[-1]
+    for coef in p[-2::-1]:
+        acc = coef + acc * x
+    return acc
+
+
+def writes_into(x):
+    x *= 2.0
+    return x
+
+
+class TestFiniteValues:
+    def test_elementwise_f_is_called_once_per_spectrum(self):
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return np.exp(x)
+
+        tridiag_apply_function(random_tridiag(np.random.default_rng(30), 30), f)
+        assert calls[0] == 1
+
+    @pytest.mark.parametrize(
+        "f",
+        [np.exp, np.log, np.sqrt, lambda x: np.exp(-x), lambda x: 1.0 / x, horner],
+        ids=["exp", "log", "sqrt", "exp_neg", "reciprocal", "horner"],
+    )
+    def test_array_call_is_the_per_point_values_bit_for_bit(self, f):
+        rng = np.random.default_rng(31)
+        for n in range(1, 41):
+            points = rng.uniform(0.01, 5.0, n)
+            want = np.asarray([f(t) for t in points], dtype=float)
+            assert _finite_values(f, points, FunctionDomainError).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "f",
+        [math.log, lambda x: -1.0 if x < 1.0 else x, lambda x: 1.0, writes_into],
+        ids=["math_log", "branching", "constant", "writes_into"],
+    )
+    def test_scalar_only_callables_are_called_per_point(self, f):
+        for points in (np.array([0.5]), np.linspace(0.5, 3.0, 7)):
+            kept = points.copy()
+            want = np.asarray([f(t) for t in kept], dtype=float)
+            assert _finite_values(f, points, FunctionDomainError).tobytes() == want.tobytes()
+            assert points.tobytes() == kept.tobytes()
+        measure = DiscreteMeasure([0.5, 1.5, 2.5], [0.2, 0.3, 0.5])
+        nodes = measure.nodes.copy()
+        got = DensityApprox("quadrature", measure).integrate(f)
+        assert got == float(np.sum(measure.weights * [f(t) for t in nodes]))
+        assert measure.nodes.tobytes() == nodes.tobytes()
+
+    @pytest.mark.parametrize("f", [np.log, lambda x: math.inf if x < 0 else x])
+    def test_non_finite_values_still_raise(self, f):
+        # On the array path (np.log) and the per-point path.
+        with pytest.raises(FunctionDomainError, match="not finite"):
+            _spectral_apply(f, np.array([-1.0, 2.0]), None, np.ones(2))
+        with pytest.raises(NonFiniteSample, match="not finite"):
+            cheb_approximant(f, 5, (-1.0, 1.0))
 
 
 class TestTridiagSolve:

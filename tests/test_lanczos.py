@@ -16,7 +16,7 @@ from krylov.lanczos import (
 )
 from krylov.matfunc import block_lanczos_fa, block_lanczos_qf
 from krylov.orthopoly import DiscreteMeasure, stieltjes
-from krylov.solvers import block_cg
+from krylov.solvers import block_cg, cg
 
 
 def random_symmetric(rng, d):
@@ -37,6 +37,22 @@ class TestLanczos:
         A = LinearOperator.diagonal([1.0, 2.0])
         with pytest.raises(ZeroStartVector):
             lanczos(A, np.zeros(2), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_start_rejected_before_any_matvec(self, bad):
+        # A ValueError on b, not NonFiniteOperator after one call.
+        calls = [0]
+        D = LinearOperator.diagonal([1.0, 2.0, 3.0])
+
+        def matvec(v):
+            calls[0] += 1
+            return D.apply(v)
+
+        b = np.array([1.0, bad, 1.0])
+        for run in (lanczos, cg):
+            with pytest.raises(ValueError, match="starting vector norm is not finite"):
+                run(LinearOperator(3, matvec), b, 3)
+        assert calls[0] == 0
 
     def test_eigenvector_start_breaks_down(self):
         A = LinearOperator.diagonal([4.0, 2.0, 1.0])

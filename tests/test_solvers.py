@@ -305,6 +305,20 @@ class TestMultiShift:
             multi_shift_solve(op, np.ones(2), [], 2)
         assert calls[0] == 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, np.nan)])
+    def test_non_finite_shift_rejected(self, bad):
+        # Not k steps and their residual matvecs ending in NaN norms.
+        op, calls = counting(LinearOperator.diagonal([1.0, 2.0]))
+        with pytest.raises(ValueError, match="shifts must be finite"):
+            multi_shift_solve(op, np.ones(2), [-1.0, bad], 2)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_shift_family_rejects_non_finite(self, bad):
+        for shifts, weights in (([bad, 1.0], [0.5, 0.5]), ([-1.0, 1.0], [0.5, bad])):
+            with pytest.raises(ValueError, match="must be finite"):
+                ShiftFamily(shifts, weights)
+
     def test_shift_family_rejects_duplicates(self):
         with pytest.raises(ValueError):
             ShiftFamily([1.0, 1.0], [0.5, 0.5])

@@ -222,6 +222,17 @@ class TestHutchinson:
         with pytest.raises(ValueError):
             hutchinson_trace(lambda b: 0.0, 5, 0, ProbeSampler())
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_requires_dimension(self, d):
+        # Not estimate 0.0 with stderr 0.0 from empty probes.
+        calls = []
+        qf = lambda b: calls.append(b) or 0.0
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            hutchinson_trace(qf, d, 4, ProbeSampler(seed=1))
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            control_variate_trace(qf, 0.0, qf, d, 4, ProbeSampler(seed=1))
+        assert calls == []
+
 
 class TestSlqTrace:
     def test_full_krylov_matches_exact_quadratic_forms(self):
