@@ -17,7 +17,7 @@ from .core import (
     tridiag_apply_function,
 )
 from .errors import InvalidSpec
-from .lanczos import ReorthMode, lanczos
+from .lanczos import ReorthMode, _Recurrence, lanczos
 from .matrices import (
     ClusterPerturbed,
     ExplicitEigenvalues,
@@ -33,7 +33,7 @@ from .orthopoly import (
     modified_moments,
     wasserstein,
 )
-from .solvers import _stored_history, cg, chebyshev_bound
+from .solvers import _shifted_histories, cg, chebyshev_bound
 from .trace import DensityApprox, ProbeSampler, _slq_densities, kpm_density
 
 __all__ = [
@@ -301,12 +301,12 @@ def _indefinite(cfg: ExperimentConfig) -> ExperimentReport:
     A = gen.operator
     b = _start_vector(A.dim)
 
-    # Both histories come off one stored run: CG and MINRES are the two
-    # solves of the same Givens QR of T (Paige & Saunders 1975), and each
-    # is bit-identical to its streamed solver's.
-    dec = lanczos(A, b, k, mode=ReorthMode.FULL)
-    hist_cg = _stored_history(A, b, dec, "cg", 0.0)
-    hist_m = _stored_history(A, b, dec, "minres", 0.0)
+    # Both histories come off one pass over one run: CG and MINRES are the
+    # two solves of the same Givens QR of T (Paige & Saunders 1975), and
+    # each is bit-identical to its own solver's.
+    rec = _Recurrence(A, b, k, mode=ReorthMode.FULL)
+    entries = [(0.0, "cg"), (0.0, "minres")]
+    hist_cg, hist_m = _shifted_histories(rec, entries, 0.0, True, A, b)
     r_cg = hist_cg.residual_norms
     r_m = hist_m.residual_norms
     n = min(r_cg.size, r_m.size)

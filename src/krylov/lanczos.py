@@ -91,14 +91,10 @@ class BlockKrylovDecomposition:
 
     def to_banded_dense(self) -> np.ndarray:
         """Assemble the small banded block-tridiagonal matrix T."""
-        n = self.total_width
-        T = np.zeros((n, n))
+        T = scipy.linalg.block_diag(*self.block_diag)
         offs = np.concatenate(([0], np.cumsum(self.block_widths))).astype(int)
-        for j, Aj in enumerate(self.block_diag):
-            T[offs[j] : offs[j + 1], offs[j] : offs[j + 1]] = Aj
-        for j, Bj in enumerate(self.block_offdiag):
-            if j + 1 >= len(self.block_widths):
-                break
+        # The last coupling points to a block that is not in the basis.
+        for j, Bj in enumerate(self.block_offdiag[:-1]):
             T[offs[j + 1] : offs[j + 2], offs[j] : offs[j + 1]] = Bj
             T[offs[j] : offs[j + 1], offs[j + 1] : offs[j + 2]] = Bj.T
         return T

@@ -108,39 +108,33 @@ def _residual_norm(A: LinearOperator, b: np.ndarray, x: np.ndarray, shift=0.0):
     return float(np.linalg.norm(r))
 
 
-def _stored_history(A, b, dec, method, tol, keep_iterates=True):
-    """The ``method`` ("cg" or "minres") history of ``A x = b`` read off
-    ``dec = lanczos(A, b, k)``, whose columns are the steps
-    :meth:`_Recurrence.steps` yields, so the history is bit-identical to
-    the streamed solver's and one stored run serves both methods."""
-    return _shifted_histories(dec, [0.0], method, tol, keep_iterates, A, b)[0]
+def _shifted_histories(run, entries, tol, keep_iterates, A, b, M=None):
+    """One history per ``(z, method)`` entry: the per-step ``method``
+    ("cg" or "minres") history of ``(A - z I) x = b``, all from one pass
+    over the Lanczos steps ``(q_n, alpha_n, beta_n)`` of ``run``, the
+    :class:`_Recurrence` of ``(A, b)`` (of ``(M A M, M b)`` given a
+    preconditioner M), pulled one step at a time.  ``run`` may instead be
+    a stored ``lanczos(A, b, k)``, read column by column, whose only
+    caller is ``cg(backend="tridiagonal")``.
 
-
-def _shifted_histories(run, shifts, method, tol, keep_iterates, A, b, M=None):
-    """The per-step ``method`` ("cg" or "minres") history of
-    ``(A - z I) x = b`` for each shift z, from one pass over the Lanczos
-    steps ``(q_n, alpha_n, beta_n)`` of ``run``: the :class:`_Recurrence`
-    of ``(A, b)`` (of ``(M A M, M b)`` given a preconditioner M), pulled
-    one step at a time, or the stored ``lanczos(A, b, k)``, read column by
-    column.
-
-    Each shift keeps its own Givens QR of the extended shifted tridiagonal
+    Each entry keeps its own Givens QR of the extended shifted tridiagonal
     ``[T_n - z I; beta_n e_n^T]``, one column per step (Paige & Saunders
-    1975): two rotations, ``phibar``, the directions w_{n-1}, w_{n-2} and
-    the MINRES iterate ``x^M_n = x^M_{n-1} + tau_n w_n``.  The CG
-    (Galerkin) point is ``x^C_n = x^M_{n-1} + phibar_n u_n / gbar_n``, with
+    1975), even when another entry has the same shift: two rotations,
+    ``phibar``, the directions w_{n-1}, w_{n-2} and the MINRES iterate
+    ``x^M_n = x^M_{n-1} + tau_n w_n``.  The CG (Galerkin) point is
+    ``x^C_n = x^M_{n-1} + phibar_n u_n / gbar_n``, with
     ``u_n = q_n - delta_n w_{n-1} - eps_n w_{n-2}`` and ``gbar_n`` the last
     diagonal of the triangular factor of ``T_n - z I``; it is a gap
     (``None``, NaN residual) when ``|gbar_n| < SINGULARITY_RTOL *
     max(|alpha_i|, beta_i, |z|)`` over every coefficient up to beta_n.
     Every other step's point y is reported as x = y (x = M y given M)
-    with its explicitly recomputed ``||b - (A - z I) x||``; a shift stops
+    with its explicitly recomputed ``||b - (A - z I) x||``; an entry stops
     once that is at most ``tol * ||b||``, and no step is pulled once every
-    shift has stopped.  ``tol=None`` is no stopping test: no residual is
-    computed (NaN norms) and every shift runs until the steps end.  A
-    shift still running then takes ``run.termination``, the kind the
+    entry has stopped.  ``tol=None`` is no stopping test: no residual is
+    computed (NaN norms) and every entry runs until the steps end.  An
+    entry still running then takes ``run.termination``, the kind the
     recurrence recorded at its last step.  ``keep_iterates=False`` keeps
-    only each shift's last reported iterate.
+    only each entry's last reported iterate.
     """
     if isinstance(run, _Recurrence):
         steps = run.steps()
@@ -148,17 +142,16 @@ def _shifted_histories(run, shifts, method, tol, keep_iterates, A, b, M=None):
         betas = run.T.betas.tolist() + [run.trailing_beta]
         steps = zip(run.basis.T, run.T.alphas.tolist(), betas)
     b_norm = run.b_norm if M is None else float(np.linalg.norm(b))
-    want_cg = method == "cg"
-    states = []  # per shift: x^M, w_{n-1}, w_{n-2}, rotations, phibar, scale
-    for z in shifts:
+    states = []  # per entry: x^M, w_{n-1}, w_{n-2}, rotations, phibar, scale
+    for z, _ in entries:
         zero = np.zeros(A.dim, complex if isinstance(z, complex) else float)
         states.append((zero, zero, zero, ((1.0, 0.0), (1.0, 0.0)), run.b_norm, abs(z)))
-    iterates, res = [[] for _ in shifts], [[] for _ in shifts]
-    termination, kept = [None] * len(shifts), [None] * len(shifts)
-    live, beta_prev = range(len(shifts)), 0.0
+    iterates, res = [[] for _ in entries], [[] for _ in entries]
+    termination, kept = [None] * len(entries), [None] * len(entries)
+    live, beta_prev = range(len(entries)), 0.0
     for q, alpha, beta in steps:
         for i in live:
-            z = shifts[i]
+            z, method = entries[i]
             x_m, w1, w2, rots, phibar, scale = states[i]
             scale = max(scale, abs(alpha), beta)
             eps, delta, gbar, (c, s, gamma) = _qr_column(
@@ -166,7 +159,7 @@ def _shifted_histories(run, shifts, method, tol, keep_iterates, A, b, M=None):
             )
             u = q - delta * w1
             u -= eps * w2
-            if want_cg:
+            if method == "cg":
                 x = None if _singular(abs(gbar), scale) else x_m + (phibar / gbar) * u
             # gamma = 0 only when beta_n = 0 (the last step) and T_n - z I is
             # singular; x^M_{n-1} is then a least-squares solution (tau_n = 0).
@@ -174,7 +167,7 @@ def _shifted_histories(run, shifts, method, tol, keep_iterates, A, b, M=None):
                 u /= gamma
                 w1, w2 = u, w1
                 x_m = x_m + (c * phibar) * w1
-            if not want_cg:
+            if method == "minres":
                 x = x_m
             phibar = -s.conjugate() * phibar
             states[i] = x_m, w1, w2, (rots[1], (c, s)), phibar, scale
@@ -244,12 +237,12 @@ def cg(
     alone (the default ``mode=ReorthMode.FULL`` stores the basis).
     """
     if backend == "tridiagonal":
-        dec = lanczos(A, b, k, mode=mode)
-        return _stored_history(A, b, dec, "cg", tol, keep_iterates)
-    if backend != "low_memory":
+        run = lanczos(A, b, k, mode=mode)
+    elif backend == "low_memory":
+        run = _Recurrence(A, b, k, mode=mode)
+    else:
         raise ValueError(f"unknown backend {backend!r}")
-    rec = _Recurrence(A, b, k, mode=mode)
-    return _shifted_histories(rec, [0.0], "cg", tol, keep_iterates, A, b)[0]
+    return _shifted_histories(run, [(0.0, "cg")], tol, keep_iterates, A, b)[0]
 
 
 def minres(
@@ -272,7 +265,7 @@ def minres(
     NaN), each iterate is the ``tol=0.0`` call's bit for bit, and the call
     applies ``A`` exactly k times (fewer only at a breakdown)."""
     rec = _Recurrence(A, b, k, mode=mode)
-    return _shifted_histories(rec, [0.0], "minres", tol, keep_iterates, A, b)[0]
+    return _shifted_histories(rec, [(0.0, "minres")], tol, keep_iterates, A, b)[0]
 
 
 def multi_shift_solve(
@@ -320,7 +313,8 @@ def multi_shift_solve(
     if not np.isfinite(shifts).all():
         raise ValueError("shifts must be finite")
     rec = _Recurrence(A, b, k, mode=mode)
-    return _shifted_histories(rec, shifts, method, tol, keep_iterates, A, b)
+    entries = [(z, method) for z in shifts]
+    return _shifted_histories(rec, entries, tol, keep_iterates, A, b)
 
 
 def preconditioned_solve(
@@ -347,7 +341,7 @@ def preconditioned_solve(
     b = np.asarray(b, dtype=float)
     wrapped = LinearOperator(A.dim, lambda v: M.apply(A.apply(M.apply(v))))
     rec = _Recurrence(wrapped, M.apply(b), k, mode=mode)
-    return _shifted_histories(rec, [0.0], method, DEFAULT_TOL, True, A, b, M)[0]
+    return _shifted_histories(rec, [(0.0, method)], DEFAULT_TOL, True, A, b, M)[0]
 
 
 def chebyshev_bound(kind: str, params: dict, k: int) -> float:

@@ -135,11 +135,7 @@ def _map_probes(fn, m: int, d: int) -> list:
     if workers < 2 or d < _POOL_MIN_DIM or getattr(_worker, "active", False):
         return [fn(i) for i in range(m)]
     with ThreadPoolExecutor(workers, "krylov-probe", _mark_worker) as pool:
-        futures = [pool.submit(fn, i) for i in range(m)]
-        try:
-            return [f.result() for f in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
+        return list(pool.map(fn, range(m)))
 
 
 def _check_probes(m: int, k: int = 1) -> None:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +70,11 @@ class TestMatrixGeneration:
         assert abs(vals[0] - (1.0 - 3e-14)) <= 1e-16
         assert abs(vals[-1] - (2.0 + 3e-14)) <= 1e-16
 
+    def test_cluster_of_one_is_the_base(self):
+        base = ExplicitEigenvalues((3.0, 1.0, 2.0))
+        spec = ClusterPerturbed(base, cluster_size=1, cluster_width=0.5)
+        assert np.array_equal(spec.eigenvalues(), [3.0, 1.0, 2.0])
+
     def test_rotation_preserves_spectrum_and_symmetry(self):
         spec = ExplicitEigenvalues((1.0, 2.0, 5.0), rotation_seed=7)
         gen = generate_operator(spec)
@@ -96,10 +102,15 @@ class TestMatrixGeneration:
             # A cluster of a rotated base would silently be diagonal.
             (ClusterPerturbed(ExplicitEigenvalues((1.0, 2.0), rotation_seed=3), 2, 0.1),
              "rotation_seed"),
+            (ExplicitEigenvalues(()), "at least one eigenvalue"),
+            (GradedSpectrum(d=1, lam_min=1.0, lam_max=2.0), "d >= 2"),
+            (ClusterPerturbed(ExplicitEigenvalues((1.0, 2.0)), 0, 0.1), "cluster parameters"),
+            (ClusterPerturbed(ExplicitEigenvalues((1.0, 2.0)), 2, -0.1), "cluster parameters"),
         ],
         ids=[
             "explicit-nan", "graded-inf", "two-interval-inf", "negative-rotation-seed",
             "two-interval-d-zero", "two-interval-d-negative", "rotated-cluster-base",
+            "explicit-empty", "graded-d-one", "cluster-size-zero", "cluster-width-negative",
         ],
     )
     def test_invalid_spec_rejected(self, spec, message):
@@ -162,6 +173,28 @@ class TestMatrixMarket:
     def test_missing_file(self):
         with pytest.raises(ParseError):
             load_matrix_market("/nonexistent/file.mtx")
+
+    def test_complex_rejected(self, tmp_path):
+        p = tmp_path / "complex.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate complex general\n"
+            "2 2 2\n1 1 1.0 0.5\n2 2 1.0 0.0\n"
+        )
+        with pytest.raises(ParseError, match="must be real"):
+            load_matrix_market(str(p))
+
+    def test_mildly_asymmetric_symmetrized_with_warning(self, tmp_path):
+        M = np.array([[2.0, 1.0], [1.0 + 2.0**-52, 3.0]])
+        p = tmp_path / "mild.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate real general\n2 2 4\n"
+            + "".join(f"{i + 1} {j + 1} {float(M[i, j])!r}\n" for i in range(2) for j in range(2))
+        )
+        with pytest.warns(UserWarning, match="symmetrized"):
+            A = load_matrix_market(str(p))
+        dense = A.to_dense()
+        assert np.array_equal(dense, dense.T)
+        assert np.array_equal(dense, (M + M.T) * 0.5)
 
 
 class TestOptimalKsmError:
@@ -260,6 +293,10 @@ class TestParseMatrixSpec:
     def test_bad_values(self):
         with pytest.raises(InvalidSpec):
             parse_matrix_spec("explicit:1,foo,3")
+
+    def test_values_given_twice(self):
+        with pytest.raises(InvalidSpec, match="'values' given twice"):
+            parse_matrix_spec("explicit:1,2,values=3")
 
     @pytest.mark.parametrize(
         "text, key",
@@ -421,7 +458,7 @@ class TestExperiments:
             experiment="fa-formulas", out_dir=str(tmp_path), seed=0
         )
         report = run_experiment(cfg)
-        text = report.csv_path and open(report.csv_path, "rb").read().decode()
+        text = report.csv_path and Path(report.csv_path).read_bytes().decode()
         lines = text.split("\n")
         assert lines[0].startswith("# figure:")
         assert lines[1].startswith("# config:")
@@ -562,10 +599,16 @@ class TestCliCommands:
                 [],
                 "rotation_seed",
             ),
+            (
+                "[experiment]\nname = slq-wasserstein\n[matrix]\nvalues = 1,2,3\n",
+                [],
+                "matrix section needs a 'kind' key",
+            ),
         ],
         ids=[
             "k-not-an-integer", "no-section-header", "k-zero", "m-zero",
             "infinite-eigenvalue", "negative-seed", "rotated-cluster-base",
+            "matrix-without-kind",
         ],
     )
     def test_bad_input_is_one_error_line(self, tmp_path, capsys, text, flags, message):

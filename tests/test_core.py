@@ -312,6 +312,30 @@ class TestTridiagSolve:
             )
             assert np.abs(x - expected).max() <= 1e-9
 
+    def test_wrong_type_or_rhs_length_rejected(self):
+        T = SymTridiagonal([2.0, 2.0], [1.0])
+        with pytest.raises(TypeError, match="unsupported tridiagonal type"):
+            tridiag_solve(T.to_dense(), np.ones(2))
+        for rhs in (np.ones(3), np.ones((2, 1))):
+            with pytest.raises(ValueError, match="rhs must have length k"):
+                tridiag_solve(T, rhs)
+
+
+class TestSymTridiagonal:
+    @pytest.mark.parametrize(
+        "alphas, betas, message",
+        [
+            ([], [], "nonempty 1-d"),
+            ([[1.0, 2.0]], [1.0], "nonempty 1-d"),
+            ([1.0, 2.0], [], r"len\(alphas\) - 1"),
+            ([1.0, 2.0], [1.0, 1.0], r"len\(alphas\) - 1"),
+            ([1.0], [[]], r"len\(alphas\) - 1"),
+        ],
+    )
+    def test_bad_shape_rejected(self, alphas, betas, message):
+        with pytest.raises(ValueError, match=message):
+            SymTridiagonal(alphas, betas)
+
 
 class TestLinearOperator:
     def test_symmetry_probe(self):
@@ -334,3 +358,13 @@ class TestLinearOperator:
     def test_diagonal_and_dense(self):
         A = LinearOperator.diagonal([1.0, 2.0, 3.0])
         np.testing.assert_allclose(A.to_dense(), np.diag([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dimension_below_one_rejected(self, dim):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            LinearOperator(dim, lambda v: v)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2)])
+    def test_non_square_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            LinearOperator.from_matrix(np.ones(shape))

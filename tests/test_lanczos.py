@@ -323,6 +323,19 @@ class TestBlockLanczos:
             call(LinearOperator(6, matvec), B, k)
         assert calls[0] == 0
 
+    @pytest.mark.parametrize("shape", [(6,), (6, 0), (6, 2, 1)])
+    def test_start_block_not_d_by_m_rejected(self, shape):
+        calls = [0]
+        D = LinearOperator.diagonal(np.linspace(1.0, 2.0, 6))
+
+        def matvec(v):
+            calls[0] += 1
+            return D.apply(v)
+
+        with pytest.raises(ValueError, match="B must be a d x m matrix"):
+            block_lanczos(LinearOperator(6, matvec), np.ones(shape), 3)
+        assert calls[0] == 0
+
     def test_width_one_reduces_to_lanczos(self):
         rng = np.random.default_rng(7)
         d, k = 20, 6

@@ -544,6 +544,13 @@ class TestAprioriBound:
             )
             assert err <= bound
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_fewer_than_one_step_rejected_before_f_is_sampled(self, k):
+        samples = []
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            fa_apriori_bound(lambda x: samples.append(x) or np.exp(x), (0.0, 1.0), k)
+        assert samples == []
+
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             fa_apriori_bound(np.exp, (1.0, 1.0), 3)

@@ -304,6 +304,11 @@ class TestWasserstein:
         mu2 = DiscreteMeasure([0.5], [1.0])
         assert wasserstein(mu1, mu2) == pytest.approx(0.5)
 
+    def test_one_shared_node(self):
+        mu1 = DiscreteMeasure([0.5], [1.0])
+        mu2 = DiscreteMeasure([0.5, 0.5], [0.25, 0.75])  # merged to one node
+        assert wasserstein(mu1, mu2) == 0.0
+
     def test_mass_mismatch(self):
         with pytest.raises(MassMismatch):
             wasserstein(
@@ -360,3 +365,43 @@ class TestDiscreteMeasure:
     def test_nonfinite_rejected(self, nodes, weights):
         with pytest.raises(ValueError, match="must be finite"):
             DiscreteMeasure(nodes, weights)
+
+    @pytest.mark.parametrize(
+        "nodes, weights", [([], []), ([1.0, 2.0], [1.0]), ([1.0], [0.5, 0.5])]
+    )
+    def test_empty_or_mismatched_rejected(self, nodes, weights):
+        with pytest.raises(ValueError, match="nonempty, same length"):
+            DiscreteMeasure(nodes, weights)
+
+
+class TestRejectedArguments:
+    def test_unknown_kind(self):
+        mu = DiscreteMeasure([0.25, 0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="kind must be 'T' or 'U'"):
+            cheb_eval("V", 2, 0.5)
+        with pytest.raises(ValueError, match="kind must be 'T' or 'U'"):
+            modified_moments(mu, 3, "V")
+
+    def test_negative_degree(self):
+        samples = []
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            cheb_eval("T", -1, 0.5)
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            cheb_approximant(lambda x: samples.append(x) or np.exp(x), -1)
+        assert samples == []
+
+    def test_zero_mass(self):
+        with pytest.raises(ValueError, match="positive total mass"):
+            stieltjes(DiscreteMeasure([1.0, 2.0], [0.0, 0.0]), 1)
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one(self, count):
+        mu = DiscreteMeasure([0.25, 0.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="count must be positive"):
+            modified_moments(mu, count)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_jackson_damping_below_one(self, k):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            jackson_damping(k)
+

@@ -44,7 +44,7 @@ from krylov.solvers import (  # noqa: E402
     DEFAULT_TOL,
     IterateHistory,
     ShiftFamily,
-    _stored_history,
+    _shifted_histories,
     block_cg,
     cg,
     minres,
@@ -183,7 +183,8 @@ def test_cg_backends_are_bit_identical(vals, seed, k, tol, mode):
     )
     dec = lanczos(A, b, k, mode=mode)
     assert_same_history(
-        _stored_history(A, b, dec, "minres", tol), minres(A, b, k, **kw)
+        _shifted_histories(dec, [(0.0, "minres")], tol, True, A, b)[0],
+        minres(A, b, k, **kw),
     )
 
 

@@ -323,6 +323,10 @@ class TestMultiShift:
         with pytest.raises(ValueError):
             ShiftFamily([1.0, 1.0], [0.5, 0.5])
 
+    def test_shift_family_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="matching length"):
+            ShiftFamily([1.0, 2.0], [0.5])
+
 
 def counting(A):
     """A wrapper of ``A`` and a one-element list counting its applications."""
@@ -344,6 +348,24 @@ class TestOperatorCalls:
         rng = np.random.default_rng(22)
         M, _ = spd_operator(rng, 40, 1.0, 1e3)
         return LinearOperator.from_matrix(M), rng.standard_normal(40)
+
+    @pytest.mark.parametrize(
+        "solve, message",
+        [
+            (lambda A, b: cg(A, b, 3, backend="dense"), "unknown backend 'dense'"),
+            (lambda A, b: multi_shift_solve(A, b, [1.0], 3, method="gmres"),
+             "unknown method 'gmres'"),
+            (lambda A, b: preconditioned_solve(A, A, b, 3, method="gmres"),
+             "unknown method 'gmres'"),
+        ],
+        ids=["cg-backend", "multi-shift-method", "preconditioned-method"],
+    )
+    def test_unknown_option_rejected_before_any_call(self, solve, message):
+        A, b = self._problem()
+        op, calls = counting(A)
+        with pytest.raises(ValueError, match=message):
+            solve(op, b)
+        assert calls[0] == 0
 
     def test_cg_and_minres(self):
         A, b = self._problem()
@@ -485,6 +507,13 @@ class TestLowMemoryFinal:
         rng = np.random.default_rng(23)
         vals = np.concatenate([np.linspace(-3.0, -0.5, 10), np.linspace(0.5, 4.0, 30)])
         return LinearOperator.diagonal(vals), rng.standard_normal(40)
+
+    def test_history_of_gaps_has_no_final(self):
+        # T_1 = [alpha_1] with alpha_1 a rounding error: the one step is a gap.
+        hist = cg(LinearOperator.diagonal([-1.0, 1.0]), np.ones(2), 1)
+        assert hist.iterates == [None]
+        with pytest.raises(InsufficientIterates, match="no successful iterate"):
+            hist.final
 
     @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
     @pytest.mark.parametrize("tol", [1e-8, 0.0, None])
@@ -656,6 +685,24 @@ class TestChebyshevBound:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             chebyshev_bound("nope", {}, 1)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            chebyshev_bound("full_interval", {"lam_min": 1.0, "lam_max": 9.0}, -1)
+
+    @pytest.mark.parametrize(
+        "kind, params, message",
+        [
+            ("full_interval", {"lam_min": 0.0, "lam_max": 9.0}, "0 < lam_min <= lam_max"),
+            ("full_interval", {"lam_min": 9.0, "lam_max": 1.0}, "0 < lam_min <= lam_max"),
+            ("top_cluster", {"lam_min": 5.0, "lam_next": 2.0, "ell": 1},
+             "0 < lam_min <= lam_next"),
+            ("two_interval", {"a": -3.0, "b": 1.0, "c": 2.0, "d": 3.0}, "a <= b < 0 < c <= d"),
+        ],
+    )
+    def test_invalid_interval_rejected(self, kind, params, message):
+        with pytest.raises(InvalidInterval, match=message):
+            chebyshev_bound(kind, params, 5)
 
 
 class TestErrorEstimateDelay:

@@ -327,6 +327,15 @@ class TestSlqDensity:
             optimal_ksm_error(A, np.ones(12), np.sqrt, 3)
 
 
+    def test_cdf_is_the_measure_cdf_and_density_is_kpm_only(self):
+        A = LinearOperator.diagonal(np.linspace(0.0, 1.0, 20))
+        approx = slq_density(A, 5, 3, ProbeSampler(seed=12))
+        x = np.linspace(-0.5, 1.5, 41)
+        assert np.array_equal(approx.cdf(x), approx.measure.cdf(x))
+        with pytest.raises(ValueError, match="only for the KPM form"):
+            approx.density(x)
+
+
 def arcsine_operator(d=200):
     theta = (np.arange(d) + 0.5) * np.pi / d
     return LinearOperator.diagonal(np.cos(theta))
