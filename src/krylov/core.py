@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dstev
+from scipy.linalg.lapack import dstevd
 
 from .errors import FunctionDomainError, SingularSystem
 
@@ -132,14 +132,16 @@ class TridiagEig:
 def sym_tridiag_eig(T: SymTridiagonal) -> TridiagEig:
     """Full eigendecomposition of a symmetric tridiagonal matrix.
 
-    Calls LAPACK ``dstev`` (implicit-shift QL/QR) on the (alpha, beta)
-    pair directly, the routine ``scipy.linalg.eigh_tridiagonal`` runs with
-    ``lapack_driver="stev"``, without its per-call argument checks; no
-    dense matrix is formed.  Raises ``ValueError`` if an entry is NaN or
-    Inf, and ``numpy.linalg.LinAlgError`` if the QL/QR iteration does not
-    converge.
+    Calls LAPACK ``dstevd`` on the (alpha, beta) pair directly, without
+    the per-call argument checks of ``scipy.linalg.eigh_tridiagonal``; no
+    dense matrix is formed.  ``dstevd`` runs ``dstedc``: implicit QL/QR
+    up to order 25, and above that divide and conquer (Cuppen 1981; Gu &
+    Eisenstat 1995), which costs O(k^2) plus matrix products, not the
+    O(k^3) of QL on the eigenvectors.  Raises ``ValueError`` if an entry
+    is NaN or Inf, and ``numpy.linalg.LinAlgError`` if ``dstevd`` does
+    not converge.
     """
-    vals, vecs = _dstev(T)
+    vals, vecs = _tridiag_eigh(T)
     # Deterministic sign convention: first nonzero component positive.
     first = vecs[np.argmax(vecs != 0, axis=0), np.arange(vecs.shape[1])]
     flip = first < 0
@@ -148,25 +150,26 @@ def sym_tridiag_eig(T: SymTridiagonal) -> TridiagEig:
 
 
 def _tridiag_eigenvalues(T: SymTridiagonal) -> np.ndarray:
-    """The ascending eigenvalues of ``T`` alone: ``dstev`` without
-    eigenvectors (LAPACK's root-free QL/QR ``dsterf``), so no k-by-k
-    matrix is formed.  They may differ from :func:`sym_tridiag_eig`'s in
-    the last bits.  Raises as :func:`sym_tridiag_eig` does."""
-    return _dstev(T, compute_v=0)[0]
+    """The ascending eigenvalues of ``T`` alone: ``dstevd`` without
+    eigenvectors, which runs LAPACK's root-free QL/QR ``dsterf`` (as
+    ``dstev`` does), so no k-by-k matrix is formed.  They may differ from
+    :func:`sym_tridiag_eig`'s in the last bits.  Raises as
+    :func:`sym_tridiag_eig` does."""
+    return _tridiag_eigh(T, compute_v=0)[0]
 
 
-def _dstev(T: SymTridiagonal, **options) -> tuple:
-    """``dstev``'s values and vectors, after the checks both callers share;
-    a 1-by-1 ``T`` is its own eigendecomposition (the wrapper takes no
-    empty off-diagonal)."""
+def _tridiag_eigh(T: SymTridiagonal, **options) -> tuple:
+    """``dstevd``'s values and vectors, after the checks both callers
+    share; a 1-by-1 ``T`` is its own eigendecomposition (the wrapper takes
+    no empty off-diagonal)."""
     if not (np.isfinite(T.alphas).all() and np.isfinite(T.betas).all()):
         raise ValueError("array must not contain infs or NaNs")
     if T.size == 1:
         return np.array([T.alphas[0]]), np.array([[1.0]])
-    vals, vecs, info = dstev(T.alphas, T.betas, **options)
+    vals, vecs, info = dstevd(T.alphas, T.betas, **options)
     if info > 0:
         raise np.linalg.LinAlgError(
-            f"dstev: {info} off-diagonal elements did not converge to zero"
+            f"dstevd: the eigensolve failed to converge (info={info})"
         )
     return vals, vecs
 

@@ -52,18 +52,26 @@ class DiscreteMeasure:
             raise ValueError("nodes and weights must be finite")
         order = np.argsort(nodes, kind="stable")
         nodes, weights = nodes[order], weights[order]
-        span = float(nodes[-1] - nodes[0])
-        tol = MERGE_RTOL * span
-        merged_nodes = [nodes[0]]
-        merged_weights = [weights[0]]
-        for x, w in zip(nodes[1:], weights[1:]):
-            if x - merged_nodes[-1] <= tol:
-                merged_weights[-1] += w
-            else:
-                merged_nodes.append(x)
-                merged_weights.append(w)
-        nodes = np.asarray(merged_nodes)
-        weights = np.asarray(merged_weights)
+        tol = MERGE_RTOL * float(nodes[-1] - nodes[0])
+        # A group of coincident nodes is kept as its first node.  A node
+        # more than tol above its predecessor always starts a group; one
+        # within tol starts a group only if it is more than tol above the
+        # group's first node, so only those nodes are walked.
+        close = np.flatnonzero(np.diff(nodes) <= tol) + 1
+        if close.size:
+            starts = np.ones(nodes.size, dtype=bool)
+            starts[close] = False
+            first = previous = -1
+            for i, x in zip(close.tolist(), nodes[close].tolist()):
+                if i - 1 != previous:  # node i - 1 was not walked: it starts a group
+                    first = i - 1
+                if x - nodes[first] > tol:
+                    starts[i], first = True, i
+                previous = i
+            # Each group's weights summed left to right, in index order.
+            merged = weights[starts]
+            np.add.at(merged, np.cumsum(starts)[~starts] - 1, weights[~starts])
+            nodes, weights = nodes[starts], merged
         if np.any(weights < -1e-12 * max(weights.sum(), 1.0)):
             raise ValueError("weights must be nonnegative")
         weights = np.maximum(weights, 0.0)

@@ -1,6 +1,8 @@
-"""The best-approximation oracle of the tests: the error of the best
-Krylov approximation to ``f(A) b`` at each step, from its own Arnoldi
-basis, against which Lanczos-FA's errors are judged."""
+"""Reference implementations the tests judge the library against: the
+error of the best Krylov approximation to ``f(A) b`` at each step, from
+its own Arnoldi basis, against which Lanczos-FA's errors are judged; and
+the node-by-node merge of coincident nodes that
+``orthopoly.DiscreteMeasure`` must reproduce bit for bit."""
 
 import numpy as np
 
@@ -51,3 +53,23 @@ def optimal_ksm_error(A: LinearOperator, b: np.ndarray, f, k: int) -> np.ndarray
                 resid = resid - (u @ target) * u
         errors[j] = np.linalg.norm(resid)
     return errors
+
+
+def merge_coincident_nodes(nodes, weights, rtol: float):
+    """Sort ``nodes`` (stably, carrying ``weights``) and merge each node
+    within ``rtol`` times the node span of its group's first node into
+    that group, one node at a time.  Returns the groups' first nodes and
+    their weights, each group's summed left to right."""
+    order = np.argsort(np.asarray(nodes, dtype=float), kind="stable")
+    nodes = np.asarray(nodes, dtype=float)[order]
+    weights = np.asarray(weights, dtype=float)[order]
+    tol = rtol * float(nodes[-1] - nodes[0])
+    merged_nodes = [nodes[0]]
+    merged_weights = [weights[0]]
+    for x, w in zip(nodes[1:], weights[1:]):
+        if x - merged_nodes[-1] <= tol:
+            merged_weights[-1] += w
+        else:
+            merged_nodes.append(x)
+            merged_weights.append(w)
+    return np.asarray(merged_nodes), np.asarray(merged_weights)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -115,12 +118,38 @@ class TestSymTridiagEig:
             solve(SymTridiagonal([bad], []))
 
     def test_no_convergence_raises(self, monkeypatch):
-        # dstev's info > 0: the QL/QR iteration left off-diagonals nonzero.
+        # dstevd's info > 0: the eigensolve failed to converge.
         monkeypatch.setattr(
-            krylov.core, "dstev", lambda d, e: (d.copy(), np.eye(d.size), 2)
+            krylov.core, "dstevd", lambda d, e: (d.copy(), np.eye(d.size), 2)
         )
         with pytest.raises(np.linalg.LinAlgError):
             sym_tridiag_eig(random_tridiag(np.random.default_rng(6), 4))
+
+    def test_same_bytes_for_any_blas_thread_count(self):
+        # Above order 25 dstevd divides and conquers, and multiplies its
+        # eigenvector blocks with BLAS-3 dgemm, which OpenBLAS shares out
+        # among its threads.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from krylov.core import SymTridiagonal, sym_tridiag_eig\n"
+            "rng = np.random.default_rng(7)\n"
+            "T = SymTridiagonal(rng.uniform(-1, 1, 300), rng.uniform(0.1, 1, 299))\n"
+            "eig = sym_tridiag_eig(T)\n"
+            "data = eig.eigenvalues.tobytes() + eig.eigenvectors.tobytes()\n"
+            "print(hashlib.sha256(data).hexdigest())\n"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
 
 
 class TestTridiagApplyFunction:

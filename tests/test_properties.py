@@ -6,9 +6,11 @@ CG-MINRES residual identities on indefinite spectra, one end rule for
 decompositions and solver histories, orthonormality of the
 reorthogonalized basis, the polynomial exactness of Lanczos-FA and Gauss
 quadrature, stochastic estimates that do not depend on probe
-scheduling, the tridiagonal eigensolver against scipy's,
-multi-degree SLQ densities against one-degree calls, the doubled KPM
-moments against the plain Chebyshev recurrence, the default (Lanczos
+scheduling, the tridiagonal eigensolver against LAPACK's (and its
+accuracy on Lanczos tridiagonals that lost orthogonality), the merge of
+coincident measure nodes against the node-by-node loop, multi-degree
+SLQ densities against one-degree calls, the doubled KPM moments against
+the plain Chebyshev recurrence, the default (Lanczos
 quadrature) KPM coefficients against the recurrence's and against each
 probe's own quadrature, the operator calls of KPM with a given interval,
 and the default KPM path's peak memory against k."""
@@ -19,6 +21,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dstevd
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
@@ -33,13 +36,19 @@ from krylov.core import (  # noqa: E402
 )
 from krylov.errors import SingularSystem  # noqa: E402
 from krylov.lanczos import ReorthMode, block_lanczos, lanczos  # noqa: E402
+from krylov.matrices import GradedSpectrum  # noqa: E402
 from krylov.matfunc import (  # noqa: E402
     lanczos_fa,
     lanczos_qf,
     rational_apply,
     two_pass_lanczos_fa,
 )
-from krylov.orthopoly import gauss_quadrature, modified_moments  # noqa: E402
+from krylov.orthopoly import (  # noqa: E402
+    MERGE_RTOL,
+    DiscreteMeasure,
+    gauss_quadrature,
+    modified_moments,
+)
 from krylov.solvers import (  # noqa: E402
     DEFAULT_TOL,
     IterateHistory,
@@ -57,6 +66,7 @@ from krylov.trace import (  # noqa: E402
     slq_density,
     slq_trace,
 )
+from oracles import merge_coincident_nodes  # noqa: E402
 
 spectra = st.lists(
     st.floats(-10.0, 10.0, allow_subnormal=False), min_size=2, max_size=30
@@ -461,17 +471,62 @@ tridiagonal_entries = st.integers(1, 60).flatmap(
 
 
 @given(tridiagonal_entries)
-def test_sym_tridiag_eig_is_scipy_stev(entries):
-    # LAPACK dstev called directly gives the bytes of scipy's
-    # eigh_tridiagonal(lapack_driver="stev") under the sign convention
-    # (first nonzero component of each eigenvector positive).
+def test_sym_tridiag_eig_is_lapack_dstevd(entries):
+    # The bytes of LAPACK dstevd under the sign convention (first nonzero
+    # component of each eigenvector positive).
     T = SymTridiagonal(*entries)
-    vals, vecs = scipy.linalg.eigh_tridiagonal(T.alphas, T.betas, lapack_driver="stev")
+    if T.size == 1:
+        vals, vecs = T.alphas.copy(), np.ones((1, 1))
+    else:
+        vals, vecs, info = dstevd(T.alphas, T.betas)
+        assert info == 0
     first = vecs[np.argmax(vecs != 0, axis=0), np.arange(vecs.shape[1])]
     vecs[:, first < 0] *= -1.0
     eig = sym_tridiag_eig(T)
     assert eig.eigenvalues.tobytes() == vals.tobytes()
     assert eig.eigenvectors.tobytes() == vecs.tobytes()
+
+
+# Bounds, in units of eps * ||T||_2 (eps for the orthogonality, eps times
+# the mass for the mass), on the eigendecomposition of a plain-Lanczos T
+# that lost orthogonality.  A sweep of 1900 such T (graded spectra, d 30-120,
+# k = 1.5 d) stayed below 14.3 (residual), 23.9 (orthogonality), 11.4
+# (mass) and 20.5 (against the eigenvalues-only path).
+EIGH_RESIDUAL_EPS = 32
+EIGH_ORTHOGONALITY_EPS = 48
+EIGH_MASS_EPS = 32
+EIGH_VALUES_EPS = 48
+
+
+@given(
+    st.integers(30, 120),
+    st.floats(0.6, 0.95),
+    st.floats(-3.0, -0.5),
+    st.floats(0.0, 3.0),
+    start_seeds,
+    st.floats(0.1, 10.0),
+)
+def test_sym_tridiag_eig_is_accurate_after_orthogonality_is_lost(
+    d, rho, log_min, log_max, seed, mass
+):
+    # Graded spectra make plain Lanczos converge its outlying Ritz values
+    # early and then repeat them (ghosts); k = 1.5 d steps leave a basis
+    # far from orthonormal and a T with near-multiple eigenvalues.
+    vals = GradedSpectrum(d, 10.0**log_min, 10.0**log_max, rho).eigenvalues()
+    k = 3 * d // 2
+    dec = lanczos(LinearOperator.diagonal(vals), start_vector(seed, d), k, mode=ReorthMode.NONE)
+    Q, T = dec.basis, dec.T
+    assert np.linalg.norm(Q.T @ Q - np.eye(T.size), 2) >= 0.5
+    eps = np.finfo(float).eps
+    eig = sym_tridiag_eig(T)
+    lam, V = eig.eigenvalues, eig.eigenvectors
+    t_norm = float(np.abs(lam).max())
+    residual = np.linalg.norm(T.to_dense() @ V - V * lam, 2)
+    assert residual <= EIGH_RESIDUAL_EPS * eps * t_norm
+    assert np.linalg.norm(V.T @ V - np.eye(T.size), 2) <= EIGH_ORTHOGONALITY_EPS * eps
+    total = gauss_quadrature(T, mass).total_mass
+    assert abs(total - mass) <= EIGH_MASS_EPS * eps * mass
+    assert np.abs(lam - _tridiag_eigenvalues(T)).max() <= EIGH_VALUES_EPS * eps * t_norm
 
 
 @given(tridiagonal_entries)
@@ -483,6 +538,36 @@ def test_tridiag_eigenvalues_are_scipy_stev_values(entries):
         T.alphas, T.betas, eigvals_only=True, lapack_driver="stev"
     )
     assert _tridiag_eigenvalues(T).tobytes() == want.tobytes()
+
+
+@st.composite
+def coincident_nodes(draw):
+    """Nodes with exact ties and chains of near-coincident nodes, spaced
+    by up to 1.5 times the merge tolerance, in shuffled order, with
+    nonnegative weights."""
+    base = draw(st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=1, max_size=30))
+    tol = MERGE_RTOL * (max(base) - min(base))
+    nodes = list(base)
+    for x in draw(st.lists(st.sampled_from(base), max_size=8)):
+        steps = draw(st.lists(st.sampled_from([0.0, 0.4, 0.6, 1.0, 1.5]), min_size=1, max_size=6))
+        nodes += (x + np.cumsum(steps) * tol).tolist()
+    nodes = draw(st.permutations(nodes))
+    weights = draw(st.lists(st.floats(0.0, 10.0), min_size=len(nodes), max_size=len(nodes)))
+    return nodes, weights
+
+
+@given(coincident_nodes())
+@example(([0.0, 0.6e-12, 1.2e-12, 1.0], [1.0, 2.0, 3.0, 4.0]))
+@example(([0.0] * 20 + [1.0], [1.0] + [1e-16] * 19 + [1.0]))
+def test_measure_merge_is_the_node_by_node_merge(nodes_weights):
+    # Bit for bit the one-node-at-a-time merge: a chain 0, 0.6 tol,
+    # 1.2 tol splits at its third node, and a group's weights are summed
+    # left to right (a pairwise sum keeps the nineteen 1e-16 terms).
+    nodes, weights = nodes_weights
+    want_nodes, want_weights = merge_coincident_nodes(nodes, weights, MERGE_RTOL)
+    mu = DiscreteMeasure(nodes, weights)
+    assert mu.nodes.tobytes() == want_nodes.tobytes()
+    assert mu.weights.tobytes() == np.maximum(want_weights, 0.0).tobytes()
 
 
 def plain_kpm_coefficients(A, k, interval, m, sampler):
