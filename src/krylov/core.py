@@ -140,9 +140,15 @@ def sym_tridiag_eig(T: SymTridiagonal) -> TridiagEig:
     O(k^3) of QL on the eigenvectors.  Raises ``ValueError`` if an entry
     is NaN or Inf, and ``numpy.linalg.LinAlgError`` if ``dstevd`` does
     not converge.
+
+    The sign convention (first nonzero component of each eigenvector
+    positive) holds for callers of this function only.  The library's own
+    consumers (:func:`tridiag_apply_function`, ``gauss_quadrature``, the
+    pitfall of ``lanczos_fa``) read ``dstevd``'s pair as it is returned:
+    they use the vectors only through ``V f(Lambda) V^T r`` and squared
+    first components, whose bytes do not depend on the signs.
     """
     vals, vecs = _tridiag_eigh(T)
-    # Deterministic sign convention: first nonzero component positive.
     first = vecs[np.argmax(vecs != 0, axis=0), np.arange(vecs.shape[1])]
     flip = first < 0
     vecs[:, flip] = -vecs[:, flip]
@@ -159,9 +165,9 @@ def _tridiag_eigenvalues(T: SymTridiagonal) -> np.ndarray:
 
 
 def _tridiag_eigh(T: SymTridiagonal, **options) -> tuple:
-    """``dstevd``'s values and vectors, after the checks both callers
-    share; a 1-by-1 ``T`` is its own eigendecomposition (the wrapper takes
-    no empty off-diagonal)."""
+    """``dstevd``'s values and vectors, signs as LAPACK returns them, after
+    the checks every caller shares; a 1-by-1 ``T`` is its own
+    eigendecomposition (the wrapper takes no empty off-diagonal)."""
     if not (np.isfinite(T.alphas).all() and np.isfinite(T.betas).all()):
         raise ValueError("array must not contain infs or NaNs")
     if T.size == 1:
@@ -172,6 +178,14 @@ def _tridiag_eigh(T: SymTridiagonal, **options) -> tuple:
             f"dstevd: the eigensolve failed to converge (info={info})"
         )
     return vals, vecs
+
+
+def _as_real(x, name: str) -> np.ndarray:
+    """``x`` as a float array.  Raises ``ValueError`` for a complex ``x``,
+    which a float cast would truncate to its real part."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} must be real, not complex")
+    return np.asarray(x, dtype=float)
 
 
 def _finite_values(f, points: np.ndarray, error: type) -> np.ndarray:
@@ -220,13 +234,17 @@ def _spectral_apply(
 def tridiag_apply_function(T: SymTridiagonal, f) -> np.ndarray:
     """Return ``f(T) e_1`` via the eigendecomposition of ``T``.
 
+    The eigenvectors are ``dstevd``'s, without :func:`sym_tridiag_eig`'s
+    sign convention: negating a column negates both factors of its term
+    of ``V f(Lambda) V^T e_1``, so the result has the same bytes.
+
     Raises :class:`FunctionDomainError` if ``f`` is NaN/Inf at any
     eigenvalue of ``T`` (e.g. ``1/x`` with an eigenvalue at zero).
     """
-    eig = sym_tridiag_eig(T)
+    vals, vecs = _tridiag_eigh(T)
     e1 = np.zeros(T.size)
     e1[0] = 1.0
-    return _spectral_apply(f, eig.eigenvalues, eig.eigenvectors, e1)
+    return _spectral_apply(f, vals, vecs, e1)
 
 
 def _givens(a, b: float):

@@ -13,7 +13,7 @@ import numpy as np
 from .core import (
     _spectral_apply,
     _tridiag_eigenvalues,
-    sym_tridiag_eig,
+    _tridiag_eigh,
     tridiag_apply_function,
 )
 from .errors import InvalidSpec
@@ -414,12 +414,12 @@ def _fa_formulas(cfg: ExperimentConfig) -> ExperimentReport:
     for j in range(1, dec.T.size + 1):
         # One eigendecomposition, one evaluation of f and one product with
         # Q_j feed both formulas: columns ||b|| e1 (correct) and Q_j^T b.
-        eig = sym_tridiag_eig(dec.T.principal(j))
+        vals, vecs = _tridiag_eigh(dec.T.principal(j))
         Qj = Q[:, :j]
         rhs = np.zeros((j, 2))
         rhs[0, 0] = dec.b_norm
         rhs[:, 1] = Qj.T @ b
-        coeffs = _spectral_apply(f, eig.eigenvalues, eig.eigenvectors, rhs)
+        coeffs = _spectral_apply(f, vals, vecs, rhs)
         correct, pitfall = (Qj @ coeffs).T
         correct_err = float(np.linalg.norm(target - correct)) / tnorm
         pitfall_err = float(np.linalg.norm(target - pitfall)) / tnorm

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import LinearOperator, SymTridiagonal
+from .core import LinearOperator, SymTridiagonal, _as_real
 from .errors import NonFiniteOperator, ZeroStartBlock, ZeroStartVector
 
 __all__ = [
@@ -193,7 +193,7 @@ class _Recurrence:
         store_basis: bool = False,
         checkpoint_stride: int | None = None,
     ):
-        b = np.asarray(b, dtype=float)
+        b = _as_real(b, "b")
         self.b_norm = float(np.linalg.norm(b))
         if self.b_norm == 0.0:
             raise ZeroStartVector("starting vector has zero norm")
@@ -312,7 +312,8 @@ def lanczos(
 
     Terminates early when the new off-diagonal is at most
     ``BREAKDOWN_RTOL`` times the running coefficient scale, and raises
-    :class:`NonFiniteOperator` on a NaN or Inf coefficient.  ``basis`` is
+    :class:`NonFiniteOperator` on a NaN or Inf coefficient.  A complex
+    ``b`` raises ``ValueError`` before any operator call.  ``basis`` is
     a view, one column per step, of the row-major store the recurrence
     filled.
     """
@@ -364,11 +365,12 @@ def block_lanczos(
     other; a NaN or Inf in A_n raises :class:`NonFiniteOperator`.  With
     ``mode=ReorthMode.FULL`` each residual block gets one classical
     Gram-Schmidt pass against the stored basis before it is factored, and
-    a second when any column cancelled as in :func:`lanczos`.
+    a second when any column cancelled as in :func:`lanczos`.  A complex
+    ``B`` raises ``ValueError`` before any operator call.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    B = np.asarray(B, dtype=float)
+    B = _as_real(B, "B")
     if B.ndim != 2 or B.shape[1] < 1:
         raise ValueError("B must be a d x m matrix with m >= 1")
 

@@ -19,8 +19,8 @@ from .core import (
     LinearOperator,
     _finite_values,
     _spectral_apply,
+    _tridiag_eigh,
     _tridiag_solve,
-    sym_tridiag_eig,
     tridiag_apply_function,
 )
 from .errors import NonFiniteSample, SingularSystem
@@ -68,9 +68,9 @@ def lanczos_fa(
     if formula == "correct":
         value = rec.combine(tridiag_apply_function(rec.T, f))
     else:
-        Q, eig = rec.basis.rows.T, sym_tridiag_eig(rec.T)
+        Q, (vals, vecs) = rec.basis.rows.T, _tridiag_eigh(rec.T)
         rhs = Q.T @ np.asarray(b, dtype=float)
-        value = Q @ _spectral_apply(f, eig.eigenvalues, eig.eigenvectors, rhs)
+        value = Q @ _spectral_apply(f, vals, vecs, rhs)
     return MatFuncResult(
         value=value, k_used=len(rec.alphas), diagnostics={"trailing_beta": rec.beta}
     )
@@ -158,14 +158,14 @@ def rational_apply(
 
 def block_lanczos_fa(A: LinearOperator, B: np.ndarray, f, k: int) -> np.ndarray:
     """Block Lanczos approximation to f(A) B."""
-    dec = block_lanczos(A, np.asarray(B, dtype=float), k)
+    dec = block_lanczos(A, B, k)
     return dec.basis @ _block_coeffs(dec, f)
 
 
 def block_lanczos_qf(A: LinearOperator, B: np.ndarray, f, k: int) -> np.ndarray:
     """Block Lanczos quadratic form: approximation to B^T f(A) B,
     returned symmetrized."""
-    dec = block_lanczos(A, np.asarray(B, dtype=float), k)
+    dec = block_lanczos(A, B, k)
     m0 = dec.block_widths[0]
     out = dec.initial_R.T @ _block_coeffs(dec, f)[:m0]
     return 0.5 * (out + out.T)

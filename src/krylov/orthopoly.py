@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinearOperator, SymTridiagonal, _finite_values, sym_tridiag_eig
+from .core import LinearOperator, SymTridiagonal, _finite_values, _tridiag_eigh
 from .errors import InsufficientSupport, MassMismatch, NonFiniteSample
 
 __all__ = [
@@ -220,10 +220,11 @@ def stieltjes(measure: DiscreteMeasure, k: int) -> SymTridiagonal:
 def gauss_quadrature(M: SymTridiagonal, total_mass: float = 1.0) -> DiscreteMeasure:
     """Gaussian quadrature of the measure represented by a Jacobi matrix:
     nodes are the eigenvalues, weights the scaled squared first eigenvector
-    components."""
-    eig = sym_tridiag_eig(M)
-    weights = total_mass * eig.eigenvectors[0, :] ** 2
-    return DiscreteMeasure(eig.eigenvalues, weights)
+    components (Golub & Welsch 1969).  The eigenvectors are ``dstevd``'s
+    without ``sym_tridiag_eig``'s sign convention, which a square cannot
+    see."""
+    vals, vecs = _tridiag_eigh(M)
+    return DiscreteMeasure(vals, total_mass * vecs[0, :] ** 2)
 
 
 def modified_moments(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import LinearOperator, _qr_column, _singular
+from .core import LinearOperator, _as_real, _qr_column, _singular
 from .errors import InsufficientIterates, InvalidInterval
 from .lanczos import ReorthMode, _Recurrence, block_lanczos, lanczos
 
@@ -338,7 +338,7 @@ def preconditioned_solve(
     """
     if method not in ("cg", "minres"):
         raise ValueError(f"unknown method {method!r}")
-    b = np.asarray(b, dtype=float)
+    b = _as_real(b, "b")
     wrapped = LinearOperator(A.dim, lambda v: M.apply(A.apply(M.apply(v))))
     rec = _Recurrence(wrapped, M.apply(b), k, mode=mode)
     return _shifted_histories(rec, [(0.0, method)], DEFAULT_TOL, True, A, b, M)[0]
@@ -389,12 +389,16 @@ def error_estimate_delay(
     """A posteriori CG error estimate by lookahead: estimate[j] =
     ||x_{j+d} - x_j||_A, a guaranteed lower bound on the A-norm error at
     step j in exact arithmetic.  Raises ``ValueError`` for a lookahead
-    ``d`` below one."""
+    ``d`` below one, and for complex iterates (a solve with a complex
+    shift), whose A-norm this estimate does not define; both before any
+    operator call."""
     if d < 1:
         raise ValueError(f"lookahead d must be at least 1, got {d}")
     xs = history.iterates
     if any(x is None for x in xs):
         raise InsufficientIterates("history does not retain all iterates")
+    if any(np.iscomplexobj(x) for x in xs):
+        raise ValueError("error_estimate_delay needs real iterates, not complex")
     if len(xs) <= d:
         raise InsufficientIterates("history shorter than the lookahead")
     out = np.empty(len(xs) - d)
@@ -414,7 +418,7 @@ def block_cg(
     ``termination`` ("max_iter" or "breakdown") the history keeps.  A step
     is a gap (``None``, NaN residuals) when the QR of T_j has a ``|R_ii|``
     below ``SINGULARITY_RTOL`` times the largest entry of T_j and B_j."""
-    B = np.asarray(B, dtype=float)
+    B = _as_real(B, "B")
     dec = block_lanczos(A, B, k, mode=mode)
     T = dec.to_banded_dense()
     widths = dec.block_widths

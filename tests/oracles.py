@@ -1,14 +1,18 @@
 """Reference implementations the tests judge the library against: the
 error of the best Krylov approximation to ``f(A) b`` at each step, from
-its own Arnoldi basis, against which Lanczos-FA's errors are judged; and
-the node-by-node merge of coincident nodes that
-``orthopoly.DiscreteMeasure`` must reproduce bit for bit."""
+its own Arnoldi basis, against which Lanczos-FA's errors are judged; the
+node-by-node merge of coincident nodes that
+``orthopoly.DiscreteMeasure`` must reproduce bit for bit; and ``f(T) e1``,
+Gauss quadrature and the Lanczos-FA pitfall from the sign-normalized
+eigenvectors of ``sym_tridiag_eig``, whose bytes the library's consumers
+of the unnormalized ``dstevd`` pair must reproduce."""
 
 import numpy as np
 
-from krylov.core import LinearOperator, _finite_values
+from krylov.core import LinearOperator, _finite_values, sym_tridiag_eig
 from krylov.errors import FunctionDomainError
 from krylov.matrices import _dense_eigh
+from krylov.orthopoly import DiscreteMeasure
 
 
 def optimal_ksm_error(A: LinearOperator, b: np.ndarray, f, k: int) -> np.ndarray:
@@ -73,3 +77,31 @@ def merge_coincident_nodes(nodes, weights, rtol: float):
             merged_nodes.append(x)
             merged_weights.append(w)
     return np.asarray(merged_nodes), np.asarray(merged_weights)
+
+
+def _signed_spectral_apply(f, T, rhs: np.ndarray) -> np.ndarray:
+    """``V f(Lambda) V^T rhs`` from ``sym_tridiag_eig(T)``, written out."""
+    eig = sym_tridiag_eig(T)
+    vals, vecs = eig.eigenvalues, eig.eigenvectors
+    return vecs @ (_finite_values(f, vals, FunctionDomainError) * (vecs.T @ rhs))
+
+
+def signed_apply_function(T, f) -> np.ndarray:
+    """``f(T) e1`` from the sign-normalized eigenvectors of ``T``."""
+    e1 = np.zeros(T.size)
+    e1[0] = 1.0
+    return _signed_spectral_apply(f, T, e1)
+
+
+def signed_gauss_quadrature(M, total_mass: float) -> DiscreteMeasure:
+    """Gauss quadrature of the Jacobi matrix ``M`` from its sign-normalized
+    eigenvectors: the eigenvalues, weighted by the squared first
+    components times ``total_mass``."""
+    eig = sym_tridiag_eig(M)
+    return DiscreteMeasure(eig.eigenvalues, total_mass * eig.eigenvectors[0, :] ** 2)
+
+
+def signed_pitfall(Q: np.ndarray, T, b: np.ndarray, f) -> np.ndarray:
+    """The Lanczos-FA pitfall ``Q f(T) Q^T b`` of a decomposition ``(Q, T)``,
+    from the sign-normalized eigenvectors of ``T``."""
+    return Q @ _signed_spectral_apply(f, T, Q.T @ b)

@@ -14,9 +14,15 @@ from krylov.lanczos import (
     krylov_grade,
     lanczos,
 )
-from krylov.matfunc import block_lanczos_fa, block_lanczos_qf
+from krylov.matfunc import (
+    block_lanczos_fa,
+    block_lanczos_qf,
+    lanczos_fa,
+    lanczos_qf,
+    two_pass_lanczos_fa,
+)
 from krylov.orthopoly import DiscreteMeasure, stieltjes
-from krylov.solvers import block_cg, cg
+from krylov.solvers import block_cg, cg, minres, multi_shift_solve, preconditioned_solve
 
 
 def random_symmetric(rng, d):
@@ -543,3 +549,40 @@ class TestKrylovGrade:
             tracemalloc.stop()
         assert grade == 3
         assert peak < 100 * d * 8  # d^2 * 8 bytes would be 3.2 GB
+
+
+# Every entry point that takes a start vector b or block B, as
+# (A, b, B) -> call; preconditioned_solve gets A as its M too.
+COMPLEX_START_CALLS = {
+    "_Recurrence": lambda A, b, B: _Recurrence(A, b, 3).run(),
+    "lanczos": lambda A, b, B: lanczos(A, b, 3),
+    "cg": lambda A, b, B: cg(A, b, 3),
+    "cg_low_memory": lambda A, b, B: cg(A, b, 3, backend="low_memory"),
+    "minres": lambda A, b, B: minres(A, b, 3),
+    "multi_shift_solve": lambda A, b, B: multi_shift_solve(A, b, [0.5, 1j], 3),
+    "lanczos_fa": lambda A, b, B: lanczos_fa(A, b, np.exp, 3),
+    "lanczos_fa_pitfall": lambda A, b, B: lanczos_fa(A, b, np.exp, 3, formula="pitfall"),
+    "two_pass_lanczos_fa": lambda A, b, B: two_pass_lanczos_fa(A, b, np.exp, 3, 2),
+    "lanczos_qf": lambda A, b, B: lanczos_qf(A, b, np.exp, 3),
+    "preconditioned_solve": lambda A, b, B: preconditioned_solve(A, A, b, 3),
+    "block_lanczos": lambda A, b, B: block_lanczos(A, B, 2),
+    "block_cg": lambda A, b, B: block_cg(A, B, 2),
+    "block_lanczos_fa": lambda A, b, B: block_lanczos_fa(A, B, np.exp, 2),
+    "block_lanczos_qf": lambda A, b, B: block_lanczos_qf(A, B, np.exp, 2),
+}
+
+
+@pytest.mark.parametrize("call", COMPLEX_START_CALLS.values(), ids=COMPLEX_START_CALLS.keys())
+def test_complex_start_rejected_before_any_operator_call(call):
+    # A float cast would run on the real part (with only a ComplexWarning).
+    calls = [0]
+
+    def matvec(v):
+        calls[0] += 1
+        return np.linspace(1.0, 2.0, 20) * v
+
+    A = LinearOperator(20, matvec)
+    b = np.ones(20) + 1j * np.arange(20)
+    with pytest.raises(ValueError, match="must be real"):
+        call(A, b, np.column_stack([b, np.ones(20)]))
+    assert calls[0] == 0

@@ -7,7 +7,8 @@ decompositions and solver histories, orthonormality of the
 reorthogonalized basis, the polynomial exactness of Lanczos-FA and Gauss
 quadrature, stochastic estimates that do not depend on probe
 scheduling, the tridiagonal eigensolver against LAPACK's (and its
-accuracy on Lanczos tridiagonals that lost orthogonality), the merge of
+accuracy on Lanczos tridiagonals that lost orthogonality), the bytes of
+its sign-free consumers against the sign-normalized path, the merge of
 coincident measure nodes against the node-by-node loop, multi-degree
 SLQ densities against one-degree calls, the doubled KPM moments against
 the plain Chebyshev recurrence, the default (Lanczos
@@ -32,9 +33,10 @@ from krylov.core import (  # noqa: E402
     SymTridiagonal,
     _tridiag_eigenvalues,
     sym_tridiag_eig,
+    tridiag_apply_function,
     tridiag_solve,
 )
-from krylov.errors import SingularSystem  # noqa: E402
+from krylov.errors import FunctionDomainError, SingularSystem  # noqa: E402
 from krylov.lanczos import ReorthMode, block_lanczos, lanczos  # noqa: E402
 from krylov.matrices import GradedSpectrum  # noqa: E402
 from krylov.matfunc import (  # noqa: E402
@@ -66,7 +68,12 @@ from krylov.trace import (  # noqa: E402
     slq_density,
     slq_trace,
 )
-from oracles import merge_coincident_nodes  # noqa: E402
+from oracles import (  # noqa: E402
+    merge_coincident_nodes,
+    signed_apply_function,
+    signed_gauss_quadrature,
+    signed_pitfall,
+)
 
 spectra = st.lists(
     st.floats(-10.0, 10.0, allow_subnormal=False), min_size=2, max_size=30
@@ -485,6 +492,52 @@ def test_sym_tridiag_eig_is_lapack_dstevd(entries):
     eig = sym_tridiag_eig(T)
     assert eig.eigenvalues.tobytes() == vals.tobytes()
     assert eig.eigenvectors.tobytes() == vecs.tobytes()
+
+
+# tridiagonal_entries with some betas (or all: a diagonal T) exactly zero,
+# and the 1-by-1 case.
+sign_free_entries = st.one_of(
+    tridiagonal_entries,
+    tridiagonal_entries.flatmap(
+        lambda e: st.lists(st.booleans(), min_size=len(e[1]), max_size=len(e[1])).map(
+            lambda keep: (e[0], [b if kept else 0.0 for b, kept in zip(e[1], keep)])
+        )
+    ),
+    st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=1, max_size=1).map(
+        lambda a: (a, [])
+    ),
+)
+SIGN_FREE_FUNCTIONS = [np.exp, np.cos, lambda x: 0.0 * x]
+
+
+def _outcome(fn, *args):
+    """The bytes ``fn(*args)`` returns, or None if ``f`` was off its domain."""
+    try:
+        return np.asarray(fn(*args)).tobytes()
+    except FunctionDomainError:
+        return None
+
+
+@given(sign_free_entries, start_seeds, st.integers(1, 60), modes)
+@example(([2.0], []), 0, 1, ReorthMode.NONE)
+@example(([1.0, -2.0, 3.0, -2.0], [0.0, 0.0, 0.0]), 0, 4, ReorthMode.FULL)
+@example(([1.0, -2.0, 3.0, -2.0], [0.5, 0.0, -1.5]), 1, 4, ReorthMode.NONE)
+def test_sign_free_consumers_match_signed_eigenvectors(entries, seed, k, mode):
+    # f(T) e1, Gauss quadrature and the Lanczos-FA pitfall read dstevd's
+    # eigenvectors without the sign convention; negating a column negates
+    # both factors of each term they use, so their bytes are the signed
+    # path's.  exp overflows on large entries: then both sides raise.
+    T = SymTridiagonal(*entries)
+    for f in SIGN_FREE_FUNCTIONS:
+        assert _outcome(tridiag_apply_function, T, f) == _outcome(signed_apply_function, T, f)
+    got, want = gauss_quadrature(T, 2.5), signed_gauss_quadrature(T, 2.5)
+    assert got.nodes.tobytes() == want.nodes.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+    A, b = LinearOperator(T.size, T.matvec), start_vector(seed, T.size)
+    dec = lanczos(A, b, k, mode=mode)
+    for f in SIGN_FREE_FUNCTIONS:
+        pitfall = lambda: lanczos_fa(A, b, f, k, mode=mode, formula="pitfall").value
+        assert _outcome(pitfall) == _outcome(signed_pitfall, dec.basis, dec.T, b, f)
 
 
 # Bounds, in units of eps * ||T||_2 (eps for the orthogonality, eps times

@@ -752,6 +752,15 @@ class TestErrorEstimateDelay:
             error_estimate_delay(hist, op, delay)
         assert calls[0] == 0
 
+    def test_complex_iterates_rejected(self):
+        # Not the real part of a complex quadratic form, with a ComplexWarning.
+        A = LinearOperator.diagonal([1.0, 2.0, 3.0])
+        (hist,) = multi_shift_solve(A, np.ones(3), [1 + 1j], 3, tol=0.0)
+        op, calls = counting(A)
+        with pytest.raises(ValueError, match="real iterates"):
+            error_estimate_delay(hist, op, 1)
+        assert calls[0] == 0
+
 
 class TestBlockCG:
     def test_width_one_matches_cg(self):
