@@ -297,24 +297,26 @@ def _quadratures(A: LinearOperator, sampler: ProbeSampler, i: int, steps: int, k
 
 
 def _automatic_interval(T) -> tuple:
-    """The hull of the Ritz values of ``T`` widened by 5% each side."""
+    """The Ritz hull of ``T``, widened as :func:`kpm_density` describes."""
     vals = _tridiag_eigenvalues(T)
     lo, hi = float(vals[0]), float(vals[-1])
-    span = max(hi - lo, 1e-300)
-    # Around one Ritz value, the widening can round away.
-    return _interval((lo - 0.05 * span, hi + 0.05 * span))
+    pad = 0.05 * max(hi - lo, 1e-300)
+    if lo - pad == hi + pad:
+        pad = 0.05 * abs(lo)
+    return lo - pad, hi + pad
 
 
-def _chebyshev_moments(A: LinearOperator, b: np.ndarray, k: int, interval) -> np.ndarray:
+def _chebyshev_moments(A: LinearOperator, b: np.ndarray, k: int, interval, bounded) -> np.ndarray:
     """Probe ``b``'s Chebyshev moments mu_0..mu_{2k-1} on ``interval`` from
     the vector recurrence v_{n+1} = 2 A~ v_n - v_{n-1} on the mapped
     operator, run to v_k: k products.  mu_n = b . v_n up to n = k; above k
     the doubling identities give mu_{2j} = 2 v_j . v_j - mu_0 and
-    mu_{2j-1} = 2 v_j . v_{j-1} - mu_1, as soon as v_j exists.  ``b`` is
-    only read."""
+    mu_{2j-1} = 2 v_j . v_{j-1} - mu_1, as soon as v_j exists, each checked
+    as it is made.  ``b`` is only read."""
     a, b_right = interval
     span = b_right - a
     n_coeffs = 2 * k
+    growth = np.cosh(np.arange(n_coeffs) * math.acosh(1.0 + 2e-8))  # T_n(1 + 2e-8)
 
     def amap(v):
         return (2.0 * A.apply(v) - (a + b_right) * v) / span
@@ -324,6 +326,10 @@ def _chebyshev_moments(A: LinearOperator, b: np.ndarray, k: int, interval) -> np
     def record(n, mu):
         if not math.isfinite(mu):
             raise NonFiniteOperator("non-finite KPM moment")
+        if n and bounded and abs(mu) > mus[0] * growth[n]:
+            raise SpectrumOutsideInterval(
+                f"moment mu_{n} = {mu} exceeds mu_0 = {mus[0]}: spectrum exits [{a}, {b_right}]"
+            )
         mus[n] = mu
 
     v_prev, v = b, amap(b)
@@ -354,10 +360,10 @@ def kpm_density(
     the interval; coefficients 0..2k-1 against its orthonormal polynomial
     basis are quadratic forms b^T q_n(A~) b averaged over probes.  With
     ``interval=None``, a min(2k, d)-step Lanczos run of probe 0 (the Ritz
-    run) sets the interval: its Ritz hull widened by 5% each side, an
-    unchecked heuristic that can miss the spectrum ((-0.604, 0.634) for
-    k=1 on ``diagonal(linspace(-1, 1, 400))``; one Ritz value +- 5e-302
-    below about 1e-150, where the Ritz run underflows).  An empty or
+    run) sets the interval: its Ritz hull widened each side by 5% of its
+    span (one Ritz value c by 5e-302, or by 5% of |c| where that rounds
+    away), an unchecked heuristic that can miss the spectrum ((-0.604,
+    0.634) for k=1 on ``diagonal(linspace(-1, 1, 400))``).  An empty or
     infinite ``interval`` is rejected before any operator call; each probe
     checks any other given one on the data its moments come from, at no
     extra call.  The checks are one-sided: :class:`SpectrumOutsideInterval`
@@ -380,13 +386,13 @@ def kpm_density(
     (Weisse, Wellein, Alvermann & Fehske 2006, "The kernel polynomial
     method", Sec. II.C).  Operator applications: m k with a given
     interval; min(2k, d) + m k without, the probes starting after the
-    Ritz run.  A NaN or Inf moment, direct or doubled, raises
-    :class:`NonFiniteOperator` at its step.  Check, on each probe's
-    complete moments: |mu_n| <= mu_0 T_n(1 + 2e-8), as for any measure on
+    Ritz run.  Each moment, direct or doubled, is checked as it is made: a
+    NaN or Inf raises :class:`NonFiniteOperator`, and with a given
+    interval |mu_n| <= mu_0 T_n(1 + 2e-8) must hold, as for any measure on
     the interval widened by 1e-8 of its length each side.  It catches
     spectrum outside that holds enough of the probe's weight for some
-    T_n, n < 2k, to outgrow the rest; an interval far off the spectrum
-    can overflow a moment first (:class:`NonFiniteOperator`).
+    T_n, n < 2k, to outgrow the rest, at the first moment past the bound:
+    an interval far off the spectrum fails at mu_1, after one product.
 
     Each probe vector is drawn once.  Probes run concurrently on large
     operators (see the module docstring), with the same result: the first
@@ -428,16 +434,10 @@ def kpm_density(
         b0 = sampler.probe(0, A.dim) if interval is None else None  # the Ritz run's and probe 0's
         if interval is None:  # the moments need the interval the Ritz run sets
             a, b_right = _automatic_interval(_Recurrence(A, b0, ritz_steps).run().T)
-        growth = np.cosh(np.arange(n_coeffs) * math.acosh(1.0 + 2e-8))  # T_n(1 + 2e-8)
 
         def probe_moments(i):
             b = sampler.probe(i, A.dim) if i or b0 is None else b0
-            mus = _chebyshev_moments(A, b, k, (a, b_right))
-            if interval is not None and (np.abs(mus) > mus[0] * growth).any():
-                raise SpectrumOutsideInterval(
-                    f"probe {i}'s moments exceed mu_0 = {mus[0]}: spectrum exits [{a}, {b_right}]"
-                )
-            return mus
+            return _chebyshev_moments(A, b, k, (a, b_right), interval is not None)
 
         per_probe = _map_probes(probe_moments, m, A.dim)
     moments = np.zeros(n_coeffs)

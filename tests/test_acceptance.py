@@ -31,13 +31,7 @@ from krylov.trace import (
     kpm_density,
     slq_density,
 )
-
-
-def random_spd(rng, d, lo, hi):
-    vals = np.geomspace(lo, hi, d)
-    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    M = Q @ np.diag(vals) @ Q.T
-    return 0.5 * (M + M.T)
+from helpers import spd_matrix
 
 
 def semicircle_eigenvalues(d):
@@ -53,7 +47,7 @@ class TestCriterion01PolynomialExactness:
         for _ in range(50):
             d = int(rng.integers(10, 40))
             k = int(rng.integers(2, 8))
-            M = random_spd(rng, d, 0.5, 4.0)
+            M, _ = spd_matrix(rng, d, 0.5, 4.0)
             A = LinearOperator.from_matrix(M)
             b = rng.standard_normal(d)
             coeffs = rng.uniform(-1, 1, k)  # degree k-1 < k
@@ -76,7 +70,7 @@ class TestCriterion01PolynomialExactness:
         for _ in range(50):
             d = int(rng.integers(10, 40))
             k = int(rng.integers(2, 6))
-            M = random_spd(rng, d, 0.5, 4.0)
+            M, _ = spd_matrix(rng, d, 0.5, 4.0)
             A = LinearOperator.from_matrix(M)
             b = rng.standard_normal(d)
             coeffs = rng.uniform(-1, 1, 2 * k)  # degree 2k-1 < 2k
@@ -116,7 +110,7 @@ class TestCriterion03SolverOptimality:
         rng = np.random.default_rng(104)
         d = 60
         for _ in range(10):
-            M = random_spd(rng, d, 1.0, 100.0)
+            M, _ = spd_matrix(rng, d, 1.0, 100.0)
             A = LinearOperator.from_matrix(M)
             b = rng.standard_normal(d)
             hist = cg(A, b, 10, tol=0.0)
@@ -260,7 +254,7 @@ class TestCriterion08MultiShiftEquivalence:
     def test_matches_independent_runs_for_five_real_shifts(self):
         rng = np.random.default_rng(111)
         d, k = 50, 25
-        M = random_spd(rng, d, 1.0, 50.0)
+        M, _ = spd_matrix(rng, d, 1.0, 50.0)
         A = LinearOperator.from_matrix(M)
         b = rng.standard_normal(d)
         shifts = [-0.5, -2.0, -8.0, -30.0, 0.25]
@@ -368,7 +362,7 @@ class TestCriterion12ChebyshevBoundEnvelope:
                 if trials >= 10:
                     break
                 trials += 1
-                M = random_spd(rng, d, lo, hi)
+                M, _ = spd_matrix(rng, d, lo, hi)
                 A = LinearOperator.from_matrix(M)
                 b = rng.standard_normal(d)
                 x_star = np.linalg.solve(M, b)
@@ -409,7 +403,7 @@ class TestCriterion13BlockMethods:
     def test_block_cg_no_worse_than_single(self):
         rng = np.random.default_rng(117)
         d, m, k = 50, 4, 10
-        M = random_spd(rng, d, 1.0, 100.0)
+        M, _ = spd_matrix(rng, d, 1.0, 100.0)
         A = LinearOperator.from_matrix(M)
         B = rng.standard_normal((d, m))
         X_star = np.linalg.solve(M, B)
@@ -425,7 +419,7 @@ class TestCriterion13BlockMethods:
     def test_block_qf_polynomial_exactness(self):
         rng = np.random.default_rng(118)
         d, m, k = 40, 3, 4
-        M = random_spd(rng, d, 0.5, 3.0)
+        M, _ = spd_matrix(rng, d, 0.5, 3.0)
         A = LinearOperator.from_matrix(M)
         B = rng.standard_normal((d, m))
         coeffs = rng.uniform(-1, 1, 2 * k)

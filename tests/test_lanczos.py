@@ -23,6 +23,7 @@ from krylov.matfunc import (
 )
 from krylov.orthopoly import DiscreteMeasure, stieltjes
 from krylov.solvers import block_cg, cg, minres, multi_shift_solve, preconditioned_solve
+from helpers import counting
 
 
 def random_symmetric(rng, d):
@@ -47,17 +48,11 @@ class TestLanczos:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_start_rejected_before_any_matvec(self, bad):
         # A ValueError on b, not NonFiniteOperator after one call.
-        calls = [0]
-        D = LinearOperator.diagonal([1.0, 2.0, 3.0])
-
-        def matvec(v):
-            calls[0] += 1
-            return D.apply(v)
-
+        op, calls = counting(LinearOperator.diagonal([1.0, 2.0, 3.0]))
         b = np.array([1.0, bad, 1.0])
         for run in (lanczos, cg):
             with pytest.raises(ValueError, match="starting vector norm is not finite"):
-                run(LinearOperator(3, matvec), b, 3)
+                run(op, b, 3)
         assert calls[0] == 0
 
     def test_eigenvector_start_breaks_down(self):
@@ -240,20 +235,9 @@ class TestRecurrence:
     # _Recurrence.steps() is the one routine that advances a run: each
     # pulled step applies A once, and the last sets the termination kind.
 
-    @staticmethod
-    def _counted(vals):
-        D = LinearOperator.diagonal(vals)
-        calls = [0]
-
-        def matvec(v):
-            calls[0] += 1
-            return D.apply(v)
-
-        return LinearOperator(D.dim, matvec), calls
-
     @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
     def test_each_pulled_step_applies_A_once(self, mode):
-        A, calls = self._counted(np.linspace(1.0, 2.0, 30))
+        A, calls = counting(LinearOperator.diagonal(np.linspace(1.0, 2.0, 30)))
         k = 8
         rec = _Recurrence(A, np.ones(30), k, mode=mode)
         steps = rec.steps()
@@ -268,7 +252,7 @@ class TestRecurrence:
     @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
     def test_breakdown_ends_the_steps(self, mode):
         # Three distinct eigenvalues: the Krylov space is full after 3 steps.
-        A, calls = self._counted(np.array([1.0, 2.0, 3.0, 3.0, 2.0]))
+        A, calls = counting(LinearOperator.diagonal([1.0, 2.0, 3.0, 3.0, 2.0]))
         rec = _Recurrence(A, np.ones(5), 10, mode=mode)
         got = list(rec.steps())
         assert len(got) == 3 and calls[0] == 3
@@ -317,29 +301,17 @@ class TestBlockLanczos:
     def test_fewer_than_one_step(self, call, k):
         # Not exp(0) B, B^T B or an empty history: rejected before any
         # operator call.
-        calls = [0]
-        D = LinearOperator.diagonal(np.linspace(1.0, 2.0, 6))
-
-        def matvec(v):
-            calls[0] += 1
-            return D.apply(v)
-
+        op, calls = counting(LinearOperator.diagonal(np.linspace(1.0, 2.0, 6)))
         B = np.random.default_rng(17).standard_normal((6, 2))
         with pytest.raises(ValueError, match="k must be at least 1"):
-            call(LinearOperator(6, matvec), B, k)
+            call(op, B, k)
         assert calls[0] == 0
 
     @pytest.mark.parametrize("shape", [(6,), (6, 0), (6, 2, 1)])
     def test_start_block_not_d_by_m_rejected(self, shape):
-        calls = [0]
-        D = LinearOperator.diagonal(np.linspace(1.0, 2.0, 6))
-
-        def matvec(v):
-            calls[0] += 1
-            return D.apply(v)
-
+        op, calls = counting(LinearOperator.diagonal(np.linspace(1.0, 2.0, 6)))
         with pytest.raises(ValueError, match="B must be a d x m matrix"):
-            block_lanczos(LinearOperator(6, matvec), np.ones(shape), 3)
+            block_lanczos(op, np.ones(shape), 3)
         assert calls[0] == 0
 
     def test_width_one_reduces_to_lanczos(self):
@@ -575,13 +547,7 @@ COMPLEX_START_CALLS = {
 @pytest.mark.parametrize("call", COMPLEX_START_CALLS.values(), ids=COMPLEX_START_CALLS.keys())
 def test_complex_start_rejected_before_any_operator_call(call):
     # A float cast would run on the real part (with only a ComplexWarning).
-    calls = [0]
-
-    def matvec(v):
-        calls[0] += 1
-        return np.linspace(1.0, 2.0, 20) * v
-
-    A = LinearOperator(20, matvec)
+    A, calls = counting(LinearOperator.diagonal(np.linspace(1.0, 2.0, 20)))
     b = np.ones(20) + 1j * np.arange(20)
     with pytest.raises(ValueError, match="must be real"):
         call(A, b, np.column_stack([b, np.ones(20)]))

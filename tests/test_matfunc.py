@@ -22,13 +22,7 @@ from krylov.matfunc import (
     two_pass_lanczos_fa,
 )
 from krylov.solvers import ShiftFamily, cg, multi_shift_solve
-
-
-def spd_matrix(rng, d, lo=1.0, hi=100.0):
-    vals = np.geomspace(lo, hi, d)
-    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    M = Q @ np.diag(vals) @ Q.T
-    return 0.5 * (M + M.T), vals
+from helpers import counting, spd_matrix
 
 
 def dense_f(M, f, b):
@@ -142,15 +136,9 @@ class TestLanczosFA:
             lanczos_fa(A, np.ones(2), np.sqrt, 2)
 
     def test_unknown_formula_is_rejected_before_any_matvec(self):
-        calls = [0]
-        D = LinearOperator.diagonal([1.0, 2.0, 3.0])
-
-        def matvec(v):
-            calls[0] += 1
-            return D.apply(v)
-
+        op, calls = counting(LinearOperator.diagonal([1.0, 2.0, 3.0]))
         with pytest.raises(ValueError, match="unknown formula"):
-            lanczos_fa(LinearOperator(3, matvec), np.ones(3), np.exp, 3, formula="exact")
+            lanczos_fa(op, np.ones(3), np.exp, 3, formula="exact")
         assert calls[0] == 0
 
 
@@ -369,16 +357,6 @@ class TestPinnedBitsAndCalls:
         return LinearOperator.from_matrix(M), rng.standard_normal(d)
 
     @staticmethod
-    def counting(A):
-        calls = [0]
-
-        def matvec(v):
-            calls[0] += 1
-            return A.apply(v)
-
-        return LinearOperator(A.dim, matvec), calls
-
-    @staticmethod
     def left_to_right(dec, c):
         res = None
         for n, q in enumerate(dec.basis.T):
@@ -389,7 +367,7 @@ class TestPinnedBitsAndCalls:
     @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
     def test_lanczos_fa_correct(self, mode):
         A, b = self.problem()
-        counted, calls = self.counting(A)
+        counted, calls = counting(A)
         got = lanczos_fa(counted, b, np.exp, 30, mode=mode)
         dec = lanczos(A, b, 30, mode=mode)
         ref = self.left_to_right(dec, tridiag_apply_function(dec.T, np.exp))
@@ -401,7 +379,7 @@ class TestPinnedBitsAndCalls:
     @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
     def test_lanczos_fa_pitfall(self, mode):
         A, b = self.problem()
-        counted, calls = self.counting(A)
+        counted, calls = counting(A)
         got = lanczos_fa(counted, b, np.exp, 30, mode=mode, formula="pitfall")
         dec = lanczos(A, b, 30, mode=mode)
         Q, eig = dec.basis, sym_tridiag_eig(dec.T)
@@ -414,7 +392,7 @@ class TestPinnedBitsAndCalls:
     @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
     def test_rational_apply(self, mode):
         A, b = self.problem()
-        counted, calls = self.counting(A)
+        counted, calls = counting(A)
         z, w = -1.0 + 2.0j, 0.5 - 0.25j
         fam = ShiftFamily([-0.5, z, np.conj(z), -3.0], [1.0, w, np.conj(w), 2.0])
         got = rational_apply(counted, b, fam, 30, mode=mode)
@@ -434,7 +412,7 @@ class TestPinnedBitsAndCalls:
     @pytest.mark.parametrize("stride, expected", [(1, 30), (7, 55), (30, 59), (100, 59)])
     def test_two_pass(self, stride, expected):
         A, b = self.problem()
-        counted, calls = self.counting(A)
+        counted, calls = counting(A)
         got = two_pass_lanczos_fa(counted, b, np.exp, 30, checkpoint_stride=stride)
         dec = lanczos(A, b, 30, mode=ReorthMode.NONE)
         ref = self.left_to_right(dec, tridiag_apply_function(dec.T, np.exp))
@@ -449,11 +427,11 @@ class TestPinnedBitsAndCalls:
         b = np.array([1.0, 1.0, 0.0])
         dec = lanczos(A, b, 5, mode=ReorthMode.NONE)
         ref = self.left_to_right(dec, tridiag_apply_function(dec.T, np.exp))
-        counted, calls = self.counting(A)
+        counted, calls = counting(A)
         one = lanczos_fa(counted, b, np.exp, 5, mode=ReorthMode.NONE)
         assert np.array_equal(one.value, ref)
         assert one.k_used == 2 and calls[0] == 2
-        counted, calls = self.counting(A)
+        counted, calls = counting(A)
         two = two_pass_lanczos_fa(counted, b, np.exp, 5, checkpoint_stride=stride)
         assert np.array_equal(two.value, ref)
         assert two.k_used == 2 and calls[0] == expected

@@ -68,6 +68,7 @@ from krylov.trace import (  # noqa: E402
     slq_density,
     slq_trace,
 )
+from helpers import counting  # noqa: E402
 from oracles import (  # noqa: E402
     merge_coincident_nodes,
     signed_apply_function,
@@ -746,13 +747,7 @@ def test_kpm_given_interval_checks_on_the_probes_own_runs(vals_k, seed, m, pads,
     # path's coefficients are each probe's own quadrature's, bit for bit.
     vals, k = vals_k
     D = LinearOperator.diagonal(vals)
-    calls = [0]
-
-    def matvec(v):
-        calls[0] += 1
-        return D.apply(v)
-
-    A = LinearOperator(D.dim, matvec)
+    A, calls = counting(D)
     interval = (min(vals) - pads[0], max(vals) + pads[1])
     sampler = ProbeSampler(distribution, seed)
     for method in ("lanczos_qf", "recurrence"):

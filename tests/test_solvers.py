@@ -17,14 +17,7 @@ from krylov.solvers import (
     multi_shift_solve,
     preconditioned_solve,
 )
-
-
-def spd_operator(rng, d, lo=1.0, hi=100.0):
-    vals = np.geomspace(lo, hi, d)
-    Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    M = Q @ np.diag(vals) @ Q.T
-    M = 0.5 * (M + M.T)
-    return M, vals
+from helpers import counting, spd_matrix
 
 
 def krylov_basis(M, b, j):
@@ -55,7 +48,7 @@ class TestCG:
         # Krylov space; compare against a dense projected solve.
         rng = np.random.default_rng(0)
         d = 30
-        M, _ = spd_operator(rng, d)
+        M, _ = spd_matrix(rng, d)
         A = LinearOperator.from_matrix(M)
         b = rng.standard_normal(d)
         x_star = np.linalg.solve(M, b)
@@ -75,7 +68,7 @@ class TestCG:
         # solve, so their histories are bit-identical.
         rng = np.random.default_rng(1)
         d = 40
-        M, _ = spd_operator(rng, d, 1.0, 1e3)
+        M, _ = spd_matrix(rng, d, 1.0, 1e3)
         problems = [
             (LinearOperator.from_matrix(M), rng.standard_normal(d), 15),
             (LinearOperator.diagonal([-1.0, 2.0, 3.0]), np.ones(3), 3),
@@ -98,7 +91,7 @@ class TestCG:
     def test_direction_conjugacy(self):
         rng = np.random.default_rng(2)
         d = 25
-        M, _ = spd_operator(rng, d)
+        M, _ = spd_matrix(rng, d)
         A = LinearOperator.from_matrix(M)
         b = rng.standard_normal(d)
         for backend in ("tridiagonal", "low_memory"):
@@ -145,7 +138,7 @@ class TestCG:
         # sqrt(1/lam_max) ||r|| <= ||x - x*||_A <= sqrt(1/lam_min) ||r||.
         rng = np.random.default_rng(3)
         d = 30
-        M, vals = spd_operator(rng, d, 2.0, 50.0)
+        M, vals = spd_matrix(rng, d, 2.0, 50.0)
         A = LinearOperator.from_matrix(M)
         b = rng.standard_normal(d)
         x_star = np.linalg.solve(M, b)
@@ -167,7 +160,7 @@ class TestCG:
     def test_monotone_a_norm_error(self):
         rng = np.random.default_rng(4)
         d = 30
-        M, _ = spd_operator(rng, d)
+        M, _ = spd_matrix(rng, d)
         A = LinearOperator.from_matrix(M)
         b = rng.standard_normal(d)
         x_star = np.linalg.solve(M, b)
@@ -223,7 +216,7 @@ class TestMinres:
     def test_monotone_residuals(self):
         rng = np.random.default_rng(6)
         d = 30
-        M, _ = spd_operator(rng, d)
+        M, _ = spd_matrix(rng, d)
         A = LinearOperator.from_matrix(M)
         b = rng.standard_normal(d)
         hist = minres(A, b, 12, tol=0.0)
@@ -233,7 +226,7 @@ class TestMinres:
     def test_minres_below_cg_residual(self):
         rng = np.random.default_rng(7)
         d = 30
-        M, _ = spd_operator(rng, d)
+        M, _ = spd_matrix(rng, d)
         A = LinearOperator.from_matrix(M)
         b = rng.standard_normal(d)
         h_m = minres(A, b, 10, tol=0.0)
@@ -247,7 +240,7 @@ class TestMultiShift:
     def test_matches_single_shift_solves(self):
         rng = np.random.default_rng(8)
         d, k = 40, 25
-        M, _ = spd_operator(rng, d, 1.0, 50.0)
+        M, _ = spd_matrix(rng, d, 1.0, 50.0)
         A = LinearOperator.from_matrix(M)
         b = rng.standard_normal(d)
         shifts = [-1.0, -5.0, -20.0, 0.5, -0.3]
@@ -267,7 +260,7 @@ class TestMultiShift:
     def test_complex_shift(self):
         rng = np.random.default_rng(9)
         d, k = 20, 20
-        M, _ = spd_operator(rng, d, 1.0, 10.0)
+        M, _ = spd_matrix(rng, d, 1.0, 10.0)
         A = LinearOperator.from_matrix(M)
         b = rng.standard_normal(d)
         z = 0.5 + 2.0j
@@ -280,7 +273,7 @@ class TestMultiShift:
     def test_minres_variant(self):
         rng = np.random.default_rng(10)
         d, k = 25, 25
-        M, _ = spd_operator(rng, d, 1.0, 20.0)
+        M, _ = spd_matrix(rng, d, 1.0, 20.0)
         A = LinearOperator.from_matrix(M)
         b = rng.standard_normal(d)
         hists = multi_shift_solve(A, b, [-1.0, -2.0], k, method="minres")
@@ -328,17 +321,6 @@ class TestMultiShift:
             ShiftFamily([1.0, 2.0], [0.5])
 
 
-def counting(A):
-    """A wrapper of ``A`` and a one-element list counting its applications."""
-    calls = [0]
-
-    def matvec(v):
-        calls[0] += 1
-        return A.apply(v)
-
-    return LinearOperator(A.dim, matvec), calls
-
-
 class TestOperatorCalls:
     # One Lanczos matvec per step plus one explicit residual per reported
     # step and shift; nothing else may apply the operator.
@@ -346,7 +328,7 @@ class TestOperatorCalls:
 
     def _problem(self):
         rng = np.random.default_rng(22)
-        M, _ = spd_operator(rng, 40, 1.0, 1e3)
+        M, _ = spd_matrix(rng, 40, 1.0, 1e3)
         return LinearOperator.from_matrix(M), rng.standard_normal(40)
 
     @pytest.mark.parametrize(
@@ -624,7 +606,7 @@ class TestChebyshevBound:
         # ||x_k - x*||_A / ||x*||_A is bounded by the Chebyshev value.
         rng = np.random.default_rng(13)
         d = 60
-        M, vals = spd_operator(rng, d, 1.0, 100.0)
+        M, vals = spd_matrix(rng, d, 1.0, 100.0)
         A = LinearOperator.from_matrix(M)
         b = rng.standard_normal(d)
         x_star = np.linalg.solve(M, b)
@@ -709,7 +691,7 @@ class TestErrorEstimateDelay:
     def test_lower_bound_on_a_norm_error(self):
         rng = np.random.default_rng(16)
         d = 40
-        M, _ = spd_operator(rng, d, 1.0, 1e3)
+        M, _ = spd_matrix(rng, d, 1.0, 1e3)
         A = LinearOperator.from_matrix(M)
         b = rng.standard_normal(d)
         x_star = np.linalg.solve(M, b)
@@ -724,7 +706,7 @@ class TestErrorEstimateDelay:
     def test_ratio_approaches_one_with_delay(self):
         rng = np.random.default_rng(17)
         d = 40
-        M, _ = spd_operator(rng, d, 1.0, 1e3)
+        M, _ = spd_matrix(rng, d, 1.0, 1e3)
         A = LinearOperator.from_matrix(M)
         b = rng.standard_normal(d)
         x_star = np.linalg.solve(M, b)
@@ -766,7 +748,7 @@ class TestBlockCG:
     def test_width_one_matches_cg(self):
         rng = np.random.default_rng(18)
         d = 25
-        M, _ = spd_operator(rng, d, 1.0, 50.0)
+        M, _ = spd_matrix(rng, d, 1.0, 50.0)
         A = LinearOperator.from_matrix(M)
         b = rng.standard_normal(d)
         blk = block_cg(A, b[:, None], 8)
@@ -791,7 +773,7 @@ class TestBlockCG:
         # A-norm as the single-vector CG iterate for that column.
         rng = np.random.default_rng(19)
         d, m, k = 40, 3, 8
-        M, _ = spd_operator(rng, d, 1.0, 100.0)
+        M, _ = spd_matrix(rng, d, 1.0, 100.0)
         A = LinearOperator.from_matrix(M)
         B = rng.standard_normal((d, m))
         X_star = np.linalg.solve(M, B)
@@ -807,7 +789,7 @@ class TestBlockCG:
     def test_converges(self):
         rng = np.random.default_rng(20)
         d, m = 20, 2
-        M, _ = spd_operator(rng, d, 1.0, 10.0)
+        M, _ = spd_matrix(rng, d, 1.0, 10.0)
         A = LinearOperator.from_matrix(M)
         B = rng.standard_normal((d, m))
         blk = block_cg(A, B, 12)

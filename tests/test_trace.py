@@ -24,21 +24,8 @@ from krylov.trace import (
     slq_density,
     slq_trace,
 )
+from helpers import counting
 from oracles import optimal_ksm_error
-
-
-def counting(A):
-    """A wrapper of ``A`` and a one-element list counting its applications
-    (from any number of probe threads)."""
-    calls = [0]
-    lock = threading.Lock()
-
-    def matvec(v):
-        with lock:
-            calls[0] += 1
-        return A.apply(v)
-
-    return LinearOperator(A.dim, matvec), calls
 
 
 @dataclass(frozen=True)
@@ -131,17 +118,24 @@ class TestNonFiniteOperator:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize(
-        "first_bad, value",
-        [(1, np.nan), (4, np.nan), (3, 1e200)],
-        ids=["direct-step-1", "direct-step-4", "doubled-step-3"],
+        "first_bad, value, interval, error",
+        [
+            (1, np.nan, (0.0, 3.0), NonFiniteOperator),
+            (4, np.nan, (0.0, 3.0), NonFiniteOperator),
+            (3, 1e200, (0.0, 3.0), SpectrumOutsideInterval),
+            (11, 1e200, None, NonFiniteOperator),
+        ],
+        ids=["direct-step-1", "direct-step-4", "doubled-step-3", "doubled-unbounded-step-11"],
     )
-    def test_kpm_moment(self, first_bad, value):
-        # With a given interval no Ritz run precedes the probe: from call
-        # `first_bad` on, the operator returns `value` everywhere, and the
-        # Chebyshev recurrence (k = 4 products, calls 1-4) raises at that
-        # step, before the interval check of its complete moments.  NaN
-        # makes the direct mu_j = b . v_j NaN; 1e200 at step 3 keeps mu_3
-        # and mu_5 finite and overflows the doubled mu_6 = 2 v_3 . v_3 - mu_0.
+    def test_kpm_moment(self, first_bad, value, interval, error):
+        # From call `first_bad` on, the operator returns `value` everywhere,
+        # and the Chebyshev recurrence (k = 4 products) raises at that step.
+        # With a given interval no Ritz run precedes the probe (calls 1-4);
+        # without one, the 8-step Ritz run makes calls 1-8 and the probe
+        # 9-12.  NaN makes the direct mu_j = b . v_j NaN.  1e200 at the
+        # probe's step 3 makes mu_3 finite but far past mu_0 T_3(1 + 2e-8),
+        # the bound of a given interval; with none, mu_3 and mu_5 pass and
+        # the doubled mu_6 = 2 v_3 . v_3 - mu_0 overflows.
         D = LinearOperator.diagonal(np.linspace(1.0, 2.0, 10))
         calls = [0]
 
@@ -149,9 +143,9 @@ class TestNonFiniteOperator:
             calls[0] += 1
             return np.full(D.dim, value) if calls[0] >= first_bad else D.apply(v)
 
-        with pytest.raises(NonFiniteOperator, match="moment"):
+        with pytest.raises(error, match="moment"):
             kpm_density(
-                LinearOperator(D.dim, matvec), 4, interval=(0.0, 3.0), coeff_method="recurrence"
+                LinearOperator(D.dim, matvec), 4, interval=interval, coeff_method="recurrence"
             )
         assert calls[0] == first_bad
 
@@ -399,6 +393,28 @@ class TestKpmDensity:
         with pytest.raises(SpectrumOutsideInterval):
             kpm_density(A, 10, interval=(-0.5, 0.5))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [40, 150])
+    def test_far_off_interval_fails_at_the_first_moment(self, k):
+        # On (100, 101) the first product gives mu_1 ~ -200 mu_0, past the
+        # bound, long before T_n(A~) b ~ 200^n could overflow (n ~ 134).
+        op, calls = counting(LinearOperator.diagonal(np.linspace(0.0, 1.0, 50)))
+        with pytest.raises(SpectrumOutsideInterval):
+            kpm_density(op, k, interval=(100.0, 101.0), coeff_method="recurrence")
+        assert calls[0] == 1
+
+    @pytest.mark.parametrize("coeff_method", ["recurrence", "lanczos_qf"])
+    @pytest.mark.parametrize("c", [-2.0, 1.0, 3.0, 1e-160, 0.0])
+    @pytest.mark.parametrize("d", [1, 30])
+    def test_one_point_ritz_hull(self, d, c, coeff_method):
+        # The Ritz run of c I has the one Ritz value c; where 5% of the
+        # hull's span (floored at 1e-300) rounds away, it is widened by 5%
+        # of |c|.
+        approx = kpm_density(LinearOperator.diagonal(np.full(d, c)), 5, coeff_method=coeff_method)
+        a, b = approx.interval
+        assert a < c < b
+        assert approx.mass() == pytest.approx(1.0, abs=1e-12)
+
     def test_series_equal_per_degree_cheb_eval_sums(self):
         # Every Chebyshev series is one running recurrence; its values
         # must equal the per-degree cheb_eval sums bit for bit.
@@ -433,14 +449,8 @@ class TestKpmDensity:
     def test_lanczos_qf_reuses_the_ritz_run(self):
         # Probe 0's 2k-step Ritz run also gives its k-step quadrature:
         # 2k operator calls in all, not 2k + k.
-        calls = [0]
         D = LinearOperator.diagonal(np.linspace(-1.0, 1.0, 400))
-
-        def matvec(v):
-            calls[0] += 1
-            return D.apply(v)
-
-        op = LinearOperator(400, matvec)
+        op, calls = counting(D)
         got = kpm_density(op, 30, m=1, coeff_method="lanczos_qf")
         assert calls[0] == 60
         want = kpm_density(D, 30, m=1, coeff_method="recurrence")
