@@ -30,16 +30,29 @@ __all__ = [
 SINGULARITY_RTOL = 1e-14
 
 
+# Sparse formats whose compiled vector and multi-vector products add the
+# same terms in the same order, so each column of ``A @ X`` is ``A @ x``'s
+# bytes.  A dense ``A @ X`` rounds differently from ``A @ x`` (BLAS gemm
+# against gemv), and DIA, LIL and DOK products go through other kernels.
+_NATIVE_SPARSE_FORMATS = frozenset({"csr", "csc", "coo", "bsr"})
+
+
 @dataclass(frozen=True)
 class LinearOperator:
     """A dimension-``d`` symmetric matrix-free operator.
 
     Only matrix-vector products are required.  Symmetry is a caller
-    contract, probed by tests via random vectors.
+    contract, probed by tests via random vectors.  ``matmat``, optional,
+    applies the operator to a ``d x m`` block at once: column j of its
+    C-contiguous ``d x m`` result must be the bytes ``matvec`` gives for
+    column j, so a block method gives the same result either way.
+    Without it a block is applied column by column.  ``diagonal`` and
+    ``from_matrix`` of a CSR, CSC, COO or BSR matrix set one.
     """
 
     dim: int
     matvec: Callable[[np.ndarray], np.ndarray]
+    matmat: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -60,12 +73,24 @@ class LinearOperator:
         d = A.shape[0]
         if A.shape != (d, d):
             raise ValueError("matrix must be square")
-        return cls(dim=d, matvec=lambda v: np.asarray(A @ v).reshape(d))
+        import scipy.sparse  # not at module level: most callers never need it
+
+        native = scipy.sparse.issparse(A) and A.format in _NATIVE_SPARSE_FORMATS
+        return cls(
+            dim=d,
+            matvec=lambda v: np.asarray(A @ v).reshape(d),
+            matmat=(lambda X: np.asarray(A @ X)) if native else None,
+        )
 
     @classmethod
     def diagonal(cls, diag) -> "LinearOperator":
         diag = np.asarray(diag, dtype=float)
-        return cls(dim=diag.size, matvec=lambda v: diag * v)
+        column = diag[:, None]
+        return cls(
+            dim=diag.size,
+            matvec=lambda v: diag * v,
+            matmat=lambda X: np.multiply(column, X, order="C"),
+        )
 
     def to_dense(self) -> np.ndarray:
         """Materialize the operator by applying it to the identity."""
@@ -77,6 +102,18 @@ class LinearOperator:
             out[:, j] = self.apply(e)
             e[j] = 0.0
         return out
+
+
+def _apply_block(A: LinearOperator, X: np.ndarray) -> np.ndarray:
+    """``A`` applied to each column of the ``d x m`` block ``X``, as a
+    ``d x m`` array: one ``A.matmat`` call where ``A`` has one, else one
+    ``A.apply`` per column, stacked as ``np.column_stack`` does."""
+    if A.matmat is None:
+        return np.column_stack([A.apply(X[:, j]) for j in range(X.shape[1])])
+    out = np.asarray(A.matmat(X))
+    if out.shape != X.shape:
+        raise ValueError("operator matmat changed the block shape")
+    return out
 
 
 @dataclass(frozen=True)
@@ -186,6 +223,28 @@ def _as_real(x, name: str) -> np.ndarray:
     if np.iscomplexobj(x):
         raise ValueError(f"{name} must be real, not complex")
     return np.asarray(x, dtype=float)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``||v||`` of a float vector: ``np.linalg.norm(v)`` where it lies in
+    ``[2^-450, 2^450]``, where its square neither overflowed nor lost more
+    than rounding to underflow.  Elsewhere it is the norm of ``v 2^-e``, e
+    the binary exponent of ``max|v_i|``, scaled back by ``2^e`` (Blue
+    1978): both scalings are exact, so a finite nonzero ``v`` has a
+    nonzero norm, infinite only where the norm itself exceeds the float
+    range."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if 2.0**-450 <= norm <= 2.0**450:
+        return norm
+    big = float(np.abs(v).max(initial=0.0))
+    if big == 0.0 or not math.isfinite(big):
+        return norm
+    e = math.frexp(big)[1]
+    try:
+        return math.ldexp(float(np.linalg.norm(np.ldexp(v, -e))), e)
+    except OverflowError:
+        return math.inf
 
 
 def _finite_values(f, points: np.ndarray, error: type) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import LinearOperator, SymTridiagonal, _as_real
+from .core import LinearOperator, SymTridiagonal, _apply_block, _as_real, _norm
 from .errors import NonFiniteOperator, ZeroStartBlock, ZeroStartVector
 
 __all__ = [
@@ -30,6 +30,14 @@ __all__ = [
 # pivot (judged also against the block's first pivot), at most
 # BREAKDOWN_RTOL of it ends the run or deflates its column.
 BREAKDOWN_RTOL = 1e-10
+
+# A stored basis of at most this many entries (rows x d; 2^23 float64s
+# are 64 MiB) is reserved whole, in one np.empty, when it is made: the
+# pages of an untouched allocation are committed only as rows are written,
+# so resident memory still grows with the steps a run takes, and the run
+# never resizes, zero-fills or copies its store.  A larger one
+# (krylov_grade's k = d, very long runs) starts small and doubles.
+_RESERVE_ENTRIES = 2**23
 
 # The test of Daniel, Gragg, Kaufman & Stewart (1976), with the constant of
 # ARPACK's dsaitr: a classical Gram-Schmidt pass that keeps at least this
@@ -109,10 +117,13 @@ def _squared_norms(z: np.ndarray):
 
 
 class _Basis:
-    """Row-major store of basis vectors: row j holds vector j.
+    """Row-major store of at most ``limit`` basis vectors: row j holds
+    vector j.
 
-    Capacity doubles, up to ``limit`` rows, when an append does not fit.
-    The buffer grows in place (``realloc``), so rows are never re-stacked
+    All ``limit`` rows are reserved at once when ``limit x d`` is at most
+    ``_RESERVE_ENTRIES``.  A larger store starts at 16 rows and its
+    capacity doubles, up to ``limit`` rows, when an append does not fit.
+    That buffer grows in place (``realloc``), so rows are never re-stacked
     and no freed copy stays resident; ``resize`` raises if a view of the
     buffer is alive, so none may be held across an append.  Under a
     profiler or tracer (``sys.setprofile``/``sys.settrace``) the hook holds
@@ -122,7 +133,8 @@ class _Basis:
 
     def __init__(self, d: int, limit: int):
         self._limit = max(limit, 1)
-        self._buf = np.empty((min(self._limit, 16), d))
+        reserve = self._limit * d <= _RESERVE_ENTRIES
+        self._buf = np.empty((self._limit if reserve else min(self._limit, 16), d))
         self.size = 0
 
     def append(self, rows: np.ndarray) -> None:
@@ -194,7 +206,7 @@ class _Recurrence:
         checkpoint_stride: int | None = None,
     ):
         b = _as_real(b, "b")
-        self.b_norm = float(np.linalg.norm(b))
+        self.b_norm = _norm(b)
         if self.b_norm == 0.0:
             raise ZeroStartVector("starting vector has zero norm")
         if not math.isfinite(self.b_norm):
@@ -338,8 +350,19 @@ def _qr_deflate(Z: np.ndarray, scale: float):
     caller's running coefficient scale (0 judges Z against itself).
     Returns ``(Q, C, rank)``: Q keeps ``rank`` columns, signed so that
     ``diag(R) >= 0``, and ``C = Q^T Z = R P^T`` is the coupling block.
+    Raises :class:`NonFiniteOperator` if Z holds a NaN or Inf.  The QR
+    overwrites a column-major copy of Z made here, in place of scipy's
+    own finiteness check and copy.
     """
-    Q, R, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
+    if not np.isfinite(Z).all():
+        raise NonFiniteOperator("non-finite block in the Lanczos recurrence")
+    Q, R, piv = scipy.linalg.qr(
+        np.array(Z, order="F"),
+        mode="economic",
+        pivoting=True,
+        overwrite_a=True,
+        check_finite=False,
+    )
     r = np.diag(R)
     rank = int(np.count_nonzero(np.abs(r) > BREAKDOWN_RTOL * max(abs(r[0]), scale)))
     signs = np.where(r[:rank] < 0, -1.0, 1.0)
@@ -362,17 +385,22 @@ def block_lanczos(
     blocks so far, as in :func:`lanczos`); the start block is judged
     against its own largest column.  A step of rank 0 is a breakdown,
     the last one too, since its residual block is factored like every
-    other; a NaN or Inf in A_n raises :class:`NonFiniteOperator`.  With
-    ``mode=ReorthMode.FULL`` each residual block gets one classical
-    Gram-Schmidt pass against the stored basis before it is factored, and
-    a second when any column cancelled as in :func:`lanczos`.  A complex
-    ``B`` raises ``ValueError`` before any operator call.
+    other; a NaN or Inf in A_n or in a residual block raises
+    :class:`NonFiniteOperator`.  With ``mode=ReorthMode.FULL`` each
+    residual block gets one classical Gram-Schmidt pass against the stored
+    basis before it is factored, and a second when any column cancelled
+    as in :func:`lanczos`.  Each step
+    applies ``A`` to its block in one call where ``A`` has a ``matmat``.
+    A complex ``B``, or one holding a NaN or Inf, raises ``ValueError``
+    before any operator call.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     B = _as_real(B, "B")
     if B.ndim != 2 or B.shape[1] < 1:
         raise ValueError("B must be a d x m matrix with m >= 1")
+    if not np.isfinite(B).all():
+        raise ValueError("B must not contain NaN or Inf")
 
     Qn, R0, rank = _qr_deflate(B, 0.0)
     if rank == 0:
@@ -386,7 +414,7 @@ def block_lanczos(
     scale = 0.0
 
     for n in range(k):
-        Y = np.column_stack([A.apply(Qn[:, j]) for j in range(Qn.shape[1])])
+        Y = _apply_block(A, Qn)
         if n > 0:  # Bn still holds B_{n-1}
             Y = Y - Qn_prev @ Bn.T
         An = Qn.T @ Y

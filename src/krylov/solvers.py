@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import LinearOperator, _as_real, _qr_column, _singular
+from .core import LinearOperator, _apply_block, _as_real, _qr_column, _singular
 from .errors import InsufficientIterates, InvalidInterval
 from .lanczos import ReorthMode, _Recurrence, block_lanczos, lanczos
 
@@ -437,7 +437,7 @@ def block_cg(
             continue
         Y = scipy.linalg.solve_triangular(RT, QT[: widths[0]].T @ dec.initial_R)
         X = dec.basis[:, :nj] @ Y
-        R = B - np.column_stack([A.apply(X[:, c]) for c in range(m)])
+        R = B - _apply_block(A, X)
         iterates.append(X)
         res.append(np.linalg.norm(R, axis=0))
     return BlockIterateHistory(

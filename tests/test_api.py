@@ -38,7 +38,7 @@ SURFACE = {
         "basis", "T", "trailing_beta", "next_vector", "b_norm", "termination",
     ),
     "KrylovDecomposition.k": None,
-    "LinearOperator": ("dim", "matvec"),
+    "LinearOperator": ("dim", "matvec", "matmat"),
     "LinearOperator.__call__": ("v",),
     "LinearOperator.apply": ("v",),
     "LinearOperator.diagonal": ("diag",),

@@ -10,7 +10,9 @@ import krylov.core
 from krylov.core import (
     LinearOperator,
     SymTridiagonal,
+    _apply_block,
     _finite_values,
+    _norm,
     _spectral_apply,
     _tridiag_eigenvalues,
     sym_tridiag_eig,
@@ -397,3 +399,95 @@ class TestLinearOperator:
     def test_non_square_matrix_rejected(self, shape):
         with pytest.raises(ValueError, match="matrix must be square"):
             LinearOperator.from_matrix(np.ones(shape))
+
+
+def _column_loop(A, X):
+    return np.column_stack([A.apply(X[:, j]) for j in range(X.shape[1])])
+
+
+class TestMatmat:
+    # A native block product is only a shortcut: its columns are apply's
+    # bytes, in a C-contiguous d x m array as np.column_stack gives.
+    D, M = 60, 5
+
+    def _blocks(self):
+        rng = np.random.default_rng(40)
+        X = rng.standard_normal((self.D, self.M))
+        wide = rng.standard_normal((self.D, 2 * self.M))
+        return {"C": X, "F": np.asfortranarray(X), "strided": wide[:, ::2]}
+
+    def _symmetric_sparse(self):
+        import scipy.sparse
+
+        S = scipy.sparse.random(self.D, self.D, density=0.1, random_state=41)
+        return (S + S.T).tocsr()
+
+    def _assert_native(self, A):
+        assert A.matmat is not None
+        for X in self._blocks().values():
+            out = _apply_block(A, X)
+            assert out.flags.c_contiguous and out.shape == X.shape
+            assert out.tobytes() == _column_loop(A, X).tobytes()
+
+    def test_diagonal_is_native(self):
+        vals = np.random.default_rng(42).standard_normal(self.D)
+        self._assert_native(LinearOperator.diagonal(vals))
+
+    @pytest.mark.parametrize("fmt", ["csr", "csc", "coo", "bsr"])
+    @pytest.mark.parametrize("container", ["matrix", "array"])
+    def test_sparse_is_native(self, fmt, container):
+        import scipy.sparse
+
+        S = self._symmetric_sparse().asformat(fmt)
+        if container == "array":
+            S = getattr(scipy.sparse, f"{fmt}_array")(S)
+        self._assert_native(LinearOperator.from_matrix(S))
+
+    @pytest.mark.parametrize("fmt", ["dense", "dia", "lil", "dok"])
+    def test_other_matrices_loop(self, fmt):
+        import scipy.sparse
+
+        off = np.random.default_rng(45).standard_normal(self.D - 1)
+        S = scipy.sparse.diags([off, np.full(self.D, 3.0), off], [-1, 0, 1])
+        S = S.toarray() if fmt == "dense" else S.asformat(fmt)
+        A = LinearOperator.from_matrix(S)
+        assert A.matmat is None
+        X = self._blocks()["F"]
+        assert _apply_block(A, X).tobytes() == _column_loop(A, X).tobytes()
+
+    def test_plain_operator_loops_one_call_per_column(self):
+        calls = []
+        A = LinearOperator(self.D, lambda v: calls.append(1) or 2.0 * v)
+        assert A.matmat is None
+        X = self._blocks()["C"]
+        assert np.array_equal(_apply_block(A, X), 2.0 * X)
+        assert len(calls) == self.M
+
+    def test_block_shape_contract(self):
+        A = LinearOperator(self.D, lambda v: v, matmat=lambda X: X[:, :1])
+        with pytest.raises(ValueError, match="matmat changed the block shape"):
+            _apply_block(A, self._blocks()["C"])
+
+
+class TestNorm:
+    # np.linalg.norm's bytes wherever its square is safe; elsewhere the
+    # norm of a power-of-two rescaling, scaled back exactly.
+
+    def test_ordinary_vectors_keep_their_bits(self):
+        rng = np.random.default_rng(43)
+        for v in (rng.standard_normal(50), rng.standard_normal((50, 3))[:, 1], np.array([3.0])):
+            assert _norm(v) == np.linalg.norm(v)
+
+    @pytest.mark.parametrize("e", [520, 1000, -560, -1000])
+    def test_power_of_two_scaling_is_exact(self, e):
+        v = np.random.default_rng(44).uniform(0.5, 2.0, 50)
+        assert _norm(np.ldexp(v, e)) == math.ldexp(np.linalg.norm(v), e)
+
+    def test_edges(self):
+        assert _norm(np.zeros(3)) == 0.0
+        assert _norm(np.array([5e-324, 0.0])) == 5e-324
+        assert _norm(np.array([1e200, 1e200, 1.0])) == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+        # A norm beyond the float range is Inf, without a warning.
+        assert _norm(np.full(4, 1.7e308)) == math.inf
+        assert math.isnan(_norm(np.array([np.nan, 1.0])))
+        assert _norm(np.array([np.inf, 1.0])) == math.inf

@@ -1,7 +1,9 @@
+import math
 import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from krylov.core import LinearOperator
 from krylov.errors import NonFiniteOperator, ZeroStartBlock, ZeroStartVector
@@ -9,6 +11,7 @@ from krylov.lanczos import (
     BREAKDOWN_RTOL,
     ReorthMode,
     _Basis,
+    _qr_deflate,
     _Recurrence,
     block_lanczos,
     krylov_grade,
@@ -54,6 +57,26 @@ class TestLanczos:
             with pytest.raises(ValueError, match="starting vector norm is not finite"):
                 run(op, b, 3)
         assert calls[0] == 0
+
+    @pytest.mark.parametrize("mode", [ReorthMode.NONE, ReorthMode.FULL])
+    @pytest.mark.parametrize("e", [520, -560])
+    def test_start_vector_scaled_by_a_power_of_two(self, mode, e):
+        # ||b|| of 2^520 b overflows as a square and that of 2^-560 b
+        # underflows; the run is the unscaled one's, bit for bit.
+        A = LinearOperator.diagonal(np.geomspace(1.0, 10.0, 30))
+        b = np.random.default_rng(50).standard_normal(30)
+        ref = lanczos(A, b, 12, mode=mode)
+        got = lanczos(A, np.ldexp(b, e), 12, mode=mode)
+        assert got.b_norm == math.ldexp(ref.b_norm, e)
+        assert got.T.alphas.tobytes() == ref.T.alphas.tobytes()
+        assert got.T.betas.tobytes() == ref.T.betas.tobytes()
+        assert got.basis.tobytes() == ref.basis.tobytes()
+
+    def test_start_vector_with_a_huge_entry(self):
+        # Its squared norm overflows: not a "not finite" start vector.
+        dec = lanczos(LinearOperator.diagonal([1.0, 2.0, 3.0]), [1e200, 1e200, 1.0], 2)
+        assert dec.b_norm == pytest.approx(math.sqrt(2) * 1e200, rel=1e-15)
+        assert dec.T.alphas[0] == pytest.approx(1.5, rel=1e-15)
 
     def test_eigenvector_start_breaks_down(self):
         A = LinearOperator.diagonal([4.0, 2.0, 1.0])
@@ -141,15 +164,16 @@ class TestLanczos:
         assert np.abs(dec1.T.alphas - dec2.T.alphas).max() <= 1e-10
         assert np.abs(dec1.T.betas - dec2.T.betas).max() <= 1e-10
 
-    def test_basis_growth_under_a_profile_hook(self):
+    def test_basis_growth_under_a_profile_hook(self, monkeypatch):
         # A profile hook holds references that make ndarray.resize refuse
         # to grow the basis in place; the store must still grow, to the
-        # same bits.
+        # same bits.  With no reservation budget the store grows.
         import sys
 
         A = LinearOperator.diagonal(np.linspace(1.0, 2.0, 200))
         b = np.ones(200)
         plain = lanczos(A, b, 40, mode=ReorthMode.FULL)
+        monkeypatch.setattr(sys.modules["krylov.lanczos"], "_RESERVE_ENTRIES", 0)
         hook = sys.getprofile()
         sys.setprofile(lambda *args: None)
         try:
@@ -231,6 +255,59 @@ class TestReorthogonalize:
         assert products[0] == 2 * 40
 
 
+class TestBasisReservation:
+    # A stored basis within _RESERVE_ENTRIES is one np.empty of all its
+    # rows, never resized or copied; above it the store doubles, to the
+    # same bytes.
+
+    def test_stored_runs_within_the_budget_allocate_once(self, monkeypatch):
+        made = []
+
+        class RecordingBasis(_Basis):
+            def __init__(self, d, limit):
+                super().__init__(d, limit)
+                made.append(self)
+                self.buffers = [(self._buf, self._buf.shape)]
+
+            def append(self, rows):
+                super().append(rows)
+                self.buffers.append((self._buf, self._buf.shape))
+
+        monkeypatch.setattr(sys.modules["krylov.lanczos"], "_Basis", RecordingBasis)
+        rng = np.random.default_rng(51)
+        A = LinearOperator.diagonal(np.geomspace(1.0, 100.0, 300))
+        b, B = rng.standard_normal(300), rng.standard_normal((300, 3))
+        lanczos(A, b, 40, mode=ReorthMode.FULL)
+        lanczos(A, b, 40, mode=ReorthMode.NONE)
+        lanczos_fa(A, b, np.sqrt, 40)
+        cg(A, b, 40, tol=None)
+        block_lanczos(A, B, 10)
+        assert len(made) == 5
+        for basis in made:
+            buf, shape = basis.buffers[0]
+            assert shape == (basis._limit, 300)
+            assert all(x is buf and y == shape for x, y in basis.buffers)
+
+    def test_doubling_path_gives_the_reserved_bytes(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        A = LinearOperator.diagonal(np.linspace(1.0, 2.0, 200))
+        b, B = rng.standard_normal(200), rng.standard_normal((200, 3))
+        lan, blk = lanczos(A, b, 40), block_lanczos(A, B, 10)
+        monkeypatch.setattr(sys.modules["krylov.lanczos"], "_RESERVE_ENTRIES", 0)
+        assert _Basis(200, 40)._buf.shape == (16, 200)
+        lan2, blk2 = lanczos(A, b, 40), block_lanczos(A, B, 10)
+        for x, y in [
+            (lan.basis, lan2.basis),
+            (lan.T.alphas, lan2.T.alphas),
+            (lan.T.betas, lan2.T.betas),
+            (lan.next_vector, lan2.next_vector),
+            (blk.basis, blk2.basis),
+            *zip(blk.block_diag, blk2.block_diag, strict=True),
+            *zip(blk.block_offdiag, blk2.block_offdiag, strict=True),
+        ]:
+            assert x.tobytes() == y.tobytes()
+
+
 class TestRecurrence:
     # _Recurrence.steps() is the one routine that advances a run: each
     # pulled step applies A once, and the last sets the termination kind.
@@ -275,6 +352,15 @@ class TestRecurrence:
             assert np.array_equal(q, row)
 
 
+# The block entry points, as (A, B, k) -> call.
+BLOCK_CALLS = {
+    "block_lanczos": lambda A, B, k: block_lanczos(A, B, k),
+    "block_lanczos_fa": lambda A, B, k: block_lanczos_fa(A, B, np.exp, k),
+    "block_lanczos_qf": lambda A, B, k: block_lanczos_qf(A, B, np.exp, k),
+    "block_cg": lambda A, B, k: block_cg(A, B, k),
+}
+
+
 class TestBlockLanczos:
     def test_nan_operator_raises(self, nan_after):
         A = nan_after(LinearOperator.diagonal(np.linspace(1.0, 2.0, 10)), 4)
@@ -288,16 +374,7 @@ class TestBlockLanczos:
             block_lanczos(A, np.zeros((3, 2)), 2)
 
     @pytest.mark.parametrize("k", [0, -1])
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda A, B, k: block_lanczos(A, B, k),
-            lambda A, B, k: block_lanczos_fa(A, B, np.exp, k),
-            lambda A, B, k: block_lanczos_qf(A, B, np.exp, k),
-            lambda A, B, k: block_cg(A, B, k),
-        ],
-        ids=["block_lanczos", "block_lanczos_fa", "block_lanczos_qf", "block_cg"],
-    )
+    @pytest.mark.parametrize("call", BLOCK_CALLS.values(), ids=BLOCK_CALLS.keys())
     def test_fewer_than_one_step(self, call, k):
         # Not exp(0) B, B^T B or an empty history: rejected before any
         # operator call.
@@ -313,6 +390,46 @@ class TestBlockLanczos:
         with pytest.raises(ValueError, match="B must be a d x m matrix"):
             block_lanczos(op, np.ones(shape), 3)
         assert calls[0] == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("call", BLOCK_CALLS.values(), ids=BLOCK_CALLS.keys())
+    def test_non_finite_start_block_rejected_before_any_operator_call(self, call, bad):
+        op, calls = counting(LinearOperator.diagonal(np.linspace(1.0, 2.0, 6)))
+        B = np.ones((6, 2))
+        B[3, 1] = bad
+        with pytest.raises(ValueError, match="B must not contain NaN or Inf"):
+            call(op, B, 3)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("native", [False, True])
+    @pytest.mark.parametrize("call", BLOCK_CALLS.values(), ids=BLOCK_CALLS.keys())
+    def test_non_finite_block_at_a_later_step_raises(self, nan_after, call, native):
+        # The operator's third block product (columns one by one, or in
+        # one matmat call) is all NaN.
+        A = LinearOperator.diagonal(np.linspace(1.0, 2.0, 10))
+        B = np.random.default_rng(53).standard_normal((10, 2))
+        calls = [0]
+
+        def matmat(X):
+            calls[0] += 1
+            return A.matmat(X) if calls[0] <= 2 else np.full(X.shape, np.nan)
+
+        op = LinearOperator(10, A.matvec, matmat=matmat) if native else nan_after(A, 4)
+        with pytest.raises(NonFiniteOperator):
+            call(op, B, 5)
+
+    def test_qr_deflate_rejects_a_non_finite_block(self):
+        Z = np.ones((5, 2))
+        Z[2, 0] = np.inf
+        with pytest.raises(NonFiniteOperator):
+            _qr_deflate(Z, 1.0)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_start_block_is_not_overwritten(self, order):
+        B = np.asarray(np.random.default_rng(54).standard_normal((12, 3)), order=order)
+        kept = B.copy()
+        block_lanczos(LinearOperator.diagonal(np.arange(1.0, 13.0)), B, 3)
+        assert B.tobytes() == kept.tobytes()
 
     def test_width_one_reduces_to_lanczos(self):
         rng = np.random.default_rng(7)
@@ -489,6 +606,78 @@ class TestBlockLanczos:
         K, _ = np.linalg.qr(np.column_stack(cols))
         resid = dec.basis - K @ (K.T @ dec.basis)
         assert np.abs(resid).max() <= 1e-8
+
+
+def _laplacian_1d(d):
+    return scipy.sparse.diags([-np.ones(d - 1), 2.0 * np.ones(d), -np.ones(d - 1)], [-1, 0, 1]).tocsr()
+
+
+def _decomposition_arrays(dec):
+    return [dec.basis, dec.initial_R, *dec.block_diag, *dec.block_offdiag]
+
+
+def _history_arrays(history):
+    return [*history.iterates, history.residual_norms]
+
+
+# Each block entry point's output arrays, in order (None for a gap).
+BLOCK_OUTPUTS = {
+    "block_lanczos_none": lambda A, B: _decomposition_arrays(block_lanczos(A, B, 6, mode=ReorthMode.NONE)),
+    "block_lanczos_full": lambda A, B: _decomposition_arrays(block_lanczos(A, B, 6, mode=ReorthMode.FULL)),
+    "block_lanczos_fa": lambda A, B: [block_lanczos_fa(A, B, np.sqrt, 6)],
+    "block_lanczos_qf": lambda A, B: [block_lanczos_qf(A, B, np.sqrt, 6)],
+    "block_cg_none": lambda A, B: _history_arrays(block_cg(A, B, 6, mode=ReorthMode.NONE)),
+    "block_cg_full": lambda A, B: _history_arrays(block_cg(A, B, 6, mode=ReorthMode.FULL)),
+}
+
+
+class TestNativeBlockProduct:
+    # A block method on an operator with a native matmat gives the bytes
+    # of the same operator applied column by column.
+    D = 40
+
+    def _operators(self):
+        return {
+            "diagonal": LinearOperator.diagonal(np.geomspace(1.0, 100.0, self.D)),
+            "csr": LinearOperator.from_matrix(_laplacian_1d(self.D) + scipy.sparse.eye(self.D)),
+        }
+
+    def _start_blocks(self):
+        rng = np.random.default_rng(55)
+        w = rng.standard_normal(self.D)
+        e0 = np.eye(self.D)[:, 0]
+        return {
+            "gaussian": rng.standard_normal((self.D, 3)),
+            # Rank 2 of 3 at the start; with the diagonal operator the e0
+            # direction is invariant and deflates again at step 1.
+            "deflating": np.column_stack([e0, w, e0 + w]),
+        }
+
+    @pytest.mark.parametrize("start", ["gaussian", "deflating"])
+    @pytest.mark.parametrize("op", ["diagonal", "csr"])
+    @pytest.mark.parametrize("call", BLOCK_OUTPUTS.values(), ids=BLOCK_OUTPUTS.keys())
+    def test_same_bytes_as_the_column_loop(self, call, op, start):
+        A = self._operators()[op]
+        B = self._start_blocks()[start]
+        assert A.matmat is not None
+        native, looped = call(A, B), call(LinearOperator(A.dim, A.matvec), B)
+        assert len(native) == len(looped)
+        for x, y in zip(native, looped):
+            assert (x is None and y is None) or (x.shape == y.shape and x.tobytes() == y.tobytes())
+
+    def test_one_operator_call_per_block_step(self):
+        A = self._operators()["diagonal"]
+        calls = [0]
+
+        def matmat(X):
+            calls[0] += 1
+            return A.matmat(X)
+
+        def matvec(v):
+            raise AssertionError("a block method applied A column by column")
+
+        dec = block_lanczos(LinearOperator(A.dim, matvec, matmat=matmat), self._start_blocks()["gaussian"], 6)
+        assert calls[0] == len(dec.block_diag) == 6
 
 
 class TestKrylovGrade:
