@@ -225,19 +225,24 @@ def _as_real(x, name: str) -> np.ndarray:
     return np.asarray(x, dtype=float)
 
 
+# A norm in [_NORM_MIN, 1 / _NORM_MIN] = [2^-450, 2^450] was taken from a
+# square that neither overflowed nor lost more than rounding to underflow.
+_NORM_MIN = 2.0**-450
+
+
 def _norm(v: np.ndarray) -> float:
-    """``||v||`` of a float vector: ``np.linalg.norm(v)`` where it lies in
-    ``[2^-450, 2^450]``, where its square neither overflowed nor lost more
-    than rounding to underflow.  Elsewhere it is the norm of ``v 2^-e``, e
-    the binary exponent of ``max|v_i|``, scaled back by ``2^e`` (Blue
-    1978): both scalings are exact, so a finite nonzero ``v`` has a
-    nonzero norm, infinite only where the norm itself exceeds the float
-    range."""
+    """``||v||`` of a real or complex vector: ``np.linalg.norm(v)`` where
+    it lies in ``[_NORM_MIN, 1 / _NORM_MIN]``.  Elsewhere it is the norm
+    of ``|v| 2^-e``, e the binary exponent of ``max|v_i|``, scaled back by
+    ``2^e`` (Blue 1978): both scalings are exact, so a finite nonzero
+    ``v`` has a nonzero norm, infinite only where the norm itself exceeds
+    the float range."""
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
-    if 2.0**-450 <= norm <= 2.0**450:
+    if _NORM_MIN <= norm <= 1.0 / _NORM_MIN:
         return norm
-    big = float(np.abs(v).max(initial=0.0))
+    v = np.abs(v)  # a complex entry's modulus is taken without squaring
+    big = float(v.max(initial=0.0))
     if big == 0.0 or not math.isfinite(big):
         return norm
     e = math.frexp(big)[1]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import LinearOperator, SymTridiagonal, _apply_block, _as_real, _norm
+from .core import _NORM_MIN, LinearOperator, SymTridiagonal, _apply_block, _as_real, _norm
 from .errors import NonFiniteOperator, ZeroStartBlock, ZeroStartVector
 
 __all__ = [
@@ -35,8 +35,8 @@ BREAKDOWN_RTOL = 1e-10
 # are 64 MiB) is reserved whole, in one np.empty, when it is made: the
 # pages of an untouched allocation are committed only as rows are written,
 # so resident memory still grows with the steps a run takes, and the run
-# never resizes, zero-fills or copies its store.  A larger one
-# (krylov_grade's k = d, very long runs) starts small and doubles.
+# never copies its store.  A larger one (krylov_grade's k = d, very long
+# runs) starts small and doubles, as _Basis describes.
 _RESERVE_ENTRIES = 2**23
 
 # The test of Daniel, Gragg, Kaufman & Stewart (1976), with the constant of
@@ -121,14 +121,10 @@ class _Basis:
     vector j.
 
     All ``limit`` rows are reserved at once when ``limit x d`` is at most
-    ``_RESERVE_ENTRIES``.  A larger store starts at 16 rows and its
-    capacity doubles, up to ``limit`` rows, when an append does not fit.
-    That buffer grows in place (``realloc``), so rows are never re-stacked
-    and no freed copy stays resident; ``resize`` raises if a view of the
-    buffer is alive, so none may be held across an append.  Under a
-    profiler or tracer (``sys.setprofile``/``sys.settrace``) the hook holds
-    extra references and ``resize`` refuses; the buffer is then copied into
-    a new one instead.
+    ``_RESERVE_ENTRIES``.  A larger store starts at 16 rows; an append
+    that does not fit copies it into a fresh ``np.empty`` of twice the
+    capacity (at most ``limit`` rows), whose pages are committed only as
+    rows are written.  A view taken before that append keeps its rows.
     """
 
     def __init__(self, d: int, limit: int):
@@ -143,12 +139,9 @@ class _Basis:
         need = self.size + rows.shape[0]
         if need > self._buf.shape[0]:
             cap = max(need, min(2 * self._buf.shape[0], self._limit))
-            try:
-                self._buf.resize((cap, self._buf.shape[1]))
-            except ValueError:
-                buf = np.empty((cap, self._buf.shape[1]))
-                buf[: self.size] = self._buf[: self.size]
-                self._buf = buf
+            buf = np.empty((cap, self._buf.shape[1]))
+            buf[: self.size] = self._buf[: self.size]
+            self._buf = buf
         self._buf[self.size : need] = rows
         self.size = need
 
@@ -162,10 +155,17 @@ class _Basis:
         stored vector by classical Gram-Schmidt: one pass, and a second
         only where the first cancelled, i.e. left less than ``_DGKS_KEEP``
         of a column's norm (one such column repeats the pass for the whole
-        block).  Returns ``(z, ||z||^2)``, the squared norm a float for a
-        vector and one entry per column for a block."""
+        block), run on ``z`` scaled by exact powers of two wherever a
+        column's squares may underflow (norm below ``_NORM_MIN``).  Returns
+        ``(z, ||z||^2)``: a float for a vector, one per column for a block."""
         V = self.rows
         before = _squared_norms(z)
+        tiny = before < _NORM_MIN**2
+        if tiny if z.ndim == 1 else tiny.any():
+            e = np.frexp(np.abs(z).max(axis=0))[1]  # 0 once scaled, or for z = 0
+            if np.any(e):
+                z, ss = self.reorthogonalize(np.ldexp(z, -e))
+                return np.ldexp(z, e), np.ldexp(ss, 2 * e)
         z = z - V.T @ (V @ z)
         ss = _squared_norms(z)
         cancelled = ss < _DGKS_KEEP**2 * before
@@ -183,7 +183,7 @@ class _Recurrence:
     ``beta_{n-1}`` and moves to ``q = z / beta_{n-1}`` (from n = 1 on),
     forms ``y = A q - beta_prev q_prev``, ``alpha = q . y`` and
     ``z = y - alpha q`` (reorthogonalized when ``mode`` is FULL, which
-    also hands back ``||z||^2``) and ``beta = ||z||``, raises
+    also hands back ``||z||^2``) and ``beta = ||z||`` (range-safe), raises
     :class:`NonFiniteOperator` when either is NaN or Inf, and ends the run
     at breakdown, when ``beta`` is at most ``BREAKDOWN_RTOL`` times the
     running coefficient scale.  Between steps the object holds
@@ -260,7 +260,7 @@ class _Recurrence:
                 z, ss = self.basis.reorthogonalize(z)
             else:
                 ss = float(z @ z)  # sqrt of it is bit-equal to np.linalg.norm
-            self.z, self.beta = z, math.sqrt(ss)
+            self.z, self.beta = z, math.sqrt(ss) if ss >= _NORM_MIN**2 else _norm(z)
             if not (math.isfinite(alpha) and math.isfinite(self.beta)):
                 raise NonFiniteOperator(f"non-finite Lanczos coefficient at step {n}")
             self.alphas.append(alpha)
@@ -329,8 +329,7 @@ def lanczos(
     a view, one column per step, of the row-major store the recurrence
     filled.
     """
-    rec = _Recurrence(A, b, k, mode=mode, store_basis=True)
-    rec.run()
+    rec = _Recurrence(A, b, k, mode=mode, store_basis=True).run()
     return KrylovDecomposition(
         basis=rec.basis.rows.T,
         T=rec.T,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import LinearOperator, _apply_block, _as_real, _qr_column, _singular
+from .core import LinearOperator, _apply_block, _as_real, _norm, _qr_column, _singular
 from .errors import InsufficientIterates, InvalidInterval
 from .lanczos import ReorthMode, _Recurrence, block_lanczos, lanczos
 
@@ -99,13 +99,14 @@ class ShiftFamily:
 
 
 def _residual_norm(A: LinearOperator, b: np.ndarray, x: np.ndarray, shift=0.0):
-    """Explicitly recomputed residual norm for (A - shift I) x = b."""
+    """Explicitly recomputed residual norm for (A - shift I) x = b, taken
+    by ``core._norm`` so that it neither underflows nor overflows."""
     if np.iscomplexobj(x):
         Ax = np.asarray(A.apply(x.real), dtype=complex) + 1j * A.apply(x.imag)
     else:
         Ax = A.apply(x)
     r = b - Ax if shift == 0 else b - (Ax - shift * x)
-    return float(np.linalg.norm(r))
+    return _norm(r)
 
 
 def _shifted_histories(run, entries, tol, keep_iterates, A, b, M=None):
@@ -141,7 +142,7 @@ def _shifted_histories(run, entries, tol, keep_iterates, A, b, M=None):
     else:  # a stored decomposition: its columns are the recurrence's steps
         betas = run.T.betas.tolist() + [run.trailing_beta]
         steps = zip(run.basis.T, run.T.alphas.tolist(), betas)
-    b_norm = run.b_norm if M is None else float(np.linalg.norm(b))
+    b_norm = run.b_norm if M is None else _norm(b)
     states = []  # per entry: x^M, w_{n-1}, w_{n-2}, rotations, phibar, scale
     for z, _ in entries:
         zero = np.zeros(A.dim, complex if isinstance(z, complex) else float)

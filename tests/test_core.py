@@ -483,6 +483,17 @@ class TestNorm:
         v = np.random.default_rng(44).uniform(0.5, 2.0, 50)
         assert _norm(np.ldexp(v, e)) == math.ldexp(np.linalg.norm(v), e)
 
+    @pytest.mark.parametrize("e", [0, 1000, -1000])
+    def test_complex_vectors(self, e):
+        # In range np.linalg.norm's bytes; out of it the moduli's norm.
+        rng = np.random.default_rng(45)
+        v = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+        if e == 0:
+            assert _norm(v) == np.linalg.norm(v)
+        else:
+            scaled = np.ldexp(v.real, e) + 1j * np.ldexp(v.imag, e)
+            assert _norm(scaled) == pytest.approx(math.ldexp(np.linalg.norm(v), e), rel=1e-15)
+
     def test_edges(self):
         assert _norm(np.zeros(3)) == 0.0
         assert _norm(np.array([5e-324, 0.0])) == 5e-324

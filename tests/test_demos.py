@@ -1,4 +1,5 @@
-"""Each demo script runs to completion against the source tree."""
+"""Each demo script runs to completion against the source tree, under
+the suite's warning policy: a numpy ``RuntimeWarning`` is an error."""
 
 import os
 import subprocess
@@ -13,7 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(script):
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )

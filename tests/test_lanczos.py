@@ -1,4 +1,7 @@
+import ctypes
 import math
+import mmap
+import platform
 import sys
 
 import numpy as np
@@ -165,9 +168,9 @@ class TestLanczos:
         assert np.abs(dec1.T.betas - dec2.T.betas).max() <= 1e-10
 
     def test_basis_growth_under_a_profile_hook(self, monkeypatch):
-        # A profile hook holds references that make ndarray.resize refuse
-        # to grow the basis in place; the store must still grow, to the
-        # same bits.  With no reservation budget the store grows.
+        # A profile hook holds extra references to the store while it
+        # grows; the run must still give the same bits.  With no
+        # reservation budget the store grows.
         import sys
 
         A = LinearOperator.diagonal(np.linspace(1.0, 2.0, 200))
@@ -231,6 +234,19 @@ class TestReorthogonalize:
         assert np.array_equal(ss, np.einsum("ij,ij->j", Z, Z))
         assert (np.abs(V.T @ Z).max(axis=0) <= 1e-14 * np.sqrt(ss)).all()
 
+    def test_tiny_columns_get_the_passes_of_their_unscaled_twins(self):
+        # At 2^-600 the squares underflow; the passes must still run as at
+        # scale 1, to the same bits, and a zero column must pass through.
+        rng = np.random.default_rng(33)
+        basis, V = self._basis(rng)
+        Z = np.column_stack([self._near_span(rng, V), rng.standard_normal(self.D), np.zeros(self.D)])
+        for z in (Z[:, 0], Z):
+            ref, _ = basis.reorthogonalize(z)
+            got, _ = basis.reorthogonalize(np.ldexp(z, -600))
+            assert got.tobytes() == np.ldexp(ref, -600).tobytes()
+        zero, ss = basis.reorthogonalize(np.zeros(self.D))
+        assert not zero.any() and ss == 0.0
+
     def test_full_lanczos_makes_one_pass_per_step(self, monkeypatch):
         # Each pass is two products with the stored basis, V @ z and
         # V^T @ (V @ z); count them through a wrapped basis store.
@@ -255,10 +271,25 @@ class TestReorthogonalize:
         assert products[0] == 2 * 40
 
 
+def resident_bytes(a):
+    """Bytes of the whole pages inside ``a``'s buffer that are resident
+    (``mincore``), on Linux with glibc."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.mincore.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.POINTER(ctypes.c_ubyte)]
+    libc.mincore.restype = ctypes.c_int
+    page = mmap.PAGESIZE
+    start = -(-a.ctypes.data // page) * page
+    n = max((a.ctypes.data + a.nbytes) // page * page - start, 0) // page
+    vec = (ctypes.c_ubyte * max(n, 1))()
+    if libc.mincore(start, n * page, vec):
+        raise OSError(ctypes.get_errno(), "mincore failed")
+    return page * sum(v & 1 for v in vec[:n])
+
+
 class TestBasisReservation:
     # A stored basis within _RESERVE_ENTRIES is one np.empty of all its
-    # rows, never resized or copied; above it the store doubles, to the
-    # same bytes.
+    # rows, never copied; above it the store doubles into a fresh
+    # np.empty, to the same bytes.
 
     def test_stored_runs_within_the_budget_allocate_once(self, monkeypatch):
         made = []
@@ -306,6 +337,37 @@ class TestBasisReservation:
             *zip(blk.block_offdiag, blk2.block_offdiag, strict=True),
         ]:
             assert x.tobytes() == y.tobytes()
+
+    def test_a_view_taken_before_growth_keeps_its_rows(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        V = rng.standard_normal((40, 300))
+        reserved = _Basis(300, 40)
+        reserved.append(V)
+        monkeypatch.setattr(sys.modules["krylov.lanczos"], "_RESERVE_ENTRIES", 0)
+        grown = _Basis(300, 40)
+        grown.append(V[:16])
+        view = grown.rows
+        for row in V[16:]:  # 16 -> 32 -> 40 rows
+            grown.append(row)
+        assert view.tobytes() == V[:16].tobytes()
+        assert grown.rows.tobytes() == reserved.rows.tobytes()
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+        reason="reads page residency through glibc's mincore",
+    )
+    def test_growth_commits_only_the_written_rows(self, monkeypatch):
+        # 257 rows of 128 KiB grow the store to 512 rows (64 MiB, a fresh
+        # mapping); the 255 rows never written stay uncommitted, except
+        # for a huge page they may share with the written ones.  A
+        # zero-filling resize would commit all of them.
+        monkeypatch.setattr(sys.modules["krylov.lanczos"], "_RESERVE_ENTRIES", 0)
+        basis, row = _Basis(2**14, 600), np.ones(2**14)
+        for _ in range(257):
+            basis.append(row)
+        unwritten = basis._buf[basis.size :]
+        assert unwritten.shape[0] == 255
+        assert resident_bytes(unwritten) < unwritten.nbytes // 4
 
 
 class TestRecurrence:

@@ -4,11 +4,13 @@ multi-shift histories that stop early as bit-identical prefixes, shifted
 solves that are singular exactly where CG records a gap, the
 CG-MINRES residual identities on indefinite spectra, one end rule for
 decompositions and solver histories, orthonormality of the
-reorthogonalized basis, the polynomial exactness of Lanczos-FA and Gauss
-quadrature, stochastic estimates that do not depend on probe
-scheduling, the tridiagonal eigensolver against LAPACK's (and its
-accuracy on Lanczos tridiagonals that lost orthogonality), the bytes of
-its sign-free consumers against the sign-normalized path, the merge of
+reorthogonalized basis, the exact equivariance of Lanczos and of the
+solvers under power-of-two scaling, the polynomial exactness of
+Lanczos-FA and Gauss quadrature, stochastic estimates that do not
+depend on probe scheduling, the tridiagonal eigensolver against
+LAPACK's (and its accuracy on Lanczos tridiagonals that lost
+orthogonality), the bytes of its sign-free consumers against the
+sign-normalized path, the merge of
 coincident measure nodes against the node-by-node loop, multi-degree
 SLQ densities against one-degree calls, the doubled KPM moments against
 the plain Chebyshev recurrence, the default (Lanczos
@@ -380,6 +382,46 @@ def test_full_lanczos_basis_is_orthonormal(vals, seed, k):
     A = LinearOperator.diagonal(vals)
     Q = lanczos(A, start_vector(seed, len(vals)), k, mode=ReorthMode.FULL).basis
     assert np.abs(Q.T @ Q - np.eye(Q.shape[1])).max() <= 1e-13
+
+
+# Positive definite, so every run keeps its scaled entries normal floats.
+spd_spectra = st.lists(st.floats(0.1, 10.0), min_size=2, max_size=80)
+
+
+@given(spd_spectra, start_seeds, st.integers(1, 40), modes, st.integers(-900, 0))
+@example([1.0 + 0.18 * i for i in range(50)], 0, 20, ReorthMode.NONE, -540)
+@example([1.0, 2.0], 0, 2, ReorthMode.FULL, -486)  # the DGKS test's squares
+def test_lanczos_is_equivariant_under_power_of_two_scaling(vals, seed, k, mode, s):
+    # 2^s A scales every coefficient by 2^s and leaves the basis alone, bit
+    # for bit: a beta whose square underflows must not end the run.
+    b = start_vector(seed, len(vals))
+    ref = lanczos(LinearOperator.diagonal(vals), b, k, mode=mode)
+    dec = lanczos(LinearOperator.diagonal(np.ldexp(vals, s)), b, k, mode=mode)
+    assert dec.termination == ref.termination
+    assert dec.basis.tobytes() == ref.basis.tobytes()
+    assert dec.T.alphas.tobytes() == np.ldexp(ref.T.alphas, s).tobytes()
+    assert dec.T.betas.tobytes() == np.ldexp(ref.T.betas, s).tobytes()
+    assert dec.trailing_beta == math.ldexp(ref.trailing_beta, s)
+
+
+@given(spd_spectra, start_seeds, st.integers(1, 40), methods, modes, st.integers(-900, 900))
+@example([1.0 + 0.18 * i for i in range(50)], 0, 40, "cg", ReorthMode.NONE, -560)
+@example([1.0 + 0.18 * i for i in range(50)], 0, 40, "minres", ReorthMode.FULL, 900)
+def test_solvers_are_equivariant_under_power_of_two_scaling(vals, seed, k, method, mode, t):
+    # A right-hand side 2^t b scales every iterate and residual norm by 2^t
+    # and keeps the termination: no residual norm may underflow to a false
+    # convergence or overflow to a false miss.
+    A = LinearOperator.diagonal(vals)
+    b = start_vector(seed, len(vals))
+    solve = cg if method == "cg" else minres
+    ref = solve(A, b, k, mode=mode, tol=1e-8)
+    hist = solve(A, np.ldexp(b, t), k, mode=mode, tol=1e-8)
+    assert hist.termination == ref.termination
+    assert hist.b_norm == math.ldexp(ref.b_norm, t)
+    assert hist.residual_norms.tobytes() == np.ldexp(ref.residual_norms, t).tobytes()
+    assert len(hist.iterates) == len(ref.iterates)
+    for x, y in zip(hist.iterates, ref.iterates):
+        assert (x is None and y is None) or x.tobytes() == np.ldexp(y, t).tobytes()
 
 
 @given(spectra, start_seeds, polynomials, st.integers(0, 5))
