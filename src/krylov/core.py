@@ -252,6 +252,58 @@ def _norm(v: np.ndarray) -> float:
         return math.inf
 
 
+# Rows of one chunk of _scaled_op, and the size gate of its callers: a
+# recurrence or solver on more than _CHUNK rows (2^14 float64s are 128 KiB)
+# writes its per-step d-vector updates into buffers it owns, through
+# _scaled_op; at or below it each site evaluates its plain numpy expression,
+# whose temporaries cost less there than the chunk loop.
+_CHUNK = 2**14
+
+
+def _owns_buffers(d: int) -> bool:
+    """Whether a run on ``d`` rows takes the buffered path (``_CHUNK`` is
+    read at call time)."""
+    return d > _CHUNK
+
+
+def _column_norms(R: np.ndarray) -> np.ndarray:
+    """``||R[:, j]||`` for each column of a real ``d x m`` block:
+    ``np.linalg.norm(R, axis=0)`` where a column's norm lies in
+    ``[_NORM_MIN, 1 / _NORM_MIN]``.  Each other column is scaled by
+    ``2^-e``, e the binary exponent of its largest ``|entry|``, and its
+    norm taken by the same block reduction, then scaled back by ``2^e``:
+    a norm that neither underflows nor overflows, infinite only where the
+    norm itself exceeds the float range."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(R, axis=0)
+        far = ~((norms >= _NORM_MIN) & (norms <= 1.0 / _NORM_MIN))
+        if far.any():
+            e = np.where(far, np.frexp(np.abs(R).max(axis=0))[1], 0)
+            scaled = np.ldexp(np.linalg.norm(np.ldexp(R, -e), axis=0), e)
+            norms = np.where(far, scaled, norms)
+    return norms
+
+
+def _scaled_op(y, op, a, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``op(y, a * x)``, ``op`` a binary ufunc such as ``np.subtract``,
+    written into ``out`` (which may be ``y``; a new array if ``None``) and
+    returned.  ``a * x`` is formed ``_CHUNK`` rows at a time in a scratch
+    of that size, and ``op`` applied to each chunk, so no d-length
+    temporary is made: the same two ufuncs in the same order as the plain
+    expression, so the bytes are equal.  An ``out`` of another dtype than
+    the expression's is not written; a new array is returned instead."""
+    n = x.shape[0]
+    scratch = np.empty(min(n, _CHUNK), np.result_type(a, x))
+    dtype = np.result_type(y, scratch)
+    if out is None or out.dtype != dtype:
+        out = np.empty(n, dtype)
+    for s in range(0, n, _CHUNK):
+        e = min(s + _CHUNK, n)
+        t = np.multiply(a, x[s:e], out=scratch[: e - s])
+        op(y[s:e], t, out=out[s:e])
+    return out
+
+
 def _finite_values(f, points: np.ndarray, error: type) -> np.ndarray:
     """``f`` at each point, as a float array.
 

@@ -14,7 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import _NORM_MIN, LinearOperator, SymTridiagonal, _apply_block, _as_real, _norm
+from .core import (
+    _NORM_MIN,
+    LinearOperator,
+    SymTridiagonal,
+    _apply_block,
+    _as_real,
+    _norm,
+    _owns_buffers,
+    _scaled_op,
+)
 from .errors import NonFiniteOperator, ZeroStartBlock, ZeroStartVector
 
 __all__ = [
@@ -108,6 +117,12 @@ class BlockKrylovDecomposition:
         return T
 
 
+def _beta(z: np.ndarray, ss: float) -> float:
+    """``||z||`` of a vector from its square ``ss = z . z``: ``sqrt(ss)``
+    where no square can have underflowed, else range-safe ``_norm(z)``."""
+    return math.sqrt(ss) if ss >= _NORM_MIN**2 else _norm(z)
+
+
 def _squared_norms(z: np.ndarray):
     """``||z||^2`` as a float for a vector (``sqrt`` of it is bit-equal to
     ``np.linalg.norm``), per column for a ``d x m`` block."""
@@ -158,21 +173,33 @@ class _Basis:
         block), run on ``z`` scaled by exact powers of two wherever a
         column's squares may underflow (norm below ``_NORM_MIN``).  Returns
         ``(z, ||z||^2)``: a float for a vector, one per column for a block."""
+        z, ss, e = self.reorthogonalize_scaled(z)
+        if np.any(e):
+            return np.ldexp(z, e), np.ldexp(ss, 2 * e)
+        return z, ss
+
+    def reorthogonalize_scaled(self, z: np.ndarray):
+        """:meth:`reorthogonalize` left in its scaled frame: ``(z 2^-e,
+        ||z 2^-e||^2, e)``, ``e`` the binary exponent of each column's
+        largest entry where a column's squares may underflow, else 0.  A
+        norm taken in the frame and scaled by ``2^e`` is rounded once, not
+        taken from a result that was first rescaled into subnormals."""
         V = self.rows
         before = _squared_norms(z)
         tiny = before < _NORM_MIN**2
+        e = 0
         if tiny if z.ndim == 1 else tiny.any():
-            e = np.frexp(np.abs(z).max(axis=0))[1]  # 0 once scaled, or for z = 0
+            e = np.frexp(np.abs(z).max(axis=0))[1]  # 0 for z = 0
             if np.any(e):
-                z, ss = self.reorthogonalize(np.ldexp(z, -e))
-                return np.ldexp(z, e), np.ldexp(ss, 2 * e)
+                z = np.ldexp(z, -e)
+                before = _squared_norms(z)
         z = z - V.T @ (V @ z)
         ss = _squared_norms(z)
         cancelled = ss < _DGKS_KEEP**2 * before
         if cancelled if z.ndim == 1 else cancelled.any():
             z = z - V.T @ (V @ z)
             ss = _squared_norms(z)
-        return z, ss
+        return z, ss, e
 
 
 class _Recurrence:
@@ -194,6 +221,13 @@ class _Recurrence:
     ``checkpoint_stride`` steps for :meth:`replay`.  :meth:`combine` forms
     ``b_norm * Q c`` from the stored basis, or from :meth:`replay` when
     the run kept checkpoints: the storage is chosen once, at construction.
+
+    Above ``core._CHUNK`` rows the run owns its step vectors: ``q_prev``,
+    ``q`` and ``z`` rotate through three d-vectors, and every ``y - a x``
+    update is written into one of them by ``core._scaled_op``, with the
+    bytes of the plain expression used at or below that size.  A vector
+    that :meth:`steps` or :meth:`replay` yields is then valid only until
+    the next step; the checkpoints and the stored basis hold copies.
     """
 
     def __init__(
@@ -228,16 +262,27 @@ class _Recurrence:
             self.basis.append(self.q)
         self._stride = checkpoint_stride
         self.checkpoints: list = []
+        self._own = _owns_buffers(A.dim)
 
     @property
     def T(self) -> SymTridiagonal:
         return SymTridiagonal(np.asarray(self.alphas), np.asarray(self.betas))
 
-    def _y(self) -> np.ndarray:
-        y = self.A.apply(self.q)
-        if self.q_prev is not None:
-            y = y - self.beta_prev * self.q_prev
-        return y
+    def _y(self, q, q_prev, beta_prev, out) -> np.ndarray:
+        """``A q - beta_prev q_prev`` (``A q`` without ``q_prev``), written
+        into ``out`` on the buffered path, never into what ``A`` returned."""
+        y = self.A.apply(q)
+        if q_prev is None:
+            return y
+        if out is None:
+            return y - beta_prev * q_prev
+        return _scaled_op(y, np.subtract, beta_prev, q_prev, out)
+
+    def _z(self, y, alpha, q, out) -> np.ndarray:
+        """``y - alpha q``, written into ``out`` on the buffered path."""
+        if out is None:
+            return y - alpha * q
+        return _scaled_op(y, np.subtract, alpha, q, out)
 
     def steps(self):
         """Yield ``(q_n, alpha_n, beta_n)`` for n = 0, 1, ... until
@@ -245,22 +290,37 @@ class _Recurrence:
         sets ``termination`` to "breakdown" or "max_iter".  Step n+1 (its
         product with ``A``) runs only when the caller asks for it."""
         scale = 0.0
+        free = None  # buffered path: the vector the next z is written into
         for n in range(self.k):
             if n:
                 self.betas.append(self.beta)
-                self.q_prev, self.q, self.beta_prev = self.q, self.z / self.beta, self.beta
+                if self._own:
+                    free = self.q_prev
+                    q = np.divide(self.z, self.beta, out=self.z)
+                else:
+                    q = self.z / self.beta
+                self.q_prev, self.q, self.beta_prev = self.q, q, self.beta
                 if self.basis is not None:
                     self.basis.append(self.q)
             if self._stride is not None and n % self._stride == 0:
-                self.checkpoints.append((self.q_prev, self.q, n))
-            y = self._y()
+                pair = (self.q_prev, self.q)
+                if self._own:
+                    pair = tuple(None if v is None else v.copy() for v in pair)
+                self.checkpoints.append((*pair, n))
+            out = None
+            if self._own:
+                out = np.empty_like(self.q) if free is None else free
+            y = self._y(self.q, self.q_prev, self.beta_prev, out)
             alpha = float(self.q @ y)
-            z = y - alpha * self.q
+            z = self._z(y, alpha, self.q, out)
             if self._reorth:
-                z, ss = self.basis.reorthogonalize(z)
+                z, ss, e = self.basis.reorthogonalize_scaled(z)
+                beta = _beta(z, ss)
+                if e:  # the norm is taken in the frame, then scaled
+                    z, beta = np.ldexp(z, e), math.ldexp(beta, int(e))
             else:
-                ss = float(z @ z)  # sqrt of it is bit-equal to np.linalg.norm
-            self.z, self.beta = z, math.sqrt(ss) if ss >= _NORM_MIN**2 else _norm(z)
+                beta = _beta(z, float(z @ z))
+            self.z, self.beta = z, beta
             if not (math.isfinite(alpha) and math.isfinite(self.beta)):
                 raise NonFiniteOperator(f"non-finite Lanczos coefficient at step {n}")
             self.alphas.append(alpha)
@@ -282,17 +342,24 @@ class _Recurrence:
     def replay(self):
         """Yield q_0, q_1, ... again from the checkpoints and the stored
         coefficients, computing no inner products (the second pass of
-        two-pass Lanczos)."""
+        two-pass Lanczos).  On the buffered path the vectors rotate
+        through three owned buffers, so each is valid until the next."""
         k_used = len(self.alphas)
+        bufs = [np.empty_like(self.q) for _ in range(3)] if self._own else None
+        made = 0
         for q_prev, q, start in self.checkpoints:
-            self.q_prev, self.q = q_prev, q
-            self.beta_prev = self.betas[start - 1] if start else 0.0
+            beta_prev = self.betas[start - 1] if start else 0.0
             stop = min(start + self._stride, k_used)
             for n in range(start, stop):
-                yield self.q
+                yield q
                 if n + 1 < stop:
-                    z, beta = self._y() - self.alphas[n] * self.q, self.betas[n]
-                    self.q_prev, self.q, self.beta_prev = self.q, z / beta, beta
+                    out = None
+                    if self._own:  # neither q nor q_prev: the last two written
+                        out, made = bufs[made % 3], made + 1
+                    z = self._z(self._y(q, q_prev, beta_prev, out), self.alphas[n], q, out)
+                    beta = self.betas[n]
+                    q_next = z / beta if out is None else np.divide(z, beta, out=z)
+                    q_prev, q, beta_prev = q, q_next, beta
 
     def combine(self, coeffs) -> np.ndarray:
         """``b_norm * sum_n coeffs[n] q_n``, one term per step, summed left
@@ -301,8 +368,13 @@ class _Recurrence:
         so the two are bit-identical."""
         res = None
         for n, q in enumerate(self.replay() if self.basis is None else self.basis.rows):
-            term = (self.b_norm * coeffs[n]) * q
-            res = term if res is None else res + term
+            a = self.b_norm * coeffs[n]
+            if res is None:
+                res = a * q
+            elif self._own:
+                res = _scaled_op(res, np.add, a, q, out=res)
+            else:
+                res = res + a * q
         return res
 
 

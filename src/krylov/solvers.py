@@ -15,7 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .core import LinearOperator, _apply_block, _as_real, _norm, _qr_column, _singular
+from .core import (
+    LinearOperator,
+    _apply_block,
+    _as_real,
+    _column_norms,
+    _norm,
+    _owns_buffers,
+    _qr_column,
+    _scaled_op,
+    _singular,
+)
 from .errors import InsufficientIterates, InvalidInterval
 from .lanczos import ReorthMode, _Recurrence, block_lanczos, lanczos
 
@@ -98,15 +108,19 @@ class ShiftFamily:
         object.__setattr__(self, "weights", weights)
 
 
-def _residual_norm(A: LinearOperator, b: np.ndarray, x: np.ndarray, shift=0.0):
+def _residual_norm(A: LinearOperator, b: np.ndarray, x: np.ndarray, shift=0.0, out=None):
     """Explicitly recomputed residual norm for (A - shift I) x = b, taken
-    by ``core._norm`` so that it neither underflows nor overflows."""
+    by ``core._norm`` so that it neither underflows nor overflows.  The
+    residual is written into ``out`` where it has the residual's dtype."""
     if np.iscomplexobj(x):
         Ax = np.asarray(A.apply(x.real), dtype=complex) + 1j * A.apply(x.imag)
     else:
         Ax = A.apply(x)
-    r = b - Ax if shift == 0 else b - (Ax - shift * x)
-    return _norm(r)
+    if shift != 0:
+        Ax = Ax - shift * x if out is None else _scaled_op(Ax, np.subtract, shift, x, out)
+    if out is None or out.dtype != np.result_type(b, Ax):
+        return _norm(b - Ax)
+    return _norm(np.subtract(b, Ax, out=out))
 
 
 def _shifted_histories(run, entries, tol, keep_iterates, A, b, M=None):
@@ -143,35 +157,55 @@ def _shifted_histories(run, entries, tol, keep_iterates, A, b, M=None):
         betas = run.T.betas.tolist() + [run.trailing_beta]
         steps = zip(run.basis.T, run.T.alphas.tolist(), betas)
     b_norm = run.b_norm if M is None else _norm(b)
-    states = []  # per entry: x^M, w_{n-1}, w_{n-2}, rotations, phibar, scale
-    for z, _ in entries:
-        zero = np.zeros(A.dim, complex if isinstance(z, complex) else float)
-        states.append((zero, zero, zero, ((1.0, 0.0), (1.0, 0.0)), run.b_norm, abs(z)))
+    own, b = _owns_buffers(A.dim), np.asarray(b)
+    residuals = {}  # buffered path: one residual buffer per dtype
+    states = []  # per entry: x^M, w_{n-1}, w_{n-2}, rotations, phibar, scale, spare
+    for z, method in entries:
+        dtype = complex if isinstance(z, complex) else float
+        if own:  # the entry's own x^M (written in place for CG), u and w buffers
+            x_m, w1, w2 = (np.zeros(A.dim, dtype) for _ in range(3))
+            spare = np.empty(A.dim, dtype)
+        else:
+            x_m = w1 = w2 = np.zeros(A.dim, dtype)
+            spare = None
+        states.append((x_m, w1, w2, ((1.0, 0.0), (1.0, 0.0)), run.b_norm, abs(z), spare))
     iterates, res = [[] for _ in entries], [[] for _ in entries]
     termination, kept = [None] * len(entries), [None] * len(entries)
     live, beta_prev = range(len(entries)), 0.0
     for q, alpha, beta in steps:
         for i in live:
             z, method = entries[i]
-            x_m, w1, w2, rots, phibar, scale = states[i]
+            x_m, w1, w2, rots, phibar, scale, spare = states[i]
             scale = max(scale, abs(alpha), beta)
             eps, delta, gbar, (c, s, gamma) = _qr_column(
                 *rots, beta_prev, alpha - z, beta
             )
-            u = q - delta * w1
-            u -= eps * w2
+            if own:
+                u = _scaled_op(q, np.subtract, delta, w1, spare)
+                u = _scaled_op(u, np.subtract, eps, w2, u)
+            else:
+                u = q - delta * w1
+                u -= eps * w2
             if method == "cg":
-                x = None if _singular(abs(gbar), scale) else x_m + (phibar / gbar) * u
+                if _singular(abs(gbar), scale):
+                    x = None
+                elif own:  # a fresh array: it is kept as an iterate
+                    x = _scaled_op(x_m, np.add, phibar / gbar, u)
+                else:
+                    x = x_m + (phibar / gbar) * u
             # gamma = 0 only when beta_n = 0 (the last step) and T_n - z I is
             # singular; x^M_{n-1} is then a least-squares solution (tau_n = 0).
             if gamma != 0:
                 u /= gamma
-                w1, w2 = u, w1
-                x_m = x_m + (c * phibar) * w1
+                w1, w2, spare = u, w1, w2
+                if own:  # in place for CG; a fresh iterate for MINRES
+                    x_m = _scaled_op(x_m, np.add, c * phibar, w1, x_m if method == "cg" else None)
+                else:
+                    x_m = x_m + (c * phibar) * w1
             if method == "minres":
                 x = x_m
             phibar = -s.conjugate() * phibar
-            states[i] = x_m, w1, w2, (rots[1], (c, s)), phibar, scale
+            states[i] = x_m, w1, w2, (rots[1], (c, s)), phibar, scale, spare
             if x is None:
                 iterates[i].append(None)
                 res[i].append(np.nan)
@@ -181,7 +215,10 @@ def _shifted_histories(run, entries, tol, keep_iterates, A, b, M=None):
             if tol is None:  # no stopping test, so no residual to pay for
                 rnorm = np.nan
             else:
-                rnorm = _residual_norm(A, b, x, shift=z)
+                out = residuals.get(x.dtype)
+                if own and out is None:
+                    out = residuals[x.dtype] = np.empty_like(x)
+                rnorm = _residual_norm(A, b, x, z, out)
                 if rnorm <= tol * b_norm:
                     termination[i] = "converged"
             if not keep_iterates and kept[i] is not None:
@@ -440,7 +477,7 @@ def block_cg(
         X = dec.basis[:, :nj] @ Y
         R = B - _apply_block(A, X)
         iterates.append(X)
-        res.append(np.linalg.norm(R, axis=0))
+        res.append(_column_norms(R))
     return BlockIterateHistory(
         iterates=iterates,
         residual_norms=np.asarray(res),

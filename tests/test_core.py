@@ -10,9 +10,12 @@ import krylov.core
 from krylov.core import (
     LinearOperator,
     SymTridiagonal,
+    _CHUNK,
     _apply_block,
+    _column_norms,
     _finite_values,
     _norm,
+    _scaled_op,
     _spectral_apply,
     _tridiag_eigenvalues,
     sym_tridiag_eig,
@@ -502,3 +505,53 @@ class TestNorm:
         assert _norm(np.full(4, 1.7e308)) == math.inf
         assert math.isnan(_norm(np.array([np.nan, 1.0])))
         assert _norm(np.array([np.inf, 1.0])) == math.inf
+
+
+class TestColumnNorms:
+    def test_in_range_columns_keep_numpys_bytes(self):
+        R = np.random.default_rng(5).standard_normal((40, 3))
+        assert _column_norms(R).tobytes() == np.linalg.norm(R, axis=0).tobytes()
+
+    @pytest.mark.parametrize("e", [-560, 560, -1000, 1000])
+    def test_out_of_range_columns_scale_exactly(self, e):
+        # Only the second column is scaled; its norm neither underflows to
+        # zero nor overflows (no RuntimeWarning), and is the unscaled one's.
+        R = np.random.default_rng(6).standard_normal((40, 3))
+        ref = np.linalg.norm(R, axis=0)
+        R[:, 1] = np.ldexp(R[:, 1], e)
+        got = _column_norms(R)
+        assert got[[0, 2]].tobytes() == ref[[0, 2]].tobytes()
+        assert got[1] == math.ldexp(ref[1], e)
+
+    def test_zero_nan_and_inf_columns(self):
+        R = np.array([[0.0, np.nan, np.inf, 1.0], [0.0, 1.0, 1.0, 1.0]])
+        got = _column_norms(R)
+        assert got[0] == 0.0 and math.isnan(got[1]) and got[2] == math.inf
+        assert got[3] == math.sqrt(2.0)
+
+
+class TestScaledOp:
+    # op(y, a * x) chunk by chunk must be numpy's op(y, a * x), byte for byte.
+    @pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+    @pytest.mark.parametrize("a", [-0.3718, 1.0 / 3.0 - 2.5j])
+    @pytest.mark.parametrize("op", [np.subtract, np.add])
+    def test_bytes_equal_numpys_expression(self, n, a, op):
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n)
+        for y in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            ref = op(y, a * x)
+            assert _scaled_op(y, op, a, x).tobytes() == ref.tobytes()
+            out = np.empty_like(ref)
+            assert _scaled_op(y, op, a, x, out) is out
+            assert out.tobytes() == ref.tobytes()
+            if y.dtype == ref.dtype:  # in place: out aliases y
+                y = y.copy()
+                assert _scaled_op(y, op, a, x, y) is y
+                assert y.tobytes() == ref.tobytes()
+
+    def test_out_of_another_dtype_is_not_written(self):
+        x, y = np.arange(5.0), np.ones(5)
+        out = np.zeros(5)
+        got = _scaled_op(y, np.subtract, 2j, x, out)
+        assert got is not out and not out.any()
+        assert got.tobytes() == (y - 2j * x).tobytes()

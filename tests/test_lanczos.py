@@ -270,6 +270,19 @@ class TestReorthogonalize:
         assert dec.termination == "max_iter" and dec.T.size == 40
         assert products[0] == 2 * 40
 
+    def test_subnormal_trailing_beta_is_rounded_once(self):
+        # At 2^-891 the breakdown's trailing beta is subnormal: taken in the
+        # rescaled frame and scaled once, it is the unscaled run's beta
+        # correctly rounded, not the norm of a vector first rounded into
+        # subnormals (3.408681533e-48 * 2^-891 against 3.408681491e-48).
+        vals = np.array([4.375, 2.0, 4.0])
+        b = np.random.default_rng(0).standard_normal(3)
+        ref = lanczos(LinearOperator.diagonal(vals), b, 3, mode=ReorthMode.FULL)
+        dec = lanczos(LinearOperator.diagonal(np.ldexp(vals, -891)), b, 3, mode=ReorthMode.FULL)
+        assert ref.termination == dec.termination == "breakdown"
+        assert dec.basis.tobytes() == ref.basis.tobytes()
+        assert dec.trailing_beta == math.ldexp(ref.trailing_beta, -891)
+
 
 def resident_bytes(a):
     """Bytes of the whole pages inside ``a``'s buffer that are resident

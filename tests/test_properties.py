@@ -424,6 +424,22 @@ def test_solvers_are_equivariant_under_power_of_two_scaling(vals, seed, k, metho
         assert (x is None and y is None) or x.tobytes() == np.ldexp(y, t).tobytes()
 
 
+@given(spd_spectra, start_seeds, st.integers(1, 12), st.integers(1, 3), modes, st.integers(-900, 900))
+@example([1.0 + 0.18 * i for i in range(50)], 0, 20, 2, ReorthMode.FULL, -560)
+@example([1.0 + 0.18 * i for i in range(50)], 0, 20, 2, ReorthMode.FULL, 560)
+def test_block_cg_is_equivariant_under_power_of_two_scaling(vals, seed, k, m, mode, t):
+    # 2^t B scales every iterate and column residual norm by 2^t: no norm
+    # may underflow to zero or overflow with a RuntimeWarning.
+    A = LinearOperator.diagonal(vals)
+    B = np.random.default_rng(seed).standard_normal((len(vals), m))
+    ref = block_cg(A, B, k, mode=mode)
+    hist = block_cg(A, np.ldexp(B, t), k, mode=mode)
+    assert hist.termination == ref.termination
+    assert hist.residual_norms.tobytes() == np.ldexp(ref.residual_norms, t).tobytes()
+    for x, y in zip(hist.iterates, ref.iterates, strict=True):
+        assert (x is None and y is None) or x.tobytes() == np.ldexp(y, t).tobytes()
+
+
 @given(spectra, start_seeds, polynomials, st.integers(0, 5))
 def test_full_lanczos_fa_is_exact_below_degree_k(vals, seed, coeffs, extra):
     k = len(coeffs) + extra  # degree len(coeffs) - 1 < k
