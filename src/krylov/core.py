@@ -252,18 +252,27 @@ def _norm(v: np.ndarray) -> float:
         return math.inf
 
 
-# Rows of one chunk of _scaled_op, and the size gate of its callers: a
-# recurrence or solver on more than _CHUNK rows (2^14 float64s are 128 KiB)
-# writes its per-step d-vector updates into buffers it owns, through
-# _scaled_op; at or below it each site evaluates its plain numpy expression,
-# whose temporaries cost less there than the chunk loop.
+# Rows in one chunk of a buffered update: 2^14 float64s are 128 KiB, so a
+# chunk's operands stay in a core's L2 cache while the chunk is worked on.
 _CHUNK = 2**14
+# The smallest d at which a recurrence or solver owns its per-step
+# d-vectors and updates them chunk by chunk.  Below it the plain numpy
+# expressions cost no more: in-process medians on 2-D Laplacians (one BLAS
+# thread) had low-memory cg 0-3% slower buffered at d = 65,536 and up to
+# 1% at 77,284, and every call faster from d = 90,000 on.
+_OWN_MIN = 90_000
 
 
 def _owns_buffers(d: int) -> bool:
-    """Whether a run on ``d`` rows takes the buffered path (``_CHUNK`` is
-    read at call time)."""
-    return d > _CHUNK
+    """Whether a run on ``d`` rows takes the buffered path (``_OWN_MIN``
+    is read at call time)."""
+    return d >= _OWN_MIN
+
+
+def _chunks(n: int) -> list:
+    """``(rows, m)`` for each chunk of ``range(n)``: a slice of at most
+    ``_CHUNK`` rows and its length, the prefix of a scratch it uses."""
+    return [(slice(s, s + _CHUNK), min(_CHUNK, n - s)) for s in range(0, n, _CHUNK)]
 
 
 def _column_norms(R: np.ndarray) -> np.ndarray:
@@ -284,23 +293,17 @@ def _column_norms(R: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _scaled_op(y, op, a, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _scaled_op(y, op, a, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``op(y, a * x)``, ``op`` a binary ufunc such as ``np.subtract``,
-    written into ``out`` (which may be ``y``; a new array if ``None``) and
-    returned.  ``a * x`` is formed ``_CHUNK`` rows at a time in a scratch
-    of that size, and ``op`` applied to each chunk, so no d-length
-    temporary is made: the same two ufuncs in the same order as the plain
-    expression, so the bytes are equal.  An ``out`` of another dtype than
-    the expression's is not written; a new array is returned instead."""
-    n = x.shape[0]
-    scratch = np.empty(min(n, _CHUNK), np.result_type(a, x))
-    dtype = np.result_type(y, scratch)
-    if out is None or out.dtype != dtype:
-        out = np.empty(n, dtype)
-    for s in range(0, n, _CHUNK):
-        e = min(s + _CHUNK, n)
-        t = np.multiply(a, x[s:e], out=scratch[: e - s])
-        op(y[s:e], t, out=out[s:e])
+    written into ``out`` (which may be ``y``) and returned.  ``a * x`` is
+    formed ``_CHUNK`` rows at a time in a scratch of that size, and ``op``
+    applied to each chunk, so no d-length temporary is made: the same two
+    ufuncs in the same order as the plain expression, so the bytes are
+    equal.  ``out`` must have the expression's dtype."""
+    assert out.dtype == np.result_type(y, a, x), "out has another dtype than op(y, a * x)"
+    scratch = np.empty(min(x.shape[0], _CHUNK), np.result_type(a, x))
+    for rows, m in _chunks(x.shape[0]):
+        op(y[rows], np.multiply(a, x[rows], out=scratch[:m]), out=out[rows])
     return out
 
 

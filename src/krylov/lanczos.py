@@ -20,6 +20,7 @@ from .core import (
     SymTridiagonal,
     _apply_block,
     _as_real,
+    _chunks,
     _norm,
     _owns_buffers,
     _scaled_op,
@@ -222,12 +223,14 @@ class _Recurrence:
     ``b_norm * Q c`` from the stored basis, or from :meth:`replay` when
     the run kept checkpoints: the storage is chosen once, at construction.
 
-    Above ``core._CHUNK`` rows the run owns its step vectors: ``q_prev``,
-    ``q`` and ``z`` rotate through three d-vectors, and every ``y - a x``
-    update is written into one of them by ``core._scaled_op``, with the
-    bytes of the plain expression used at or below that size.  A vector
-    that :meth:`steps` or :meth:`replay` yields is then valid only until
-    the next step; the checkpoints and the stored basis hold copies.
+    From ``core._OWN_MIN`` rows on, the run owns its step vectors:
+    ``q_prev``, ``q`` and ``z`` rotate through three d-vectors, and every
+    ``y - a x`` update is written into one of them chunk by chunk
+    (``core._scaled_op``), with the bytes of the plain expressions used
+    below that size.  The choice is made once, at construction: each path
+    has its own step body.  A vector that :meth:`steps` or :meth:`replay`
+    yields on the buffered path is valid only until the next step; the
+    checkpoints and the stored basis hold copies.
     """
 
     def __init__(
@@ -268,70 +271,80 @@ class _Recurrence:
     def T(self) -> SymTridiagonal:
         return SymTridiagonal(np.asarray(self.alphas), np.asarray(self.betas))
 
-    def _y(self, q, q_prev, beta_prev, out) -> np.ndarray:
-        """``A q - beta_prev q_prev`` (``A q`` without ``q_prev``), written
-        into ``out`` on the buffered path, never into what ``A`` returned."""
-        y = self.A.apply(q)
-        if q_prev is None:
-            return y
-        if out is None:
-            return y - beta_prev * q_prev
-        return _scaled_op(y, np.subtract, beta_prev, q_prev, out)
-
-    def _z(self, y, alpha, q, out) -> np.ndarray:
-        """``y - alpha q``, written into ``out`` on the buffered path."""
-        if out is None:
-            return y - alpha * q
-        return _scaled_op(y, np.subtract, alpha, q, out)
+    def _y(self) -> np.ndarray:
+        y = self.A.apply(self.q)
+        if self.q_prev is not None:
+            y = y - self.beta_prev * self.q_prev
+        return y
 
     def steps(self):
         """Yield ``(q_n, alpha_n, beta_n)`` for n = 0, 1, ... until
         breakdown or until k coefficients alpha are known; the last step
         sets ``termination`` to "breakdown" or "max_iter".  Step n+1 (its
         product with ``A``) runs only when the caller asks for it."""
+        return self._owned_steps() if self._own else self._plain_steps()
+
+    def _plain_steps(self):
         scale = 0.0
-        free = None  # buffered path: the vector the next z is written into
         for n in range(self.k):
             if n:
-                self.betas.append(self.beta)
-                if self._own:
-                    free = self.q_prev
-                    q = np.divide(self.z, self.beta, out=self.z)
-                else:
-                    q = self.z / self.beta
-                self.q_prev, self.q, self.beta_prev = self.q, q, self.beta
-                if self.basis is not None:
-                    self.basis.append(self.q)
+                self._advance(self.z / self.beta)
             if self._stride is not None and n % self._stride == 0:
-                pair = (self.q_prev, self.q)
-                if self._own:
-                    pair = tuple(None if v is None else v.copy() for v in pair)
-                self.checkpoints.append((*pair, n))
-            out = None
-            if self._own:
-                out = np.empty_like(self.q) if free is None else free
-            y = self._y(self.q, self.q_prev, self.beta_prev, out)
+                self.checkpoints.append((self.q_prev, self.q, n))
+            y = self._y()
             alpha = float(self.q @ y)
-            z = self._z(y, alpha, self.q, out)
-            if self._reorth:
-                z, ss, e = self.basis.reorthogonalize_scaled(z)
-                beta = _beta(z, ss)
-                if e:  # the norm is taken in the frame, then scaled
-                    z, beta = np.ldexp(z, e), math.ldexp(beta, int(e))
-            else:
-                beta = _beta(z, float(z @ z))
-            self.z, self.beta = z, beta
-            if not (math.isfinite(alpha) and math.isfinite(self.beta)):
-                raise NonFiniteOperator(f"non-finite Lanczos coefficient at step {n}")
-            self.alphas.append(alpha)
-            scale = max(scale, abs(alpha))
-            broke = self.beta <= BREAKDOWN_RTOL * scale
-            scale = max(scale, self.beta)
-            if broke or n == self.k - 1:
-                self.termination = "breakdown" if broke else "max_iter"
+            scale, broke = self._close(n, alpha, y - alpha * self.q, scale)
             yield self.q, alpha, self.beta
             if broke:
                 return
+
+    def _owned_steps(self):
+        scale, free = 0.0, None
+        for n in range(self.k):
+            if n:  # q_{n+1} = z / beta in z's buffer; q_prev's is free
+                free = self.q_prev
+                self._advance(np.divide(self.z, self.beta, out=self.z))
+            if self._stride is not None and n % self._stride == 0:
+                q_prev = None if self.q_prev is None else self.q_prev.copy()
+                self.checkpoints.append((q_prev, self.q.copy(), n))
+            out = np.empty_like(self.q) if free is None else free
+            y = self.A.apply(self.q)  # never written: it may be A's own array
+            if self.q_prev is not None:
+                y = _scaled_op(y, np.subtract, self.beta_prev, self.q_prev, out)
+            alpha = float(self.q @ y)
+            scale, broke = self._close(n, alpha, _scaled_op(y, np.subtract, alpha, self.q, out), scale)
+            yield self.q, alpha, self.beta
+            if broke:
+                return
+
+    def _advance(self, q: np.ndarray) -> None:
+        """Accept ``beta_{n-1}`` and move to ``q_n = q``."""
+        self.betas.append(self.beta)
+        self.q_prev, self.q, self.beta_prev = self.q, q, self.beta
+        if self.basis is not None:
+            self.basis.append(self.q)
+
+    def _close(self, n: int, alpha: float, z: np.ndarray, scale: float):
+        """End step n from its ``alpha`` and ``z = y - alpha q``:
+        reorthogonalize ``z`` (FULL), take ``beta``, check both, and judge
+        breakdown.  Returns ``(scale, broke)``."""
+        if self._reorth:
+            z, ss, e = self.basis.reorthogonalize_scaled(z)
+            beta = _beta(z, ss)
+            if e:  # the norm is taken in the frame, then scaled
+                z, beta = np.ldexp(z, e), math.ldexp(beta, int(e))
+        else:
+            beta = _beta(z, float(z @ z))
+        self.z, self.beta = z, beta
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise NonFiniteOperator(f"non-finite Lanczos coefficient at step {n}")
+        self.alphas.append(alpha)
+        scale = max(scale, abs(alpha))
+        broke = beta <= BREAKDOWN_RTOL * scale
+        scale = max(scale, beta)
+        if broke or n == self.k - 1:
+            self.termination = "breakdown" if broke else "max_iter"
+        return scale, broke
 
     def run(self) -> "_Recurrence":
         """Run :meth:`steps` to the end."""
@@ -342,10 +355,30 @@ class _Recurrence:
     def replay(self):
         """Yield q_0, q_1, ... again from the checkpoints and the stored
         coefficients, computing no inner products (the second pass of
-        two-pass Lanczos).  On the buffered path the vectors rotate
-        through three owned buffers, so each is valid until the next."""
+        two-pass Lanczos)."""
+        return self._owned_replay() if self._own else self._plain_replay()
+
+    def _plain_replay(self):
         k_used = len(self.alphas)
-        bufs = [np.empty_like(self.q) for _ in range(3)] if self._own else None
+        for q_prev, q, start in self.checkpoints:
+            self.q_prev, self.q = q_prev, q
+            self.beta_prev = self.betas[start - 1] if start else 0.0
+            stop = min(start + self._stride, k_used)
+            for n in range(start, stop):
+                yield self.q
+                if n + 1 < stop:
+                    z, beta = self._y() - self.alphas[n] * self.q, self.betas[n]
+                    self.q_prev, self.q, self.beta_prev = self.q, z / beta, beta
+
+    def _owned_replay(self):
+        """:meth:`replay` with no d-length temporary: each step's
+        ``((A q - beta_prev q_prev) - alpha q) / beta`` is formed chunk by
+        chunk, by the plain path's ufuncs in its order, into the one of
+        three owned buffers that holds neither ``q`` nor ``q_prev``."""
+        k_used = len(self.alphas)
+        bufs = [np.empty_like(self.q) for _ in range(3)]
+        chunks = _chunks(self.A.dim)
+        scratch = np.empty(chunks[0][1])
         made = 0
         for q_prev, q, start in self.checkpoints:
             beta_prev = self.betas[start - 1] if start else 0.0
@@ -353,30 +386,33 @@ class _Recurrence:
             for n in range(start, stop):
                 yield q
                 if n + 1 < stop:
-                    out = None
-                    if self._own:  # neither q nor q_prev: the last two written
-                        out, made = bufs[made % 3], made + 1
-                    z = self._z(self._y(q, q_prev, beta_prev, out), self.alphas[n], q, out)
-                    beta = self.betas[n]
-                    q_next = z / beta if out is None else np.divide(z, beta, out=z)
-                    q_prev, q, beta_prev = q, q_next, beta
+                    y, alpha, beta = self.A.apply(q), self.alphas[n], self.betas[n]
+                    out, made = bufs[made % 3], made + 1
+                    for rows, m in chunks:
+                        t, o, yr = scratch[:m], out[rows], y[rows]
+                        if q_prev is not None:
+                            yr = np.subtract(yr, np.multiply(beta_prev, q_prev[rows], out=t), out=o)
+                        np.subtract(yr, np.multiply(alpha, q[rows], out=t), out=o)
+                        np.divide(o, beta, out=o)
+                    q_prev, q, beta_prev = q, out, beta
 
     def combine(self, coeffs) -> np.ndarray:
         """``b_norm * sum_n coeffs[n] q_n``, one term per step, summed left
         to right over the stored basis or, without one, over
         :meth:`replay`: one loop for the one-pass and the two-pass result,
-        so the two are bit-identical."""
+        so the two are bit-identical.  The buffered path adds each term
+        into the sum in place, chunk by chunk."""
         res = None
-        for n, q in enumerate(self.replay() if self.basis is None else self.basis.rows):
-            a = self.b_norm * coeffs[n]
-            if res is None:
-                res = a * q
-            elif self._own:
-                res = _scaled_op(res, np.add, a, q, out=res)
-            else:
-                res = res + a * q
+        rows = self.replay() if self.basis is None else self.basis.rows
+        if self._own:
+            for n, q in enumerate(rows):
+                a = self.b_norm * coeffs[n]
+                res = a * q if res is None else _scaled_op(res, np.add, a, q, res)
+            return res
+        for n, q in enumerate(rows):
+            term = (self.b_norm * coeffs[n]) * q
+            res = term if res is None else res + term
         return res
-
 
 def lanczos(
     A: LinearOperator,

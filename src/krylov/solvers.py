@@ -19,11 +19,11 @@ from .core import (
     LinearOperator,
     _apply_block,
     _as_real,
+    _chunks,
     _column_norms,
     _norm,
     _owns_buffers,
     _qr_column,
-    _scaled_op,
     _singular,
 )
 from .errors import InsufficientIterates, InvalidInterval
@@ -108,19 +108,90 @@ class ShiftFamily:
         object.__setattr__(self, "weights", weights)
 
 
-def _residual_norm(A: LinearOperator, b: np.ndarray, x: np.ndarray, shift=0.0, out=None):
+def _residual_norm(A: LinearOperator, b: np.ndarray, x: np.ndarray, shift=0.0):
     """Explicitly recomputed residual norm for (A - shift I) x = b, taken
-    by ``core._norm`` so that it neither underflows nor overflows.  The
-    residual is written into ``out`` where it has the residual's dtype."""
+    by ``core._norm`` so that it neither underflows nor overflows."""
+    Ax = _apply(A, x)
+    r = b - Ax if shift == 0 else b - (Ax - shift * x)
+    return _norm(r)
+
+
+def _apply(A: LinearOperator, x: np.ndarray) -> np.ndarray:
+    """``A x``, for a complex ``x`` as ``A Re x + i A Im x``."""
     if np.iscomplexobj(x):
-        Ax = np.asarray(A.apply(x.real), dtype=complex) + 1j * A.apply(x.imag)
-    else:
-        Ax = A.apply(x)
-    if shift != 0:
-        Ax = Ax - shift * x if out is None else _scaled_op(Ax, np.subtract, shift, x, out)
-    if out is None or out.dtype != np.result_type(b, Ax):
-        return _norm(b - Ax)
-    return _norm(np.subtract(b, Ax, out=out))
+        return np.asarray(A.apply(x.real), dtype=complex) + 1j * A.apply(x.imag)
+    return A.apply(x)
+
+
+class _Directions:
+    """One entry's d-vectors in :func:`_shifted_histories`: the MINRES
+    iterate ``x_m`` and the directions ``w1 = w_{n-1}``, ``w2 = w_{n-2}``,
+    all zero at the start, advanced by plain numpy expressions."""
+
+    def __init__(self, d: int, dtype, method: str):
+        self.x_m = self.w1 = self.w2 = np.zeros(d, dtype)
+
+    def step(self, q, delta, eps, f, gamma, g):
+        """``u = q - delta w1 - eps w2``; returns the CG point
+        ``x_m + f u`` (``None`` for ``f=None``), then, unless gamma = 0,
+        moves to ``w1 = u / gamma``, ``w2 = w1`` and ``x_m = x_m + g w1``."""
+        u = q - delta * self.w1
+        u -= eps * self.w2
+        x = None if f is None else self.x_m + f * u
+        if gamma != 0:
+            u /= gamma
+            self.w1, self.w2 = u, self.w1
+            self.x_m = self.x_m + g * self.w1
+        return x
+
+    def residual_norm(self, A, b, x, shift):
+        return _residual_norm(A, b, x, shift)
+
+
+class _OwnedDirections(_Directions):
+    """:class:`_Directions` on owned buffers, from ``core._OWN_MIN`` rows
+    on: ``u``, ``w1`` and ``w2`` rotate through three d-vectors, a CG
+    entry updates ``x_m`` in place (a MINRES entry's is a fresh array, as
+    it is reported as an iterate, and so is a CG point), and the residual
+    is formed in a buffer of its own.  Each step runs the plain path's
+    ufuncs in its order, chunk by chunk, so the bytes are the same."""
+
+    def __init__(self, d: int, dtype, method: str):
+        self.x_m, self.w1, self.w2, self.u = (np.zeros(d, dtype) for _ in range(4))
+        self._fresh_x_m = method == "minres"
+        self._chunks = _chunks(d)
+        self._scratch = np.empty(self._chunks[0][1], dtype)
+        self._r = None
+
+    def step(self, q, delta, eps, f, gamma, g):
+        x_m, w1, w2, u = self.x_m, self.w1, self.w2, self.u
+        x = None if f is None else np.empty_like(x_m)
+        new_x_m = np.empty_like(x_m) if self._fresh_x_m and gamma != 0 else x_m
+        for rows, m in self._chunks:
+            t = self._scratch[:m]
+            ur = np.subtract(q[rows], np.multiply(delta, w1[rows], out=t), out=u[rows])
+            np.subtract(ur, np.multiply(eps, w2[rows], out=t), out=ur)
+            if x is not None:
+                np.add(x_m[rows], np.multiply(f, ur, out=t), out=x[rows])
+            if gamma != 0:
+                np.divide(ur, gamma, out=ur)
+                np.add(x_m[rows], np.multiply(g, ur, out=t), out=new_x_m[rows])
+        if gamma != 0:
+            self.u, self.w1, self.w2, self.x_m = w2, u, w1, new_x_m
+        return x
+
+    def residual_norm(self, A, b, x, shift):
+        """``_residual_norm``'s bytes, formed in the entry's own buffer."""
+        if self._r is None:
+            self._r = np.empty_like(x)
+        Ax, r = _apply(A, x), self._r
+        if shift == 0:
+            return _norm(np.subtract(b, Ax, out=r))
+        t = np.empty(self._chunks[0][1], np.result_type(shift, x))
+        for rows, m in self._chunks:
+            r_rows = np.subtract(Ax[rows], np.multiply(shift, x[rows], out=t[:m]), out=r[rows])
+            np.subtract(b[rows], r_rows, out=r_rows)
+        return _norm(r)
 
 
 def _shifted_histories(run, entries, tol, keep_iterates, A, b, M=None):
@@ -157,55 +228,29 @@ def _shifted_histories(run, entries, tol, keep_iterates, A, b, M=None):
         betas = run.T.betas.tolist() + [run.trailing_beta]
         steps = zip(run.basis.T, run.T.alphas.tolist(), betas)
     b_norm = run.b_norm if M is None else _norm(b)
-    own, b = _owns_buffers(A.dim), np.asarray(b)
-    residuals = {}  # buffered path: one residual buffer per dtype
-    states = []  # per entry: x^M, w_{n-1}, w_{n-2}, rotations, phibar, scale, spare
-    for z, method in entries:
-        dtype = complex if isinstance(z, complex) else float
-        if own:  # the entry's own x^M (written in place for CG), u and w buffers
-            x_m, w1, w2 = (np.zeros(A.dim, dtype) for _ in range(3))
-            spare = np.empty(A.dim, dtype)
-        else:
-            x_m = w1 = w2 = np.zeros(A.dim, dtype)
-            spare = None
-        states.append((x_m, w1, w2, ((1.0, 0.0), (1.0, 0.0)), run.b_norm, abs(z), spare))
+    kind = _OwnedDirections if _owns_buffers(A.dim) else _Directions
+    dirs = [kind(A.dim, complex if isinstance(z, complex) else float, m) for z, m in entries]
+    states = [(((1.0, 0.0), (1.0, 0.0)), run.b_norm, abs(z)) for z, _ in entries]
+    b = np.asarray(b)
     iterates, res = [[] for _ in entries], [[] for _ in entries]
     termination, kept = [None] * len(entries), [None] * len(entries)
     live, beta_prev = range(len(entries)), 0.0
     for q, alpha, beta in steps:
         for i in live:
             z, method = entries[i]
-            x_m, w1, w2, rots, phibar, scale, spare = states[i]
+            rots, phibar, scale = states[i]  # per entry: rotations, phibar, scale
             scale = max(scale, abs(alpha), beta)
             eps, delta, gbar, (c, s, gamma) = _qr_column(
                 *rots, beta_prev, alpha - z, beta
             )
-            if own:
-                u = _scaled_op(q, np.subtract, delta, w1, spare)
-                u = _scaled_op(u, np.subtract, eps, w2, u)
-            else:
-                u = q - delta * w1
-                u -= eps * w2
-            if method == "cg":
-                if _singular(abs(gbar), scale):
-                    x = None
-                elif own:  # a fresh array: it is kept as an iterate
-                    x = _scaled_op(x_m, np.add, phibar / gbar, u)
-                else:
-                    x = x_m + (phibar / gbar) * u
+            f = None if method != "cg" or _singular(abs(gbar), scale) else phibar / gbar
             # gamma = 0 only when beta_n = 0 (the last step) and T_n - z I is
             # singular; x^M_{n-1} is then a least-squares solution (tau_n = 0).
-            if gamma != 0:
-                u /= gamma
-                w1, w2, spare = u, w1, w2
-                if own:  # in place for CG; a fresh iterate for MINRES
-                    x_m = _scaled_op(x_m, np.add, c * phibar, w1, x_m if method == "cg" else None)
-                else:
-                    x_m = x_m + (c * phibar) * w1
+            x = dirs[i].step(q, delta, eps, f, gamma, c * phibar)
             if method == "minres":
-                x = x_m
+                x = dirs[i].x_m
             phibar = -s.conjugate() * phibar
-            states[i] = x_m, w1, w2, (rots[1], (c, s)), phibar, scale, spare
+            states[i] = (rots[1], (c, s)), phibar, scale
             if x is None:
                 iterates[i].append(None)
                 res[i].append(np.nan)
@@ -215,10 +260,7 @@ def _shifted_histories(run, entries, tol, keep_iterates, A, b, M=None):
             if tol is None:  # no stopping test, so no residual to pay for
                 rnorm = np.nan
             else:
-                out = residuals.get(x.dtype)
-                if own and out is None:
-                    out = residuals[x.dtype] = np.empty_like(x)
-                rnorm = _residual_norm(A, b, x, z, out)
+                rnorm = dirs[i].residual_norm(A, b, x, z)
                 if rnorm <= tol * b_norm:
                     termination[i] = "converged"
             if not keep_iterates and kept[i] is not None:

@@ -1,7 +1,8 @@
-"""Above ``core._CHUNK`` rows the recurrence and the solvers write their
-per-step updates into buffers they own, chunk by chunk.  Every result must
-be the bytes of the plain numpy expressions that run at or below it, forced
-here by raising the constant above the operator's size."""
+"""From ``core._OWN_MIN`` rows on, the recurrence and the solvers write
+their per-step updates into buffers they own, chunk by chunk.  Every result
+must be the bytes of the plain numpy expressions that run below it.  Here
+the gate is lowered to the operator's size, three chunks of ``core._CHUNK``
+rows (the last one short), and raised above it for the plain reference."""
 
 from contextlib import contextmanager
 
@@ -51,11 +52,17 @@ class _Returns:
         return out
 
 
+@pytest.fixture(autouse=True)
+def owned(monkeypatch):
+    """Runs on D rows take the buffered path unless inside :func:`plain`."""
+    monkeypatch.setattr(krylov.core, "_OWN_MIN", D)
+
+
 @contextmanager
 def plain():
     """Run the body on the plain expressions."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(krylov.core, "_CHUNK", D)
+        mp.setattr(krylov.core, "_OWN_MIN", D + 1)
         yield
 
 
