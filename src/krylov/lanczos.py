@@ -118,12 +118,6 @@ class BlockKrylovDecomposition:
         return T
 
 
-def _beta(z: np.ndarray, ss: float) -> float:
-    """``||z||`` of a vector from its square ``ss = z . z``: ``sqrt(ss)``
-    where no square can have underflowed, else range-safe ``_norm(z)``."""
-    return math.sqrt(ss) if ss >= _NORM_MIN**2 else _norm(z)
-
-
 def _squared_norms(z: np.ndarray):
     """``||z||^2`` as a float for a vector (``sqrt`` of it is bit-equal to
     ``np.linalg.norm``), per column for a ``d x m`` block."""
@@ -288,63 +282,82 @@ class _Recurrence:
         scale = 0.0
         for n in range(self.k):
             if n:
-                self._advance(self.z / self.beta)
+                self.betas.append(self.beta)
+                self.q_prev, self.q, self.beta_prev = self.q, self.z / self.beta, self.beta
+                if self.basis is not None:
+                    self.basis.append(self.q)
             if self._stride is not None and n % self._stride == 0:
                 self.checkpoints.append((self.q_prev, self.q, n))
             y = self._y()
             alpha = float(self.q @ y)
-            scale, broke = self._close(n, alpha, y - alpha * self.q, scale)
-            yield self.q, alpha, self.beta
+            z = y - alpha * self.q
+            if self._reorth:
+                z, beta = self._reorthogonalize(z)
+            else:
+                ss = float(z @ z)  # sqrt of it is bit-equal to np.linalg.norm
+                beta = math.sqrt(ss) if ss >= _NORM_MIN**2 else _norm(z)
+            self.z, self.beta = z, beta
+            if not (math.isfinite(alpha) and math.isfinite(beta)):
+                raise NonFiniteOperator(f"non-finite Lanczos coefficient at step {n}")
+            self.alphas.append(alpha)
+            scale = max(scale, abs(alpha))
+            broke = beta <= BREAKDOWN_RTOL * scale
+            scale = max(scale, beta)
+            if broke or n == self.k - 1:
+                self.termination = "breakdown" if broke else "max_iter"
+            yield self.q, alpha, beta
             if broke:
                 return
 
     def _owned_steps(self):
+        """:meth:`_plain_steps` on three owned d-vectors: ``q = z / beta``
+        is formed in z's buffer, and the next ``y`` and ``z`` in the one
+        that held ``q_prev``, never in what ``A`` returned."""
         scale, free = 0.0, None
         for n in range(self.k):
-            if n:  # q_{n+1} = z / beta in z's buffer; q_prev's is free
+            if n:
+                self.betas.append(self.beta)
                 free = self.q_prev
-                self._advance(np.divide(self.z, self.beta, out=self.z))
+                q = np.divide(self.z, self.beta, out=self.z)
+                self.q_prev, self.q, self.beta_prev = self.q, q, self.beta
+                if self.basis is not None:
+                    self.basis.append(self.q)
             if self._stride is not None and n % self._stride == 0:
                 q_prev = None if self.q_prev is None else self.q_prev.copy()
                 self.checkpoints.append((q_prev, self.q.copy(), n))
             out = np.empty_like(self.q) if free is None else free
-            y = self.A.apply(self.q)  # never written: it may be A's own array
+            y = self.A.apply(self.q)
             if self.q_prev is not None:
                 y = _scaled_op(y, np.subtract, self.beta_prev, self.q_prev, out)
             alpha = float(self.q @ y)
-            scale, broke = self._close(n, alpha, _scaled_op(y, np.subtract, alpha, self.q, out), scale)
-            yield self.q, alpha, self.beta
+            z = _scaled_op(y, np.subtract, alpha, self.q, out)
+            if self._reorth:
+                z, beta = self._reorthogonalize(z)
+            else:
+                ss = float(z @ z)
+                beta = math.sqrt(ss) if ss >= _NORM_MIN**2 else _norm(z)
+            self.z, self.beta = z, beta
+            if not (math.isfinite(alpha) and math.isfinite(beta)):
+                raise NonFiniteOperator(f"non-finite Lanczos coefficient at step {n}")
+            self.alphas.append(alpha)
+            scale = max(scale, abs(alpha))
+            broke = beta <= BREAKDOWN_RTOL * scale
+            scale = max(scale, beta)
+            if broke or n == self.k - 1:
+                self.termination = "breakdown" if broke else "max_iter"
+            yield self.q, alpha, beta
             if broke:
                 return
 
-    def _advance(self, q: np.ndarray) -> None:
-        """Accept ``beta_{n-1}`` and move to ``q_n = q``."""
-        self.betas.append(self.beta)
-        self.q_prev, self.q, self.beta_prev = self.q, q, self.beta
-        if self.basis is not None:
-            self.basis.append(self.q)
-
-    def _close(self, n: int, alpha: float, z: np.ndarray, scale: float):
-        """End step n from its ``alpha`` and ``z = y - alpha q``:
-        reorthogonalize ``z`` (FULL), take ``beta``, check both, and judge
-        breakdown.  Returns ``(scale, broke)``."""
-        if self._reorth:
-            z, ss, e = self.basis.reorthogonalize_scaled(z)
-            beta = _beta(z, ss)
-            if e:  # the norm is taken in the frame, then scaled
-                z, beta = np.ldexp(z, e), math.ldexp(beta, int(e))
-        else:
-            beta = _beta(z, float(z @ z))
-        self.z, self.beta = z, beta
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise NonFiniteOperator(f"non-finite Lanczos coefficient at step {n}")
-        self.alphas.append(alpha)
-        scale = max(scale, abs(alpha))
-        broke = beta <= BREAKDOWN_RTOL * scale
-        scale = max(scale, beta)
-        if broke or n == self.k - 1:
-            self.termination = "breakdown" if broke else "max_iter"
-        return scale, broke
+    def _reorthogonalize(self, z: np.ndarray):
+        """``(z, ||z||)`` for a FULL step: ``z`` reorthogonalized against
+        the stored basis, its norm taken in the scaled frame and then
+        scaled, so a subnormal norm is rounded once."""
+        z, ss, e = self.basis.reorthogonalize_scaled(z)
+        beta = math.sqrt(ss) if ss >= _NORM_MIN**2 else _norm(z)
+        if e:
+            z, beta = np.ldexp(z, e), math.ldexp(beta, int(e))
+        return z, beta
 
     def run(self) -> "_Recurrence":
         """Run :meth:`steps` to the end."""
