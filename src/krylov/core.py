@@ -258,8 +258,8 @@ _CHUNK = 2**14
 # The smallest d at which a recurrence or solver owns its per-step
 # d-vectors and updates them chunk by chunk.  Below it the plain numpy
 # expressions cost no more: in-process medians on 2-D Laplacians (one BLAS
-# thread) had low-memory cg 0-3% slower buffered at d = 65,536 and up to
-# 1% at 77,284, and every call faster from d = 90,000 on.
+# thread) had low-memory cg 0.2-7.7% slower buffered at d = 65,536 and
+# within 1% at 77,284, and every call faster from d = 90,000 on.
 _OWN_MIN = 90_000
 
 
