@@ -255,17 +255,20 @@ def _norm(v: np.ndarray) -> float:
 # Rows in one chunk of a buffered update: 2^14 float64s are 128 KiB, so a
 # chunk's operands stay in a core's L2 cache while the chunk is worked on.
 _CHUNK = 2**14
-# The smallest d at which a recurrence or solver owns its per-step
-# d-vectors and updates them chunk by chunk.  Below it the plain numpy
-# expressions cost no more: in-process medians on 2-D Laplacians (one BLAS
-# thread) had low-memory cg 0.2-7.7% slower buffered at d = 65,536 and
+# The smallest d at which a recurrence updates its owned d-vectors chunk by
+# chunk instead of as whole vectors, and a solver history runs owned
+# directions instead of plain ones.  Below it the whole-vector updates and
+# plain directions cost no more: in-process medians on 2-D Laplacians (one
+# BLAS thread) had low-memory cg 0.2-7.7% slower buffered at d = 65,536 and
 # within 1% at 77,284, and every call faster from d = 90,000 on.
 _OWN_MIN = 90_000
 
 
 def _owns_buffers(d: int) -> bool:
-    """Whether a run on ``d`` rows takes the buffered path (``_OWN_MIN``
-    is read at call time)."""
+    """Whether a run on ``d`` rows updates in chunks: the recurrence's
+    updates through :func:`_scaled_op` and its replay's chunk loop, a
+    solver's directions as ``_OwnedDirections`` (``_OWN_MIN`` is read at
+    call time)."""
     return d >= _OWN_MIN
 
 

@@ -120,9 +120,10 @@ class BlockKrylovDecomposition:
 
 def _squared_norms(z: np.ndarray):
     """``||z||^2`` as a float for a vector (``sqrt`` of it is bit-equal to
-    ``np.linalg.norm``), per column for a ``d x m`` block."""
+    ``np.linalg.norm``; an overflow is ``inf`` with no warning), per column
+    for a ``d x m`` block."""
     if z.ndim == 1:
-        return float(z @ z)
+        return float(np.vdot(z, z))
     return np.einsum("ij,ij->j", z, z)
 
 
@@ -166,24 +167,28 @@ class _Basis:
         only where the first cancelled, i.e. left less than ``_DGKS_KEEP``
         of a column's norm (one such column repeats the pass for the whole
         block), run on ``z`` scaled by exact powers of two wherever a
-        column's squares may underflow (norm below ``_NORM_MIN``).  Returns
-        ``(z, ||z||^2)``: a float for a vector, one per column for a block."""
+        column's squares may underflow or overflow (norm outside
+        ``[_NORM_MIN, 1 / _NORM_MIN]``).  Returns
+        ``(z, ||z||^2)``: a float for a vector, one per column for a block,
+        ``inf`` where the square exceeds the float range."""
         z, ss, e = self.reorthogonalize_scaled(z)
         if np.any(e):
-            return np.ldexp(z, e), np.ldexp(ss, 2 * e)
+            with np.errstate(over="ignore"):
+                return np.ldexp(z, e), np.ldexp(ss, 2 * e)
         return z, ss
 
     def reorthogonalize_scaled(self, z: np.ndarray):
         """:meth:`reorthogonalize` left in its scaled frame: ``(z 2^-e,
         ||z 2^-e||^2, e)``, ``e`` the binary exponent of each column's
-        largest entry where a column's squares may underflow, else 0.  A
-        norm taken in the frame and scaled by ``2^e`` is rounded once, not
-        taken from a result that was first rescaled into subnormals."""
+        largest entry where a column's squares may underflow or overflow,
+        else 0.  A norm taken in the frame and scaled by ``2^e`` is rounded
+        once, not taken from a result that was first rescaled into
+        subnormals."""
         V = self.rows
         before = _squared_norms(z)
-        tiny = before < _NORM_MIN**2
+        far = (before < _NORM_MIN**2) | (before > _NORM_MIN**-2)
         e = 0
-        if tiny if z.ndim == 1 else tiny.any():
+        if far if z.ndim == 1 else far.any():
             e = np.frexp(np.abs(z).max(axis=0))[1]  # 0 for z = 0
             if np.any(e):
                 z = np.ldexp(z, -e)
@@ -217,14 +222,17 @@ class _Recurrence:
     ``b_norm * Q c`` from the stored basis, or from :meth:`replay` when
     the run kept checkpoints: the storage is chosen once, at construction.
 
-    From ``core._OWN_MIN`` rows on, the run owns its step vectors:
-    ``q_prev``, ``q`` and ``z`` rotate through three d-vectors, and every
-    ``y - a x`` update is written into one of them chunk by chunk
-    (``core._scaled_op``), with the bytes of the plain expressions used
-    below that size.  The choice is made once, at construction: each path
-    has its own step body.  A vector that :meth:`steps` or :meth:`replay`
-    yields on the buffered path is valid only until the next step; the
-    checkpoints and the stored basis hold copies.
+    Every run owns its step vectors: ``q_prev``, ``q`` and ``z`` rotate
+    through three d-vectors (a replay's through three of its own), every
+    ``y - a x`` update is written into one of them, and the output of
+    ``A`` is never written.  A vector that :meth:`steps` or
+    :meth:`replay` yields is valid only until the next step; the
+    checkpoints and the stored basis hold copies.  The size decides only
+    how an update runs, once, at construction: below ``core._OWN_MIN``
+    rows as whole-vector ufuncs, from it on chunk by chunk
+    (``core._scaled_op``, the replay's chunk loop) with no d-length
+    temporary.  Both run the same ufuncs in the same order, so the bytes
+    do not depend on the size.
     """
 
     def __init__(
@@ -265,55 +273,15 @@ class _Recurrence:
     def T(self) -> SymTridiagonal:
         return SymTridiagonal(np.asarray(self.alphas), np.asarray(self.betas))
 
-    def _y(self) -> np.ndarray:
-        y = self.A.apply(self.q)
-        if self.q_prev is not None:
-            y = y - self.beta_prev * self.q_prev
-        return y
-
     def steps(self):
         """Yield ``(q_n, alpha_n, beta_n)`` for n = 0, 1, ... until
         breakdown or until k coefficients alpha are known; the last step
         sets ``termination`` to "breakdown" or "max_iter".  Step n+1 (its
-        product with ``A``) runs only when the caller asks for it."""
-        return self._owned_steps() if self._own else self._plain_steps()
-
-    def _plain_steps(self):
-        scale = 0.0
-        for n in range(self.k):
-            if n:
-                self.betas.append(self.beta)
-                self.q_prev, self.q, self.beta_prev = self.q, self.z / self.beta, self.beta
-                if self.basis is not None:
-                    self.basis.append(self.q)
-            if self._stride is not None and n % self._stride == 0:
-                self.checkpoints.append((self.q_prev, self.q, n))
-            y = self._y()
-            alpha = float(self.q @ y)
-            z = y - alpha * self.q
-            if self._reorth:
-                z, beta = self._reorthogonalize(z)
-            else:
-                ss = float(z @ z)  # sqrt of it is bit-equal to np.linalg.norm
-                beta = math.sqrt(ss) if ss >= _NORM_MIN**2 else _norm(z)
-            self.z, self.beta = z, beta
-            if not (math.isfinite(alpha) and math.isfinite(beta)):
-                raise NonFiniteOperator(f"non-finite Lanczos coefficient at step {n}")
-            self.alphas.append(alpha)
-            scale = max(scale, abs(alpha))
-            broke = beta <= BREAKDOWN_RTOL * scale
-            scale = max(scale, beta)
-            if broke or n == self.k - 1:
-                self.termination = "breakdown" if broke else "max_iter"
-            yield self.q, alpha, beta
-            if broke:
-                return
-
-    def _owned_steps(self):
-        """:meth:`_plain_steps` on three owned d-vectors: ``q = z / beta``
-        is formed in z's buffer, and the next ``y`` and ``z`` in the one
-        that held ``q_prev``, never in what ``A`` returned."""
-        scale, free = 0.0, None
+        product with ``A``) runs only when the caller asks for it.
+        ``q = z / beta`` is formed in z's buffer, and the next ``y`` and
+        ``z`` in the one that held ``q_prev``, never in what ``A``
+        returned."""
+        own, scale, free = self._own, 0.0, None
         for n in range(self.k):
             if n:
                 self.betas.append(self.beta)
@@ -328,14 +296,20 @@ class _Recurrence:
             out = np.empty_like(self.q) if free is None else free
             y = self.A.apply(self.q)
             if self.q_prev is not None:
-                y = _scaled_op(y, np.subtract, self.beta_prev, self.q_prev, out)
+                if own:
+                    y = _scaled_op(y, np.subtract, self.beta_prev, self.q_prev, out)
+                else:
+                    y = np.subtract(y, self.beta_prev * self.q_prev, out=out)
             alpha = float(self.q @ y)
-            z = _scaled_op(y, np.subtract, alpha, self.q, out)
+            if own:
+                z = _scaled_op(y, np.subtract, alpha, self.q, out)
+            else:
+                z = np.subtract(y, alpha * self.q, out=out)
             if self._reorth:
                 z, beta = self._reorthogonalize(z)
             else:
-                ss = float(z @ z)
-                beta = math.sqrt(ss) if ss >= _NORM_MIN**2 else _norm(z)
+                ss = float(np.vdot(z, z))  # sqrt of it is bit-equal to np.linalg.norm
+                beta = math.sqrt(ss) if _NORM_MIN**2 <= ss <= _NORM_MIN**-2 else _norm(z)
             self.z, self.beta = z, beta
             if not (math.isfinite(alpha) and math.isfinite(beta)):
                 raise NonFiniteOperator(f"non-finite Lanczos coefficient at step {n}")
@@ -354,7 +328,7 @@ class _Recurrence:
         the stored basis, its norm taken in the scaled frame and then
         scaled, so a subnormal norm is rounded once."""
         z, ss, e = self.basis.reorthogonalize_scaled(z)
-        beta = math.sqrt(ss) if ss >= _NORM_MIN**2 else _norm(z)
+        beta = math.sqrt(ss) if _NORM_MIN**2 <= ss <= _NORM_MIN**-2 else _norm(z)
         if e:
             z, beta = np.ldexp(z, e), math.ldexp(beta, int(e))
         return z, beta
@@ -368,27 +342,12 @@ class _Recurrence:
     def replay(self):
         """Yield q_0, q_1, ... again from the checkpoints and the stored
         coefficients, computing no inner products (the second pass of
-        two-pass Lanczos)."""
-        return self._owned_replay() if self._own else self._plain_replay()
-
-    def _plain_replay(self):
-        k_used = len(self.alphas)
-        for q_prev, q, start in self.checkpoints:
-            self.q_prev, self.q = q_prev, q
-            self.beta_prev = self.betas[start - 1] if start else 0.0
-            stop = min(start + self._stride, k_used)
-            for n in range(start, stop):
-                yield self.q
-                if n + 1 < stop:
-                    z, beta = self._y() - self.alphas[n] * self.q, self.betas[n]
-                    self.q_prev, self.q, self.beta_prev = self.q, z / beta, beta
-
-    def _owned_replay(self):
-        """:meth:`replay` with no d-length temporary: each step's
-        ``((A q - beta_prev q_prev) - alpha q) / beta`` is formed chunk by
-        chunk, by the plain path's ufuncs in its order, into the one of
-        three owned buffers that holds neither ``q`` nor ``q_prev``."""
-        k_used = len(self.alphas)
+        two-pass Lanczos).  Each step's ``((A q - beta_prev q_prev) -
+        alpha q) / beta`` is formed, by the first pass's ufuncs in its
+        order, into the one of three owned buffers that holds neither
+        ``q`` nor ``q_prev``: whole, or chunk by chunk with no d-length
+        temporary."""
+        own, k_used = self._own, len(self.alphas)
         bufs = [np.empty_like(self.q) for _ in range(3)]
         chunks = _chunks(self.A.dim)
         scratch = np.empty(chunks[0][1])
@@ -401,31 +360,38 @@ class _Recurrence:
                 if n + 1 < stop:
                     y, alpha, beta = self.A.apply(q), self.alphas[n], self.betas[n]
                     out, made = bufs[made % 3], made + 1
-                    for rows, m in chunks:
-                        t, o, yr = scratch[:m], out[rows], y[rows]
+                    if own:
+                        for rows, m in chunks:
+                            t, o, yr = scratch[:m], out[rows], y[rows]
+                            if q_prev is not None:
+                                yr = np.subtract(yr, np.multiply(beta_prev, q_prev[rows], out=t), out=o)
+                            np.subtract(yr, np.multiply(alpha, q[rows], out=t), out=o)
+                            np.divide(o, beta, out=o)
+                    else:
                         if q_prev is not None:
-                            yr = np.subtract(yr, np.multiply(beta_prev, q_prev[rows], out=t), out=o)
-                        np.subtract(yr, np.multiply(alpha, q[rows], out=t), out=o)
-                        np.divide(o, beta, out=o)
+                            y = np.subtract(y, beta_prev * q_prev, out=out)
+                        np.subtract(y, alpha * q, out=out)
+                        np.divide(out, beta, out=out)
                     q_prev, q, beta_prev = q, out, beta
 
     def combine(self, coeffs) -> np.ndarray:
         """``b_norm * sum_n coeffs[n] q_n``, one term per step, summed left
         to right over the stored basis or, without one, over
         :meth:`replay`: one loop for the one-pass and the two-pass result,
-        so the two are bit-identical.  The buffered path adds each term
-        into the sum in place, chunk by chunk."""
+        so the two are bit-identical.  Each term is added into the sum in
+        place, chunk by chunk from ``core._OWN_MIN`` rows on."""
         res = None
         rows = self.replay() if self.basis is None else self.basis.rows
-        if self._own:
-            for n, q in enumerate(rows):
-                a = self.b_norm * coeffs[n]
-                res = a * q if res is None else _scaled_op(res, np.add, a, q, res)
-            return res
         for n, q in enumerate(rows):
-            term = (self.b_norm * coeffs[n]) * q
-            res = term if res is None else res + term
+            a = self.b_norm * coeffs[n]
+            if res is None:
+                res = a * q
+            elif self._own:
+                _scaled_op(res, np.add, a, q, res)
+            else:
+                np.add(res, a * q, out=res)
         return res
+
 
 def lanczos(
     A: LinearOperator,

@@ -247,6 +247,18 @@ class TestReorthogonalize:
         zero, ss = basis.reorthogonalize(np.zeros(self.D))
         assert not zero.any() and ss == 0.0
 
+    def test_huge_columns_get_the_passes_of_their_unscaled_twins(self):
+        # At 2^600 the squares overflow; the passes must still run as at
+        # scale 1, to the same bits, and hand back inf with no warning.
+        rng = np.random.default_rng(34)
+        basis, V = self._basis(rng)
+        Z = np.column_stack([self._near_span(rng, V), rng.standard_normal(self.D)])
+        for z in (Z[:, 0], Z):
+            ref, _ = basis.reorthogonalize(z)
+            got, ss = basis.reorthogonalize(np.ldexp(z, 600))
+            assert got.tobytes() == np.ldexp(ref, 600).tobytes()
+            assert np.all(ss == np.inf)
+
     def test_full_lanczos_makes_one_pass_per_step(self, monkeypatch):
         # Each pass is two products with the stored basis, V @ z and
         # V^T @ (V @ z); count them through a wrapped basis store.
@@ -421,7 +433,7 @@ class TestRecurrence:
         rec = _Recurrence(A, b, k, checkpoint_stride=stride).run()
         assert [start for *_, start in rec.checkpoints] == list(range(0, k, stride))
         assert rec.alphas == stored.alphas and rec.betas == stored.betas
-        replayed = list(rec.replay())
+        replayed = [q.copy() for q in rec.replay()]  # each is valid until the next step
         assert len(replayed) == k
         for q, row in zip(replayed, stored.basis.rows):
             assert np.array_equal(q, row)

@@ -1,8 +1,10 @@
-"""From ``core._OWN_MIN`` rows on, the recurrence and the solvers write
-their per-step updates into buffers they own, chunk by chunk.  Every result
-must be the bytes of the plain numpy expressions that run below it.  Here
-the gate is lowered to the operator's size, three chunks of ``core._CHUNK``
-rows (the last one short), and raised above it for the plain reference."""
+"""From ``core._OWN_MIN`` rows on, the recurrence updates its owned
+buffers chunk by chunk and the solvers run their owned directions.  Every
+result must be the bytes of the whole-vector updates and plain directions
+that run below it.  Here the gate is lowered to the operator's size, three
+chunks of ``core._CHUNK`` rows (the last one short), and :func:`plain`
+raises it above that size, which selects the whole-vector branch of the
+same recurrence body for the reference."""
 
 from contextlib import contextmanager
 
@@ -60,7 +62,7 @@ def owned(monkeypatch):
 
 @contextmanager
 def plain():
-    """Run the body on the plain expressions."""
+    """Run the body on whole-vector updates and plain directions."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(krylov.core, "_OWN_MIN", D + 1)
         yield
@@ -186,7 +188,10 @@ def test_an_operator_that_returns_one_array_is_never_written(mode):
     A = LinearOperator(D, _Returns(diag))
     got = (_steps(A, mode)[1], _solver_outputs(A, mode))
     with plain():
-        assert (_steps(_diagonal(), mode)[1], _solver_outputs(_diagonal(), mode)) == got
+        ref = (_steps(_diagonal(), mode)[1], _solver_outputs(_diagonal(), mode))
+        A = LinearOperator(D, _Returns(diag))
+        assert (_steps(A, mode)[1], _solver_outputs(A, mode)) == ref
+    assert got == ref
 
 
 @pytest.mark.parametrize("mode", MODES)

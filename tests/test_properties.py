@@ -388,12 +388,15 @@ def test_full_lanczos_basis_is_orthonormal(vals, seed, k):
 spd_spectra = st.lists(st.floats(0.1, 10.0), min_size=2, max_size=80)
 
 
-@given(spd_spectra, start_seeds, st.integers(1, 40), modes, st.integers(-900, 0))
+@given(spd_spectra, start_seeds, st.integers(1, 40), modes, st.integers(-900, 900))
 @example([1.0 + 0.18 * i for i in range(50)], 0, 20, ReorthMode.NONE, -540)
 @example([1.0, 2.0], 0, 2, ReorthMode.FULL, -486)  # the DGKS test's squares
+@example(list(np.linspace(1, 10, 50)), 0, 20, ReorthMode.NONE, 520)  # squares overflow
+@example(list(np.linspace(1, 10, 50)), 0, 20, ReorthMode.FULL, 520)
 def test_lanczos_is_equivariant_under_power_of_two_scaling(vals, seed, k, mode, s):
     # 2^s A scales every coefficient by 2^s and leaves the basis alone, bit
-    # for bit: a beta whose square underflows must not end the run.
+    # for bit: a beta whose square underflows must not end the run, and one
+    # whose square overflows must not raise.
     b = start_vector(seed, len(vals))
     ref = lanczos(LinearOperator.diagonal(vals), b, k, mode=mode)
     dec = lanczos(LinearOperator.diagonal(np.ldexp(vals, s)), b, k, mode=mode)

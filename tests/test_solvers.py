@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import krylov.core
 from krylov.core import LinearOperator
 from krylov.errors import InsufficientIterates, InvalidInterval, NonFiniteOperator
 from krylov.lanczos import ReorthMode, block_lanczos, lanczos
@@ -461,10 +462,15 @@ class TestNonFiniteOperator:
 
 
 class TestMultiShiftMemory:
-    def test_peak_does_not_grow_with_k(self):
+    @pytest.mark.parametrize(
+        "d, chunked", [(20_000, False), (2 * krylov.core._CHUNK + 3, True)], ids=["whole", "chunked"]
+    )
+    def test_peak_does_not_grow_with_k(self, d, chunked, monkeypatch):
         # Without reorthogonalization or kept iterates, the shifts' lockstep
-        # Givens QR states are the only long vectors besides the recurrence.
-        d = 20_000
+        # Givens QR states are the only long vectors besides the recurrence,
+        # on whole-vector updates and, with the gate lowered, on chunked ones.
+        if chunked:
+            monkeypatch.setattr(krylov.core, "_OWN_MIN", d)
         A = LinearOperator.diagonal(np.linspace(1.0, 10.0, d))
         b = np.ones(d)
         peaks = []
